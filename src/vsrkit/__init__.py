@@ -3,6 +3,7 @@ super-resolution toolkit with quality metrics and throughput estimation."""
 
 from .tensor import (
     DTYPE,
+    NonFiniteError,
     ShapeError,
     bilinear_resize,
     concat_channels,

@@ -14,14 +14,13 @@ import numpy as np
 
 from . import bench as benchmod
 from . import metrics as metricsmod
+from .conv import BACKENDS
 from .frame_io import read_sequence, write_sequence
 from .graph import NetworkGraph, fuse_conv_bn, init_random
 from .model_io import load_bundle, load_model, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
 from .pipeline import upscale_frames, vsr_run
 from .tensor import DTYPE
-
-BACKEND_CHOICES = ("naive", "gemm", "winograd")
 
 
 def _parse_size(text: str) -> tuple:
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="DIR")
     p.add_argument("--scale", type=int, default=None,
                    help="expected upscale factor (checked against the model)")
-    p.add_argument("--conv", choices=BACKEND_CHOICES, default="gemm")
+    p.add_argument("--conv", choices=BACKENDS, default="gemm")
     p.add_argument("--fuse-bn", action="store_true")
     p.add_argument("--format", choices=("ppm", "f32"), default=None,
                    help="output frame container (default: ppm for RGB)")
@@ -315,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", required=True, metavar="WxH")
     p.add_argument("--frames", type=int, default=30)
     p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--conv", choices=BACKEND_CHOICES, default="gemm")
+    p.add_argument("--conv", choices=BACKENDS, default="gemm")
     p.add_argument("--fuse-bn", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", default=None, metavar="PATH")

@@ -8,7 +8,7 @@ index (``0000.ppm``, ``0001.ppm``, ...). Two containers are supported:
   Lossy by quantization, universally viewable.
 * ``.f32``: a raw planar container for lossless fixtures. 16-byte header
   of four little-endian u32 (n, c, h, w; n is always 1), then n*c*h*w
-  32-bit little-endian floats in channel-major order.
+  32-bit little-endian floats in channel-major order, all finite.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .tensor import DTYPE, ShapeError
+from .tensor import DTYPE, NonFiniteError, ShapeError, check_finite
 
 
 class FrameFormatError(ValueError):
@@ -112,7 +112,12 @@ def read_f32(path) -> np.ndarray:
     if len(data) != 4 * c * h * w:
         raise FrameFormatError(f"{path}: payload truncated, expected "
                                f"{4 * c * h * w} bytes, found {len(data)}")
-    return np.frombuffer(data, dtype="<f4").reshape(c, h, w).astype(DTYPE)
+    frame = np.frombuffer(data, dtype="<f4").reshape(c, h, w).astype(DTYPE)
+    try:
+        check_finite(frame, "payload")
+    except NonFiniteError as e:
+        raise FrameFormatError(f"{path}: {e}") from None
+    return frame
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as tops
 from .graph import NetworkGraph
-from .tensor import DTYPE, ShapeError
+from .tensor import DTYPE, NonFiniteError, ShapeError
 
 
 def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
@@ -23,7 +23,8 @@ def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
     ``flow`` has two channels in pixel units: channel 0 is the horizontal
     displacement u, channel 1 the vertical displacement v. Output pixel
     (y, x) bilinearly samples the input at (y + v, x + u), clamping sample
-    coordinates to the image border.
+    coordinates to the image border. Non-finite flow raises
+    :class:`NonFiniteError`.
     """
     x = tops.check_tensor(x, "warp input")
     flow = tops.check_tensor(flow, "flow")
@@ -31,6 +32,7 @@ def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
     if flow.shape != (n, 2, h, w):
         raise ShapeError(f"flow shape {flow.shape} does not match "
                          f"({n}, 2, {h}, {w})")
+    tops.check_finite(flow, "flow")
     gy, gx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
     sx = gx[None] + flow[:, 0].astype(np.float64)
@@ -103,9 +105,14 @@ def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
 def vsr_step(generator: dict, lr: np.ndarray,
              state: RecurrentState | None = None,
              backend: str = "gemm") -> tuple:
-    """One recurrent step; returns (hr_frame, flow, next_state)."""
+    """One recurrent step; returns (hr_frame, flow, next_state).
+
+    A non-finite input frame, or a non-finite flow (from non-finite
+    weights), raises :class:`NonFiniteError`.
+    """
     fnet, srnet, scale, frame_c = _check_generator(generator)
     lr = tops.check_tensor(lr, "low-resolution frame")
+    tops.check_finite(lr, "low-resolution frame")
     n, c, h, w = lr.shape
     if c != frame_c:
         raise ShapeError(f"frame has {c} channels, net expects {frame_c}")
@@ -127,7 +134,10 @@ def vsr_step(generator: dict, lr: np.ndarray,
 
 def vsr_run(generator: dict, frames: np.ndarray,
             backend: str = "gemm") -> np.ndarray:
-    """Upscale a whole (t, c, h, w) sequence; returns (t, c, h*s, w*s)."""
+    """Upscale a whole (t, c, h, w) sequence; returns (t, c, h*s, w*s).
+
+    A :class:`NonFiniteError` from any step is re-raised naming its frame.
+    """
     frames = np.asarray(frames, dtype=DTYPE)
     if frames.ndim != 4:
         raise ShapeError(f"expected (t, c, h, w) sequence, got {frames.shape}")
@@ -136,7 +146,10 @@ def vsr_run(generator: dict, frames: np.ndarray,
     state = None
     outs = []
     for t in range(frames.shape[0]):
-        hr, _, state = vsr_step(generator, frames[t:t + 1], state, backend)
+        try:
+            hr, _, state = vsr_step(generator, frames[t:t + 1], state, backend)
+        except NonFiniteError as e:
+            raise NonFiniteError(f"frame {t}: {e}") from None
         outs.append(hr[0])
     return np.stack(outs).astype(DTYPE)
 

@@ -15,6 +15,10 @@ class ShapeError(ValueError):
     """Raised when tensor shapes violate an operation's contract."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when a tensor that must be finite holds NaN or infinity."""
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ShapeError(msg)
@@ -48,6 +52,16 @@ def check_tensor(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     if t.dtype != DTYPE:
         t = t.astype(DTYPE)
     return t
+
+
+def check_finite(t: np.ndarray, name: str = "tensor") -> None:
+    """Raise :class:`NonFiniteError` if ``t`` holds NaN or infinity,
+    giving the count and the index of the first such value."""
+    bad = ~np.isfinite(t)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NonFiniteError(f"{name} holds {int(bad.sum())} non-finite "
+                             f"values, first at index {first}")
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -267,6 +267,22 @@ def test_missing_model_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_upscale_non_finite_frame_is_a_clean_error(tmp_path, capsys):
+    model = tmp_path / "gen.vsm"
+    main(["build-model", "--arch", "egvsr", "--out", str(model)])
+    frames = np.random.default_rng(8).random((2, 3, 16, 16),
+                                             dtype=np.float32)
+    frames[1, 2, 7, 7] = np.nan
+    lr_dir = tmp_path / "lr"
+    write_sequence(frames, lr_dir, fmt="f32")
+    capsys.readouterr()
+    assert main(["upscale", "--model", str(model), "--in", str(lr_dir),
+                 "--out", str(tmp_path / "hr")]) == 1
+    err = capsys.readouterr().err
+    assert "0001.f32: payload holds 1 non-finite values" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

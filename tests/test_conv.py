@@ -122,6 +122,7 @@ def test_gemm_against_loop_reference():
 
 def test_gemm_path_reproduces_naive():
     rng = np.random.default_rng(6)
+    cases = []
     for _ in range(30):
         ci = int(rng.integers(1, 9))
         co = int(rng.integers(1, 9))
@@ -132,9 +133,25 @@ def test_gemm_path_reproduces_naive():
                           rng.standard_normal(co).astype(np.float32),
                           stride=int(rng.integers(1, 3)),
                           pad=int(rng.integers(0, 3)))
-        x = rng.random((2, ci, h, w), dtype=np.float32)
+        cases.append((rng.random((2, ci, h, w), dtype=np.float32), kern))
+    # the widths egvsr and the perceptual net run: (n, c_in, c_out, stride)
+    for n, ci, co, stride in ((1, 51, 64, 1), (1, 64, 64, 1),
+                              (1, 256, 128, 1), (1, 3, 8, 2), (3, 16, 8, 1)):
+        kern = ConvKernel(
+            rng.standard_normal((co, ci, 3, 3)).astype(np.float32),
+            rng.standard_normal(co).astype(np.float32), stride=stride, pad=1)
+        cases.append((rng.random((n, ci, 7, 6), dtype=np.float32), kern))
+    # a non-contiguous input: a channel slice of a wider tensor
+    wide = rng.random((2, 12, 9, 8), dtype=np.float32)
+    kern = ConvKernel(rng.standard_normal((5, 6, 3, 3)).astype(np.float32),
+                      rng.standard_normal(5).astype(np.float32), pad=1)
+    cases.append((wide[:, 3:9], kern))
+    assert not cases[-1][0].flags.c_contiguous
+    for x, kern in cases:
         ref = conv2d_naive(x, kern)
         got = conv2d_gemm(x, kern)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == ref.shape
         denom = max(float(np.max(np.abs(ref))), 1e-6)
         assert float(np.max(np.abs(got - ref))) / denom <= 1e-6
 

@@ -201,6 +201,17 @@ def test_f32_rejects_truncation(tmp_path):
         read_f32(path)
 
 
+def test_f32_rejects_non_finite_payload(tmp_path):
+    frame = np.zeros((2, 3, 3), dtype=np.float32)
+    frame[1, 2, 0] = np.nan
+    frame[0, 0, 1] = -np.inf
+    path = tmp_path / "0007.f32"
+    write_f32(path, frame)
+    with pytest.raises(FrameFormatError, match=r"0007\.f32: payload holds 2 "
+                                               r"non-finite values"):
+        read_f32(path)
+
+
 # ---------------------------------------------------------------------------
 # sequence directories
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vsrkit import (
+    NonFiniteError,
     RecurrentState,
     ShapeError,
     build_control_srnet,
@@ -77,6 +78,16 @@ def test_warp_rejects_mismatched_flow():
         warp(x, np.zeros((1, 3, 8, 8), dtype=np.float32))
     with pytest.raises(ShapeError):
         warp(x, np.zeros((1, 2, 4, 4), dtype=np.float32))
+
+
+def test_warp_rejects_non_finite_flow():
+    x = np.zeros((1, 3, 8, 8), dtype=np.float32)
+    flow = np.zeros((1, 2, 8, 8), dtype=np.float32)
+    flow[0, 1, 2, 5] = np.inf
+    with pytest.raises(NonFiniteError, match=r"flow holds 1 non-finite "
+                                             r"values, first at index "
+                                             r"\(0, 1, 2, 5\)"):
+        warp(x, flow)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +194,28 @@ def test_vsr_run_first_frame_matches_vsr_step(generator):
 def test_vsr_run_rejects_empty_sequence(generator):
     with pytest.raises(ShapeError):
         vsr_run(generator, np.zeros((0, 3, 16, 16), dtype=np.float32))
+
+
+def test_vsr_run_names_the_non_finite_frame(generator):
+    frames = np.random.default_rng(5).random((3, 3, 16, 16),
+                                             dtype=np.float32)
+    frames[1, 0, 3, 3] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^frame 1: low-resolution "
+                                             r"frame holds 1 non-finite"):
+        vsr_run(generator, frames)
+    assert issubclass(NonFiniteError, ValueError)
+
+
+def test_vsr_run_names_the_frame_of_non_finite_flow():
+    # NaN weights in the flow net give NaN flow, caught before warping
+    fnet = init_random(build_fnet(), 21)
+    conv = next(ly for ly in fnet.layers if ly.kind == "conv2d")
+    conv.arrays["weight"][0, 0, 0, 0] = np.nan
+    generator = {"fnet": fnet, "srnet": init_random(build_srnet(), 22)}
+    frames = np.random.default_rng(6).random((2, 3, 16, 16),
+                                             dtype=np.float32)
+    with pytest.raises(NonFiniteError, match=r"^frame 0: flow holds"):
+        vsr_run(generator, frames)
 
 
 def test_upscale_frames_applies_single_graph_per_frame():
