@@ -47,8 +47,6 @@ from .graph import (
     maxpool2_layer,
     pixel_shuffle_layer,
     residual_add_layer,
-    resize_layer,
-    space_to_depth_layer,
 )
 from .models import (
     FNetConfig,

@@ -17,7 +17,7 @@ from . import metrics as metricsmod
 from .conv import BACKENDS
 from .frame_io import read_sequence, write_sequence
 from .graph import NetworkGraph, fuse_conv_bn, init_random
-from .model_io import load_bundle, load_model, save_model
+from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
 from .pipeline import upscale_frames, vsr_run
 from .tensor import DTYPE
@@ -191,17 +191,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_fuse_bn(args) -> int:
-    model = load_model(args.inp)
-    if isinstance(model, NetworkGraph):
-        before = len(model.layers)
-        fused = fuse_conv_bn(model)
-        after = len(fused.layers)
-        save_model(fused, args.out)
-    else:
-        before = sum(len(g.layers) for g in model.values())
-        fused = {k: fuse_conv_bn(g) for k, g in model.items()}
-        after = sum(len(g.layers) for g in fused.values())
-        save_model(fused, args.out)
+    bundle = load_bundle(args.inp)
+    fused = {k: fuse_conv_bn(g) for k, g in bundle.items()}
+    save_model(fused, args.out)
+    before = sum(len(g.layers) for g in bundle.values())
+    after = sum(len(g.layers) for g in fused.values())
     print(f"fused model written to {args.out} "
           f"({before} layers -> {after} layers)")
     return 0

@@ -28,6 +28,7 @@ from .tensor import DTYPE, ShapeError, check_tensor, pad_zero
 log = logging.getLogger(__name__)
 
 BACKENDS = ("naive", "gemm", "winograd")
+ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 
 # F(2x2,3x3) transform matrices: input (BT d B), filter (G g GT), output
 # (AT m A). The element-wise product stage touches 4x4 = 16 values per tile

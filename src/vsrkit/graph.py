@@ -3,9 +3,10 @@ parameter/MAC accounting.
 
 A :class:`NetworkGraph` is an ordered list of layers executed sequentially.
 Skip connections are expressed by ``residual_add`` / ``concat`` layers that
-reference an earlier layer's output by name. Channel compatibility and
-weight shapes are validated eagerly at construction; spatial constraints
-are checked when an actual input size is known (forward or cost analysis).
+reference an earlier layer's output by name. Channel compatibility, weight
+shapes and layer attributes are validated eagerly at construction; spatial
+constraints are checked when an actual input size is known (forward or cost
+analysis). Both checks run through one per-kind rule, ``NetworkGraph._infer``.
 
 Graphs are immutable by convention after construction: the fusion pass and
 every other transform returns a new graph and never mutates its input.
@@ -25,19 +26,20 @@ from .tensor import DTYPE, ShapeError
 
 log = logging.getLogger(__name__)
 
-LAYER_KINDS = (
-    "conv2d",
-    "conv_transpose2d",
-    "batch_norm",
-    "activation",
-    "maxpool2",
-    "bilinear_up",
-    "pixel_shuffle",
-    "space_to_depth",
-    "concat",
-    "residual_add",
-    "interpolation_resize",
-)
+# kind -> id written into .vsm headers. The ids are part of the file format:
+# retired kinds keep theirs (7 space_to_depth, 10 interpolation_resize), and
+# those ids are never reused.
+LAYER_KINDS = {
+    "conv2d": 0,
+    "conv_transpose2d": 1,
+    "batch_norm": 2,
+    "activation": 3,
+    "maxpool2": 4,
+    "bilinear_up": 5,
+    "pixel_shuffle": 6,
+    "concat": 8,
+    "residual_add": 9,
+}
 
 
 class GraphError(ValueError):
@@ -65,9 +67,7 @@ class Layer:
 
     def param_count(self) -> int:
         """Stored parameter elements (weights, biases, per-channel stats)."""
-        if self.kind in ("conv2d", "conv_transpose2d", "batch_norm"):
-            return int(sum(a.size for a in self.arrays.values()))
-        return 0
+        return int(sum(a.size for a in self.arrays.values()))
 
 
 @dataclass
@@ -101,6 +101,19 @@ class BatchNormParams:
     @property
     def channels(self) -> int:
         return self.gamma.size
+
+    def affine(self) -> tuple:
+        """Float64 per-channel (scale, shift) with bn(x) = scale*x + shift:
+        scale = gamma/sqrt(var + eps), shift = beta - mean*scale."""
+        scale = (self.gamma.astype(np.float64)
+                 / np.sqrt(self.var.astype(np.float64) + self.eps))
+        shift = self.beta.astype(np.float64) - self.mean.astype(np.float64) * scale
+        return scale, shift
+
+
+def _check(ok: bool, msg: str) -> None:
+    if not ok:
+        raise GraphError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +162,7 @@ def batch_norm_layer(name, c, params: BatchNormParams | None = None,
 
 
 def activation_layer(name, kind, alpha: float = 0.2, scale: float = 1.0) -> Layer:
-    if kind not in ("relu", "leaky_relu", "tanh"):
+    if kind not in convops.ACTIVATIONS:
         raise GraphError(f"unknown activation {kind!r}")
     return Layer("activation", name,
                  {"fn": kind, "alpha": float(alpha), "scale": float(scale)})
@@ -163,16 +176,8 @@ def bilinear_up_layer(name, scale: float = 2.0) -> Layer:
     return Layer("bilinear_up", name, {"scale": float(scale)})
 
 
-def resize_layer(name, scale: float) -> Layer:
-    return Layer("interpolation_resize", name, {"scale": float(scale)})
-
-
 def pixel_shuffle_layer(name, r: int) -> Layer:
     return Layer("pixel_shuffle", name, {"r": int(r)})
-
-
-def space_to_depth_layer(name, block: int) -> Layer:
-    return Layer("space_to_depth", name, {"block": int(block)})
 
 
 def concat_layer(name, source: str) -> Layer:
@@ -192,9 +197,8 @@ def batchnorm_forward(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     if x.shape[1] != p.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, "
                          f"batch-norm params have {p.channels}")
-    inv = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
-    shift = p.beta.astype(np.float64) - p.mean.astype(np.float64) * inv
-    out = x * inv.astype(DTYPE)[None, :, None, None]
+    scale, shift = p.affine()
+    out = x * scale.astype(DTYPE)[None, :, None, None]
     out += shift.astype(DTYPE)[None, :, None, None]
     return out
 
@@ -206,11 +210,10 @@ def bn_to_1x1(p: BatchNormParams) -> ConvKernel:
     bias beta_c - gamma_c*mean_c/sqrt(var_c + eps).
     """
     c = p.channels
-    inv = p.gamma.astype(np.float64) / np.sqrt(p.var.astype(np.float64) + p.eps)
+    scale, shift = p.affine()
     weights = np.zeros((c, c, 1, 1), dtype=DTYPE)
-    weights[np.arange(c), np.arange(c), 0, 0] = inv.astype(DTYPE)
-    bias = (p.beta.astype(np.float64) - p.mean.astype(np.float64) * inv).astype(DTYPE)
-    return ConvKernel(weights, bias, stride=1, pad=0)
+    weights[np.arange(c), np.arange(c), 0, 0] = scale.astype(DTYPE)
+    return ConvKernel(weights, shift.astype(DTYPE), stride=1, pad=0)
 
 
 def _bn_params_of(layer: Layer) -> BatchNormParams:
@@ -239,70 +242,104 @@ class NetworkGraph:
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise GraphError(f"duplicate layer names: {dup}")
-        self._validate_channels()
+        shapes = self._shapes((self.in_channels, None, None))
+        self._out_channels = shapes[-1][0] if shapes else self.in_channels
 
-    # -- static validation ---------------------------------------------------
+    # -- shape inference and attribute validation ------------------------------
 
-    def _validate_channels(self) -> None:
-        """Channel-flow inference over the layer list; raises naming the layer."""
-        seen: dict[str, int] = {}
-        c = self.in_channels
+    def _shapes(self, cur: tuple) -> list:
+        """Per-layer output (c, h, w) from input ``cur``; raises naming the layer."""
+        seen: dict[str, tuple] = {}
+        shapes = []
         for i, ly in enumerate(self.layers):
             try:
-                c = self._infer_channels(ly, c, seen)
-            except (ShapeError, KeyError, GraphError) as e:
+                cur = self._infer(ly, cur, seen)
+            except (ShapeError, GraphError, KeyError, TypeError) as e:
                 raise GraphError(
                     f"layer {i} ({ly.name!r}, {ly.kind}): {e}") from e
-            seen[ly.name] = c
-        self._out_channels = c
+            seen[ly.name] = cur
+            shapes.append(cur)
+        return shapes
 
     @staticmethod
-    def _infer_channels(ly: Layer, c: int, seen: dict[str, int]) -> int:
+    def _infer(ly: Layer, cur: tuple, seen: dict) -> tuple:
+        """Output (c, h, w) of one layer for input ``cur``; checks attributes.
+
+        With h = w = None (graph construction) only channels are inferred;
+        the spatial rules apply once a real input size is known.
+        """
+        c, h, w = cur
         a = ly.attrs
+        sized = h is not None
         if ly.kind in ("conv2d", "conv_transpose2d"):
+            k, p = a["k"], a["pad"]
+            s = a["stride"] if ly.kind == "conv2d" else a["scale"]
+            _check(all(isinstance(v, int) for v in (k, s, p))
+                   and k >= 1 and s >= 1 and p >= 0,
+                   f"invalid geometry k={k!r} stride/scale={s!r} pad={p!r}")
             if a["c_in"] != c:
                 raise ShapeError(f"expects {a['c_in']} input channels, gets {c}")
-            w = ly.arrays["weight"]
-            want = (a["c_out"], a["c_in"], a["k"], a["k"])
-            if tuple(w.shape) != want:
-                raise ShapeError(f"weight shape {w.shape} != declared {want}")
+            wt = ly.arrays["weight"]
+            want = (a["c_out"], a["c_in"], k, k)
+            if tuple(wt.shape) != want:
+                raise ShapeError(f"weight shape {wt.shape} != declared {want}")
             if ly.arrays["bias"].size != a["c_out"]:
                 raise ShapeError("bias length mismatch")
-            return a["c_out"]
+            if ly.kind == "conv2d":
+                if sized:
+                    h, w = convops.out_dims(h, w, k, s, p)
+            elif not 0 <= s - k + 2 * p < s:
+                raise ShapeError(f"k={k} pad={p} inconsistent with x{s} output")
+            elif sized:
+                h, w = h * s, w * s
+            return a["c_out"], h, w
         if ly.kind == "batch_norm":
+            _check(a.get("eps", 0) > 0, f"eps must be > 0, got {a.get('eps')!r}")
             if a["c"] != c:
                 raise ShapeError(f"normalizes {a['c']} channels, gets {c}")
             if ly.arrays["gamma"].size != c:
                 raise ShapeError("parameter arrays do not match channel count")
-            return c
+            return cur
+        if ly.kind == "activation":
+            _check(a["fn"] in convops.ACTIVATIONS,
+                   f"unknown activation {a['fn']!r}")
+            return cur
+        if ly.kind == "maxpool2":
+            if sized:
+                h, w = (h + 1) // 2, (w + 1) // 2
+            return c, h, w
+        if ly.kind == "bilinear_up":
+            s = a["scale"]
+            _check(0 < s < math.inf, f"scale must be finite and > 0, got {s!r}")
+            if sized:
+                h, w = int(round(h * s)), int(round(w * s))
+                if h < 1 or w < 1:
+                    raise ShapeError(f"resize to {h}x{w} is empty")
+            return c, h, w
         if ly.kind == "pixel_shuffle":
             r = a["r"]
+            _check(isinstance(r, int) and r >= 1,
+                   f"factor r must be an integer >= 1, got {r!r}")
             if c % (r * r):
                 raise ShapeError(f"{c} channels not divisible by r^2={r * r}")
-            return c // (r * r)
-        if ly.kind == "space_to_depth":
-            return c * a["block"] * a["block"]
-        if ly.kind == "concat":
-            if a["source"] not in seen:
-                raise GraphError(f"source {a['source']!r} not defined earlier")
-            return c + seen[a["source"]]
-        if ly.kind == "residual_add":
-            if a["source"] not in seen:
-                raise GraphError(f"source {a['source']!r} not defined earlier")
-            if seen[a["source"]] != c:
-                raise ShapeError(
-                    f"residual source has {seen[a['source']]} channels, "
-                    f"current stream has {c}")
-            return c
-        # activation, maxpool2, bilinear_up, interpolation_resize
-        return c
+            if sized:
+                h, w = h * r, w * r
+            return c // (r * r), h, w
+        # concat, residual_add
+        src = seen.get(a["source"])
+        if src is None:
+            raise GraphError(f"source {a['source']!r} not defined earlier")
+        if ly.kind == "residual_add" and src[0] != c:
+            raise ShapeError(f"residual source has {src[0]} channels, "
+                             f"current stream has {c}")
+        if src[1:] != (h, w):
+            raise ShapeError(f"source {a['source']!r} is {src[1]}x{src[2]}, "
+                             f"stream is {h}x{w}")
+        return (c + src[0] if ly.kind == "concat" else c), h, w
 
     @property
     def out_channels(self) -> int:
         return self._out_channels
-
-    def layer_names(self) -> list:
-        return [ly.name for ly in self.layers]
 
     def referenced_sources(self) -> set:
         return {ly.attrs["source"] for ly in self.layers
@@ -353,12 +390,10 @@ class NetworkGraph:
                                       scale=a.get("scale", 1.0))
         if ly.kind == "maxpool2":
             return convops.maxpool2(x)
-        if ly.kind in ("bilinear_up", "interpolation_resize"):
+        if ly.kind == "bilinear_up":
             return tops.bilinear_resize(x, a["scale"])
         if ly.kind == "pixel_shuffle":
             return tops.pixel_shuffle(x, a["r"])
-        if ly.kind == "space_to_depth":
-            return tops.space_to_depth(x, a["block"])
         if ly.kind == "concat":
             return tops.concat_channels(x, saved[a["source"]])
         if ly.kind == "residual_add":
@@ -380,56 +415,7 @@ class NetworkGraph:
         if c != self.in_channels:
             raise GraphError(f"graph expects {self.in_channels} input channels, "
                              f"got {c}")
-        seen: dict[str, tuple] = {}
-        shapes = []
-        cur = (c, h, w)
-        for i, ly in enumerate(self.layers):
-            try:
-                cur = self._infer_shape(ly, cur, seen)
-            except (ShapeError, GraphError, KeyError) as e:
-                raise GraphError(f"layer {i} ({ly.name!r}, {ly.kind}): {e}") from e
-            seen[ly.name] = cur
-            shapes.append(cur)
-        return shapes
-
-    @staticmethod
-    def _infer_shape(ly: Layer, cur: tuple, seen: dict) -> tuple:
-        c, h, w = cur
-        a = ly.attrs
-        if ly.kind == "conv2d":
-            oh, ow = convops.out_dims(h, w, a["k"], a["stride"], a["pad"])
-            return (a["c_out"], oh, ow)
-        if ly.kind == "conv_transpose2d":
-            s, k, p = a["scale"], a["k"], a["pad"]
-            if not 0 <= s - k + 2 * p < s:
-                raise ShapeError(f"k={k} pad={p} inconsistent with x{s} output")
-            return (a["c_out"], h * s, w * s)
-        if ly.kind == "maxpool2":
-            return (c, (h + 1) // 2, (w + 1) // 2)
-        if ly.kind in ("bilinear_up", "interpolation_resize"):
-            oh = int(round(h * a["scale"]))
-            ow = int(round(w * a["scale"]))
-            if oh < 1 or ow < 1:
-                raise ShapeError(f"resize to {oh}x{ow} is empty")
-            return (c, oh, ow)
-        if ly.kind == "pixel_shuffle":
-            r = a["r"]
-            return (c // (r * r), h * r, w * r)
-        if ly.kind == "space_to_depth":
-            b = a["block"]
-            if h % b or w % b:
-                raise ShapeError(f"{h}x{w} not divisible by block {b}")
-            return (c * b * b, h // b, w // b)
-        if ly.kind == "concat":
-            sc, sh, sw = seen[a["source"]]
-            if (sh, sw) != (h, w):
-                raise ShapeError(f"concat source is {sh}x{sw}, stream is {h}x{w}")
-            return (c + sc, h, w)
-        if ly.kind == "residual_add":
-            if seen[a["source"]] != cur:
-                raise ShapeError(f"residual source {seen[a['source']]} != {cur}")
-            return cur
-        return cur  # batch_norm, activation
+        return self._shapes((c, h, w))
 
     def count_flops(self, input_shape):
         """MAC/elementwise-op accounting for one forward pass.
@@ -456,7 +442,7 @@ class NetworkGraph:
             elif ly.kind == "batch_norm":
                 m = c * h * w
             elif ly.kind in ("activation", "maxpool2", "bilinear_up",
-                             "interpolation_resize", "residual_add"):
+                             "residual_add"):
                 e = c * h * w
             macs += n * m
             pointwise += n * e
@@ -502,9 +488,9 @@ def count_flops(graph: NetworkGraph, input_shape) -> int:
 def fuse_conv_bn(graph: NetworkGraph) -> NetworkGraph:
     """Fold every (conv2d -> batch_norm) pair into a single convolution.
 
-    Output channel o of the fused conv gets weights scaled by
-    gamma_o/sqrt(var_o + eps) and bias (b_o - mean_o)*gamma_o/sqrt(var_o+eps)
-    + beta_o. Batch-norm layers that do not directly follow a conv (or whose
+    With the batch-norm's per-channel (scale, shift) from
+    :meth:`BatchNormParams.affine`, output channel o of the fused conv gets
+    weights scaled by scale_o and bias b_o*scale_o + shift_o. Batch-norm layers that do not directly follow a conv (or whose
     conv output is referenced by a skip connection) are rewritten as an
     explicit diagonal 1x1 conv instead. The input graph is never mutated;
     applying the pass twice equals applying it once.
@@ -528,13 +514,9 @@ def fuse_conv_bn(graph: NetworkGraph) -> NetworkGraph:
         if (ly.kind == "conv2d" and nxt is not None
                 and nxt.kind == "batch_norm"
                 and ly.name not in referenced):
-            p = _bn_params_of(nxt)
-            inv = (p.gamma.astype(np.float64)
-                   / np.sqrt(p.var.astype(np.float64) + p.eps))
-            w = ly.arrays["weight"].astype(np.float64) * inv[:, None, None, None]
-            b = ((ly.arrays["bias"].astype(np.float64)
-                  - p.mean.astype(np.float64)) * inv
-                 + p.beta.astype(np.float64))
+            scale, shift = _bn_params_of(nxt).affine()
+            w = ly.arrays["weight"].astype(np.float64) * scale[:, None, None, None]
+            b = ly.arrays["bias"].astype(np.float64) * scale + shift
             fused = conv2d_layer(ly.name, ly.attrs["c_in"], ly.attrs["c_out"],
                                  ly.attrs["k"], stride=ly.attrs["stride"],
                                  pad=ly.attrs["pad"],

@@ -34,8 +34,6 @@ ARRAY_ORDER = {
     "batch_norm": ("gamma", "beta", "mean", "var"),
 }
 
-KIND_IDS = {kind: i for i, kind in enumerate(LAYER_KINDS)}
-
 
 class ModelFormatError(ValueError):
     """Malformed model file; messages carry the byte offset of the fault."""
@@ -72,7 +70,7 @@ def save_model(model, path) -> None:
                 shapes[aname] = list(arr.shape)
                 chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
             layer_entries.append({
-                "kind_id": KIND_IDS[layer.kind],
+                "kind_id": LAYER_KINDS[layer.kind],
                 "kind": layer.kind,
                 "name": layer.name,
                 "attrs": layer.attrs,
@@ -143,10 +141,10 @@ def _rebuild_graph(gname: str, gdesc: dict, payload: memoryview,
         if kind not in LAYER_KINDS:
             raise ModelFormatError(f"graph {gname!r} layer {i}: unknown kind "
                                    f"{kind!r}")
-        if ly.get("kind_id") != KIND_IDS[kind]:
+        if ly.get("kind_id") != LAYER_KINDS[kind]:
             raise ModelFormatError(f"graph {gname!r} layer {i}: kind id "
                                    f"{ly.get('kind_id')} does not match "
-                                   f"{kind!r} ({KIND_IDS[kind]})")
+                                   f"{kind!r} ({LAYER_KINDS[kind]})")
         want = ARRAY_ORDER.get(kind, ())
         got = tuple(ly["shapes"].keys())
         if sorted(got) != sorted(want):

@@ -23,7 +23,6 @@ from .graph import (
     activation_layer,
     batch_norm_layer,
     bilinear_up_layer,
-    concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,
     maxpool2_layer,

@@ -1,0 +1,26 @@
+"""Shared test helpers."""
+
+import json
+import struct
+
+import pytest
+
+
+def _edit_vsm_header(path, edit):
+    """Rewrite the JSON header of the .vsm file at ``path`` in place.
+
+    ``edit`` receives the decoded header dict and mutates it; the payload is
+    kept byte for byte and the header length field is updated.
+    """
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+    edit(header)
+    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                     + raw[12 + hlen:])
+
+
+@pytest.fixture()
+def edit_vsm_header():
+    return _edit_vsm_header

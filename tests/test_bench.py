@@ -1,8 +1,11 @@
 """Throughput estimation, wall-clock benchmarking, and report emission."""
 
+import ast
 import csv
+import importlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,3 +193,26 @@ def test_conventions_cover_reporting_choices():
                 "flow_estimator", "perceptual_proxy", "flops_convention",
                 "temporal_reduction", "normalization"):
         assert key in conv, key
+
+
+# ---------------------------------------------------------------------------
+# benchmark trace targets
+
+def test_perfbench_trace_targets_resolve():
+    # the traced benchmark records a renamed target as absent and reads its
+    # metrics as 0, so a rename must fail here instead
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None)
+                      for t in node.targets] == ["TARGETS"])
+    targets = [(entry.elts[0].value, entry.elts[1].value)
+               for entry in table.elts]
+    assert len(targets) > 20
+    for module, path in targets:
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), f"{module} {path}"

@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from vsrkit import (
+    NetworkGraph,
+    batch_norm_layer,
+    conv2d_layer,
     load_model,
     read_sequence,
+    save_model,
     write_sequence,
 )
 from vsrkit.cli import main
@@ -281,6 +285,52 @@ def test_upscale_non_finite_frame_is_a_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "0001.f32: payload holds 1 non-finite values" in err
     assert "Traceback" not in err
+
+
+def _set_attr(kind, key, value):
+    """Header edit: set (or, with value None, drop) one attribute of the
+    first layer of ``kind``."""
+    def edit(header):
+        layer = next(ly for ly in header["graphs"][0]["layers"]
+                     if ly["kind"] == kind)
+        if value is None:
+            del layer["attrs"][key]
+        else:
+            layer["attrs"][key] = value
+    return edit
+
+
+def test_inspect_rejects_zero_pixel_shuffle_factor(tmp_path, capsys,
+                                                   edit_vsm_header):
+    model = tmp_path / "c.vsm"
+    main(["build-model", "--arch", "control-c", "--out", str(model)])
+    edit_vsm_header(model, _set_attr("pixel_shuffle", "r", 0))
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "'shuffle'" in err
+
+
+def test_inspect_rejects_zero_conv_stride(tmp_path, capsys, edit_vsm_header):
+    model = tmp_path / "a.vsm"
+    main(["build-model", "--arch", "control-a", "--out", str(model)])
+    edit_vsm_header(model, _set_attr("conv2d", "stride", 0))
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(model), "--size", "8x8"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "stride/scale=0" in err
+
+
+def test_fuse_bn_rejects_batch_norm_without_eps(tmp_path, capsys,
+                                                edit_vsm_header):
+    model = tmp_path / "bn.vsm"
+    save_model(NetworkGraph([conv2d_layer("c", 2, 3, 3),
+                             batch_norm_layer("bn", 3)], in_channels=2), model)
+    edit_vsm_header(model, _set_attr("batch_norm", "eps", None))
+    assert main(["fuse-bn", "--in", str(model),
+                 "--out", str(tmp_path / "f.vsm")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "eps" in err
 
 
 def test_unknown_subcommand_exits_with_usage_error():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vsrkit import (
+    BACKENDS,
     BatchNormParams,
     GraphError,
     NetworkGraph,
@@ -16,14 +17,17 @@ from vsrkit import (
     concat_layer,
     conv2d,
     conv2d_layer,
+    conv_transpose2d_layer,
     count_flops,
     count_params,
     fuse_conv_bn,
     graph_forward,
     init_random,
     maxpool2_layer,
+    pixel_shuffle_layer,
     residual_add_layer,
 )
+from vsrkit.graph import LAYER_KINDS
 
 
 def _bn(c, rng, frozen=True):
@@ -112,6 +116,38 @@ def test_graph_rejects_unknown_skip_source():
         NetworkGraph(layers, in_channels=1)
 
 
+def _bad_attr_cases():
+    rng = np.random.default_rng(20)
+    conv = lambda: conv2d_layer("l", 2, 2, 3)
+    deconv = lambda: conv_transpose2d_layer("l", 2, 2, 4, scale=2, pad=1)
+    return [
+        (conv, "k", 0), (conv, "k", 3.0), (conv, "stride", 0),
+        (conv, "stride", 1.5), (conv, "pad", -1),
+        (deconv, "scale", 0), (deconv, "k", 0),
+        (lambda: pixel_shuffle_layer("l", 2), "r", 0),
+        (lambda: pixel_shuffle_layer("l", 2), "r", 2.0),
+        (lambda: bilinear_up_layer("l", 2.0), "scale", 0.0),
+        (lambda: bilinear_up_layer("l", 2.0), "scale", float("nan")),
+        (lambda: bilinear_up_layer("l", 2.0), "scale", "2"),
+        (lambda: activation_layer("l", "relu"), "fn", "gelu"),
+        (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", 0.0),
+        (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", None),
+    ]
+
+
+@pytest.mark.parametrize("make,key,value", _bad_attr_cases())
+def test_graph_rejects_bad_attributes_at_construction(make, key, value):
+    layer = make()
+    if value is None:
+        del layer.attrs[key]
+    else:
+        layer.attrs[key] = value
+    # pixel_shuffle needs 4 input channels to be valid with r=2
+    c = 4 if layer.kind == "pixel_shuffle" else 2
+    with pytest.raises(GraphError, match=r"layer 0 \('l'"):
+        NetworkGraph([layer], in_channels=c)
+
+
 def test_graph_rejects_wrong_input_channels_at_forward():
     g = NetworkGraph([conv2d_layer("c", 3, 4, 3)], in_channels=3)
     with pytest.raises((GraphError, ShapeError)):
@@ -179,6 +215,40 @@ def test_graph_forward_accepts_input_list():
     assert np.allclose(out, 2 * 1.0 + 3 * 2.0, atol=1e-6)
     same = graph_forward(g, np.concatenate([a, b], axis=1))
     assert np.array_equal(out, same)
+
+
+def _kind_cases():
+    """One small graph per layer kind, its layer last: (layers, in_channels)."""
+    rng = np.random.default_rng(21)
+    stem = lambda: [conv2d_layer("a", 3, 3, 3), conv2d_layer("b", 3, 3, 3)]
+    return {
+        "conv2d": ([conv2d_layer("l", 3, 4, 3, stride=2)], 3),
+        "conv_transpose2d": ([conv_transpose2d_layer("l", 3, 2, 4, scale=2,
+                                                     pad=1)], 3),
+        "batch_norm": ([batch_norm_layer("l", 3, _bn(3, rng))], 3),
+        "activation": ([activation_layer("l", "leaky_relu")], 3),
+        "maxpool2": ([maxpool2_layer("l")], 3),
+        "bilinear_up": ([bilinear_up_layer("l", 1.5)], 3),
+        "pixel_shuffle": ([pixel_shuffle_layer("l", 2)], 8),
+        "concat": (stem() + [concat_layer("l", source="a")], 3),
+        "residual_add": (stem() + [residual_add_layer("l", source="a")], 3),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+def test_shape_rule_matches_execution_for_every_kind(kind):
+    # infer_shapes and forward keep separate per-kind code; this pins them
+    # together on an odd-sized input
+    cases = _kind_cases()
+    assert set(cases) == set(LAYER_KINDS)
+    layers, c = cases[kind]
+    assert layers[-1].kind == kind
+    g = init_random(NetworkGraph(layers, in_channels=c), seed=22)
+    x = np.random.default_rng(23).random((2, c, 7, 9), dtype=np.float32)
+    want = g.infer_shapes(x.shape)[-1]
+    for backend in BACKENDS:
+        assert g.forward(x, backend).shape[1:] == want, backend
+    assert g.count_flops(x.shape).per_layer[-1]["out_shape"] == (2, *want)
 
 
 # ---------------------------------------------------------------------------

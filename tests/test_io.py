@@ -1,5 +1,6 @@
 """Serialization: model container files and frame directories."""
 
+import json
 import os
 import struct
 
@@ -9,14 +10,19 @@ import pytest
 from vsrkit import (
     FrameFormatError,
     ModelFormatError,
+    NetworkGraph,
+    activation_layer,
     build_control_srnet,
     build_generator,
+    concat_layer,
+    conv2d_layer,
     init_random,
     load_bundle,
     load_model,
     read_f32,
     read_ppm,
     read_sequence,
+    residual_add_layer,
     save_model,
     write_f32,
     write_ppm,
@@ -123,6 +129,42 @@ def test_load_rejects_corrupted_json(tmp_path):
 def test_save_rejects_unknown_objects(tmp_path):
     with pytest.raises((TypeError, ValueError)):
         save_model({"net": object()}, tmp_path / "x.vsm")
+
+
+def _skip_graph():
+    return NetworkGraph([conv2d_layer("c", 2, 2, 3),
+                         activation_layer("a", "relu"),
+                         residual_add_layer("add", source="c"),
+                         concat_layer("cat", source="c")], in_channels=2)
+
+
+def test_saved_kind_ids_are_pinned(tmp_path):
+    # the ids are part of the file format: retiring kinds 7 and 10 must not
+    # renumber the kinds after them
+    path = tmp_path / "skip.vsm"
+    save_model(_skip_graph(), path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    ids = {ly["kind"]: ly["kind_id"] for ly in header["graphs"][0]["layers"]}
+    assert ids == {"conv2d": 0, "activation": 3, "residual_add": 9,
+                   "concat": 8}
+    assert load_model(path).layers[3].kind == "concat"
+
+
+@pytest.mark.parametrize("kind,kind_id", [("space_to_depth", 7),
+                                          ("interpolation_resize", 10)])
+def test_load_rejects_retired_kinds(tmp_path, edit_vsm_header, kind, kind_id):
+    path = tmp_path / "retired.vsm"
+    save_model(_skip_graph(), path)
+
+    def retire(header):
+        layer = header["graphs"][0]["layers"][1]
+        layer.update(kind=kind, kind_id=kind_id, attrs={"scale": 2.0})
+
+    edit_vsm_header(path, retire)
+    with pytest.raises(ModelFormatError, match=f"unknown kind '{kind}'"):
+        load_model(path)
 
 
 # ---------------------------------------------------------------------------
