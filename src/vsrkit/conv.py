@@ -9,7 +9,9 @@ Three interchangeable forward-convolution implementations are provided:
   (c_out, c_in*k*k) filter matrix multiplies straight into the NCHW
   output (col2im is a plain reshape, no transpose);
 * :func:`conv2d_winograd`-- minimal-filtering F(2x2,3x3) tiling, 16
-  multiplications per output tile instead of 36.
+  multiplications per 2x2 output tile instead of 36: add/subtract
+  transform passes over contiguous buffers around one batched matmul of
+  the 16 transformed filter matrices.
 
 All backends add the bias, return float32 NCHW tensors, and agree with the
 naive reference within the tolerances stated on each function.
@@ -221,15 +223,47 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     return out.reshape(n, kern.c_out, oh, ow)
 
 
+def _bt_passes(d, out) -> None:
+    """``out[a] = sum_i BT[a, i] * d[i]`` for the F(2x2,3x3) input transform.
+
+    ``d`` holds four equally shaped arrays (tile rows or columns) and
+    ``out`` stacks four of that shape. ``WINOGRAD_BT`` holds only 0 and
+    +-1, so each output is one add or subtract pass.
+    """
+    np.subtract(d[0], d[2], out=out[0])
+    np.add(d[1], d[2], out=out[1])
+    np.subtract(d[2], d[1], out=out[2])
+    np.subtract(d[1], d[3], out=out[3])
+
+
+def _at_passes(m, out) -> None:
+    """``out[a] = sum_i AT[a, i] * m[i]`` for the F(2x2,3x3) output
+    transform: two sums of three terms over the four arrays of ``m``."""
+    np.add(m[0], m[1], out=out[0])
+    out[0] += m[2]
+    np.subtract(m[1], m[2], out=out[1])
+    out[1] -= m[3]
+
+
+# (16, 9) filter transform: row 4a+b of kron(G, G) applied to a flattened
+# 3x3 filter g gives (G g GT)[a, b]
+_WINOGRAD_GG = np.kron(WINOGRAD_G, WINOGRAD_G)
+
+
 def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """F(2x2,3x3) minimal-filtering convolution.
 
     Requires k=3 and stride 1; any other geometry falls back to
-    :func:`conv2d_gemm` (reported on the backend-selection log). The input
-    is split into 4x4 tiles at stride 2, transformed, multiplied
-    element-wise against transformed filters, and inverse-transformed into
-    2x2 output tiles; ragged edges are zero-extended then cropped. Agrees
-    with :func:`conv2d_naive` within 1e-4 relative.
+    :func:`conv2d_gemm` (reported on the backend-selection log). Per image,
+    the input is zero-padded once into a buffer holding every 4x4 tile at
+    stride 2. The input transform BT d B runs as add/subtract passes over
+    stride-2 row slices, then column slices, into a contiguous
+    (16, c_in, tiles) buffer V. The filter transform G g GT of all filters
+    is one (16, 9) matrix product U. One batched matmul U @ V gives the 16
+    (c_out, tiles) Hadamard terms, and the output transform AT m A writes
+    the four 2x2 output phases straight into the NCHW result; a ragged
+    edge is cropped only when oh or ow is odd. Returns a C-contiguous
+    float32 tensor equal to :func:`conv2d_naive` within 1e-4 relative.
     """
     x = _check_conv_input(x, kern)
     if kern.k != 3 or kern.stride != 1:
@@ -237,37 +271,35 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
                  kern.k, kern.stride)
         return conv2d_gemm(x, kern)
     n, ci, h, w = x.shape
-    oh, ow = out_dims(h, w, 3, 1, kern.pad)
-    xp = pad_zero(x, kern.pad)
+    co, p = kern.c_out, kern.pad
+    oh, ow = out_dims(h, w, 3, 1, p)
+    th, tw = (oh + 1) // 2, (ow + 1) // 2
+    u = (_WINOGRAD_GG @ kern.weights.reshape(co * ci, 9).T).reshape(16, co, ci)
 
-    th = (oh + 1) // 2
-    tw = (ow + 1) // 2
-    # each 4x4 tile at stride 2 reads rows up to 2*(t-1)+4 = 2t+2
-    need_h, need_w = 2 * th + 2, 2 * tw + 2
-    ph = need_h - xp.shape[2]
-    pw = need_w - xp.shape[3]
-    if ph > 0 or pw > 0:
-        xp = np.pad(xp, ((0, 0), (0, 0), (0, max(ph, 0)), (0, max(pw, 0))))
-
-    tiles = np.lib.stride_tricks.sliding_window_view(xp, (4, 4), axis=(2, 3))
-    tiles = tiles[:, :, ::2, ::2]  # (n, ci, th, tw, 4, 4)
-
-    bt = WINOGRAD_BT
-    v = np.einsum("ai,nctuij,bj->nctuab", bt, tiles, bt, optimize=True)
-    g = WINOGRAD_G
-    u = np.einsum("ai,ocij,bj->ocab", g, kern.weights, g, optimize=True)
-
-    # Hadamard stage as 16 small matmuls: (th*tw*n, ci) @ (ci, co) per (a,b)
-    v2 = v.transpose(4, 5, 0, 2, 3, 1).reshape(16, n * th * tw, ci)
-    u2 = u.transpose(2, 3, 1, 0).reshape(16, ci, kern.c_out)
-    m2 = np.matmul(v2, u2)  # (16, n*th*tw, co)
-    m = m2.reshape(4, 4, n, th, tw, kern.c_out).transpose(2, 5, 3, 4, 0, 1)
-
-    at = WINOGRAD_AT
-    y = np.einsum("ai,nctuij,bj->nctuab", at, m, at, optimize=True)
-    y = y.transpose(0, 1, 2, 4, 3, 5).reshape(n, kern.c_out, 2 * th, 2 * tw)
-    out = np.ascontiguousarray(y[:, :, :oh, :ow], dtype=DTYPE)
-    out += kern.bias[None, :, None, None]
+    out = np.empty((n, co, oh, ow), dtype=DTYPE)
+    # each 4x4 tile at stride 2 reads rows up to 2*(t-1)+4 = 2t+2; the
+    # border stays zero across images, only the interior is rewritten
+    xp = np.zeros((ci, 2 * th + 2, 2 * tw + 2), dtype=DTYPE)
+    rows = np.empty((4, ci, th, 2 * tw + 2), dtype=DTYPE)
+    v = np.empty((16, ci, th * tw), dtype=DTYPE)
+    m = np.empty((16, co, th * tw), dtype=DTYPE)
+    mrows = np.empty((2, 4, co, th, tw), dtype=DTYPE)
+    ragged = oh % 2 or ow % 2
+    y = np.empty((co, 2 * th, 2 * tw), dtype=DTYPE) if ragged else None
+    for b in range(n):
+        xp[:, p:p + h, p:p + w] = x[b]
+        _bt_passes([xp[:, r:r + 2 * th:2] for r in range(4)], rows)
+        _bt_passes([rows[..., c:c + 2 * tw:2] for c in range(4)],
+                   v.reshape(4, 4, ci, th, tw).swapaxes(0, 1))
+        np.matmul(u, v, out=m)
+        _at_passes(m.reshape(4, 4, co, th, tw), mrows)
+        yb = y if ragged else out[b]
+        # phase (i, j) of yb is yb[:, i::2, j::2]
+        _at_passes(mrows.swapaxes(0, 1),
+                   yb.reshape(co, th, 2, tw, 2).transpose(4, 2, 0, 1, 3))
+        if ragged:
+            out[b] = y[:, :oh, :ow]
+    out += kern.bias[:, None, None]
     return out
 
 

@@ -12,12 +12,16 @@ Layout (all integers little-endian unsigned 32-bit):
                per-kind order (weights before biases; batch-norm stores
                gamma, beta, mean, variance), each array channel-major
 
-The header is parsed and validated before the payload is touched, so a
-wrong magic or a bogus header never triggers a payload-sized allocation.
+The header is parsed and its structure checked before the payload is
+touched, and the payload size it declares is checked against the file
+size before anything is read, so a wrong magic, a bogus header or a huge
+declared array never triggers a payload-sized allocation.
 """
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -92,15 +96,49 @@ def save_model(model, path) -> None:
             fh.write(chunk)
 
 
+def _graph_name(gdesc: dict, index: int) -> str:
+    return str(gdesc.get("name", f"graph{index}"))
+
+
 def _payload_elements(header: dict) -> int:
+    """Check the structure of a parsed header and return the number of
+    float32 values its arrays declare. Every fault names its graph and
+    layer, so nothing below has to guard against a wrong type."""
+    graphs = header["graphs"]
+    if not isinstance(graphs, list) or not all(
+            isinstance(g, dict) for g in graphs):
+        raise ModelFormatError("header 'graphs' must be a list of objects")
     total = 0
-    for g in header["graphs"]:
-        for ly in g["layers"]:
-            for shape in ly["shapes"].values():
-                count = 1
-                for d in shape:
-                    count *= int(d)
-                total += count
+    for gi, g in enumerate(graphs):
+        gname = _graph_name(g, gi)
+        if type(g.get("in_channels")) is not int:
+            raise ModelFormatError(f"graph {gname!r}: 'in_channels' must be "
+                                   f"an integer")
+        if not isinstance(g.get("meta", {}), dict):
+            raise ModelFormatError(f"graph {gname!r}: 'meta' is not an object")
+        layers = g.get("layers")
+        if not isinstance(layers, list):
+            raise ModelFormatError(f"graph {gname!r}: 'layers' is missing or "
+                                   f"not a list")
+        for i, ly in enumerate(layers):
+            where = f"graph {gname!r} layer {i}"
+            if not isinstance(ly, dict) or not all(
+                    isinstance(ly.get(k), str) for k in ("kind", "name")):
+                raise ModelFormatError(f"{where}: not an object with string "
+                                       f"'kind' and 'name'")
+            if not isinstance(ly.get("attrs"), dict):
+                raise ModelFormatError(f"{where}: 'attrs' is not an object")
+            shapes = ly.get("shapes")
+            if not isinstance(shapes, dict) or not all(
+                    isinstance(s, list) for s in shapes.values()):
+                raise ModelFormatError(f"{where}: 'shapes' is not an object "
+                                       f"of lists")
+            for aname, shape in shapes.items():
+                if not all(type(d) is int and d >= 1 for d in shape):
+                    raise ModelFormatError(
+                        f"{where}: array {aname!r} has shape {shape}; every "
+                        f"dimension must be an integer >= 1")
+                total += math.prod(shape)
     return total
 
 
@@ -153,15 +191,15 @@ def _rebuild_graph(gname: str, gdesc: dict, payload: memoryview,
                                    f"{sorted(want)}")
         arrays = {}
         for aname in want:
-            shape = tuple(int(d) for d in ly["shapes"][aname])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            shape = tuple(ly["shapes"][aname])
+            count = math.prod(shape)
             arr = np.frombuffer(payload, dtype="<f4", count=count,
                                 offset=cursor).reshape(shape)
             arrays[aname] = arr.copy()
             cursor += count * 4
         layers.append(Layer(kind, ly["name"], dict(ly["attrs"]), arrays))
     try:
-        graph = NetworkGraph(layers, int(gdesc["in_channels"]),
+        graph = NetworkGraph(layers, gdesc["in_channels"],
                              dict(gdesc.get("meta", {})))
     except ValueError as e:
         raise ModelFormatError(f"graph {gname!r} fails validation: {e}") from e
@@ -177,21 +215,24 @@ def load_model(path):
     with open(path, "rb") as fh:
         header, payload_offset = _parse_header(fh)
         expected = _payload_elements(header) * 4
-        payload = fh.read(expected)
-        if len(payload) != expected:
+        # sized from the file, not the header: a header that declares a
+        # huge array must not drive a payload-sized read
+        available = os.fstat(fh.fileno()).st_size - payload_offset
+        if available < expected:
             raise ModelFormatError(
-                f"payload truncated at offset {payload_offset + len(payload)}: "
-                f"expected {expected} bytes, found {len(payload)}")
-        trailing = fh.read(1)
-        if trailing:
+                f"payload truncated at offset {payload_offset + available}: "
+                f"header declares {expected} payload bytes from offset "
+                f"{payload_offset}, file holds {available}")
+        if available > expected:
             raise ModelFormatError(
                 f"unexpected trailing data at offset "
                 f"{payload_offset + expected}")
+        payload = fh.read(expected)
     view = memoryview(payload)
     graphs = {}
     cursor = 0
     for gdesc in header["graphs"]:
-        gname = str(gdesc.get("name", f"graph{len(graphs)}"))
+        gname = _graph_name(gdesc, len(graphs))
         if gname in graphs:
             raise ModelFormatError(f"duplicate graph name {gname!r}")
         graphs[gname], cursor = _rebuild_graph(gname, gdesc, view, cursor)

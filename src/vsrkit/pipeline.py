@@ -156,10 +156,15 @@ def vsr_run(generator: dict, frames: np.ndarray,
 
 def upscale_frames(graph: NetworkGraph, frames: np.ndarray,
                    backend: str = "gemm") -> np.ndarray:
-    """Frame-independent upscaling for the single-image nets."""
+    """Frame-independent upscaling for the single-image nets.
+
+    A non-finite input frame raises :class:`NonFiniteError` naming the frame.
+    """
     frames = np.asarray(frames, dtype=DTYPE)
     if frames.ndim != 4:
         raise ShapeError(f"expected (t, c, h, w) sequence, got {frames.shape}")
-    outs = [graph.forward(frames[t:t + 1], backend)[0]
-            for t in range(frames.shape[0])]
+    outs = []
+    for t in range(frames.shape[0]):
+        tops.check_finite(frames[t], f"frame {t}: low-resolution frame")
+        outs.append(graph.forward(frames[t:t + 1], backend)[0])
     return np.stack(outs).astype(DTYPE)

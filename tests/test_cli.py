@@ -333,6 +333,69 @@ def test_fuse_bn_rejects_batch_norm_without_eps(tmp_path, capsys,
     assert "error:" in err and "eps" in err
 
 
+def _first_conv(header):
+    return next(ly for ly in header["graphs"][0]["layers"]
+                if ly["kind"] == "conv2d")
+
+
+def _set_conv_field(key, value):
+    def edit(header):
+        _first_conv(header)[key] = value
+    return edit
+
+
+def _set_weight_shape(shape):
+    def edit(header):
+        _first_conv(header)["shapes"]["weight"] = shape
+    return edit
+
+
+def _set_graphs(header):
+    header["graphs"] = 5
+
+
+def _drop_layers(header):
+    del header["graphs"][0]["layers"]
+
+
+def _set_graph_field(key, value):
+    def edit(header):
+        header["graphs"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_conv_field("attrs", 5), "layer 0: 'attrs' is not an object"),
+    (_set_graphs, "'graphs' must be a list of objects"),
+    (_drop_layers, "graph 'net': 'layers' is missing or not a list"),
+    (_set_conv_field("shapes", {"weight": 5, "bias": [64]}),
+     "layer 0: 'shapes' is not an object of lists"),
+    (_set_weight_shape([64, 1, 5.5, 5]),
+     "array 'weight' has shape [64, 1, 5.5, 5]"),
+    (_set_weight_shape([64, 1, -5, -5]),
+     "array 'weight' has shape [64, 1, -5, -5]"),
+    (_set_weight_shape([64, 2 ** 20, 2 ** 10, 5]), "payload truncated"),
+    (_set_conv_field("name", None), "layer 0: not an object with string"),
+    (_set_conv_field("kind", ["conv2d"]), "layer 0: not an object with string"),
+    (_set_graph_field("in_channels", None), "'in_channels' must be an integer"),
+    (_set_graph_field("meta", 5), "graph 'net': 'meta' is not an object"),
+], ids=["attrs-not-object", "graphs-not-list", "layers-missing",
+        "shapes-not-lists", "fractional-dim", "negative-dim", "huge-shape",
+        "name-not-string", "kind-not-string", "in-channels-not-int",
+        "meta-not-object"])
+def test_inspect_rejects_malformed_header_structure(tmp_path, capsys,
+                                                   edit_vsm_header, edit,
+                                                   message):
+    model = tmp_path / "a.vsm"
+    main(["build-model", "--arch", "control-a", "--out", str(model)])
+    edit_vsm_header(model, edit)
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["transmogrify"])

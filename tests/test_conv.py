@@ -18,6 +18,7 @@ from vsrkit import (
     im2col,
     maxpool2,
 )
+from vsrkit.conv import WINOGRAD_AT, WINOGRAD_BT, _at_passes, _bt_passes
 
 
 def _conv_ref(x, w, b, stride, pad):
@@ -158,6 +159,7 @@ def test_gemm_path_reproduces_naive():
 
 def test_winograd_reproduces_naive_for_3x3_stride1():
     rng = np.random.default_rng(7)
+    cases = []
     for _ in range(30):
         ci = int(rng.integers(1, 7))
         co = int(rng.integers(1, 7))
@@ -166,11 +168,45 @@ def test_winograd_reproduces_naive_for_3x3_stride1():
         kern = ConvKernel(rng.standard_normal((co, ci, 3, 3)).astype(np.float32),
                           rng.standard_normal(co).astype(np.float32),
                           pad=int(rng.integers(0, 2)))
-        x = rng.random((1, ci, h, w), dtype=np.float32)
+        cases.append((rng.random((1, ci, h, w), dtype=np.float32), kern))
+    # egvsr's widths at its benchmark size, odd sizes that crop a ragged
+    # tile row and column, and a batch: (n, c_in, c_out, h, w, pad)
+    for n, ci, co, h, w, pad in ((1, 51, 64, 48, 64, 1), (1, 64, 64, 48, 64, 1),
+                                 (1, 4, 5, 13, 17, 0), (1, 4, 5, 13, 17, 1),
+                                 (3, 6, 4, 9, 10, 1)):
+        kern = ConvKernel(rng.standard_normal((co, ci, 3, 3)).astype(np.float32),
+                          rng.standard_normal(co).astype(np.float32), pad=pad)
+        cases.append((rng.random((n, ci, h, w), dtype=np.float32), kern))
+    # a non-contiguous input: a channel slice of a wider tensor
+    wide = rng.random((2, 12, 9, 8), dtype=np.float32)
+    kern = ConvKernel(rng.standard_normal((5, 6, 3, 3)).astype(np.float32),
+                      rng.standard_normal(5).astype(np.float32), pad=1)
+    cases.append((wide[:, 3:9], kern))
+    assert not cases[-1][0].flags.c_contiguous
+    for x, kern in cases:
+        before = x.copy()
         ref = conv2d_naive(x, kern)
         got = conv2d_winograd(x, kern)
+        assert got.dtype == np.float32 and got.flags.c_contiguous
+        assert got.shape == ref.shape
+        assert np.array_equal(x, before)
         denom = max(float(np.max(np.abs(ref))), 1e-6)
         assert float(np.max(np.abs(got - ref))) / denom <= 1e-4
+
+
+def test_winograd_transform_passes_match_the_matrices():
+    # the add/subtract passes are the definition of BT and AT written out
+    tile = np.random.default_rng(14).standard_normal((4, 4)).astype(np.float32)
+    rows = np.empty((4, 4), dtype=np.float32)
+    v = np.empty((4, 4), dtype=np.float32)
+    _bt_passes(list(tile), rows)
+    _bt_passes(list(rows.T), v.T)
+    assert np.allclose(v, WINOGRAD_BT @ tile @ WINOGRAD_BT.T, atol=1e-6)
+    mrows = np.empty((2, 4), dtype=np.float32)
+    y = np.empty((2, 2), dtype=np.float32)
+    _at_passes(list(tile), mrows)
+    _at_passes(list(mrows.T), y.T)
+    assert np.allclose(y, WINOGRAD_AT @ tile @ WINOGRAD_AT.T, atol=1e-6)
 
 
 def test_winograd_exact_on_small_integers():

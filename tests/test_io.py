@@ -108,6 +108,27 @@ def test_load_rejects_truncated_payload(tmp_path):
         load_model(path)
 
 
+def test_load_checks_declared_payload_against_file_size(tmp_path,
+                                                        edit_vsm_header):
+    # 4 TiB declared: reading it would raise MemoryError, not a format error
+    g = init_random(build_control_srnet("control-a"), 3)
+    path = tmp_path / "net.vsm"
+    save_model(g, path)
+    payload = sum(a.size for ly in g.layers for a in ly.arrays.values()) * 4
+
+    def grow(header):
+        conv = header["graphs"][0]["layers"][0]
+        conv["shapes"]["weight"] = [2 ** 20, 2 ** 20, 1, 1]
+    edit_vsm_header(path, grow)
+    offset = path.stat().st_size - payload
+    declared = payload + (2 ** 40 - 64 * 25) * 4
+    with pytest.raises(ModelFormatError) as err:
+        load_model(path)
+    assert str(err.value) == (
+        f"payload truncated at offset {offset + payload}: header declares "
+        f"{declared} payload bytes from offset {offset}, file holds {payload}")
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     g = init_random(build_control_srnet("control-a"), 2)
     path = tmp_path / "net.vsm"

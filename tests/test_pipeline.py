@@ -227,3 +227,15 @@ def test_upscale_frames_applies_single_graph_per_frame():
     # frames are independent: reordering the input reorders the output
     flipped = upscale_frames(g, frames[::-1].copy())
     assert np.array_equal(flipped, out[::-1])
+
+
+def test_upscale_frames_names_the_non_finite_frame():
+    g = init_random(build_control_srnet("control-a"), 14)
+    frames = np.random.default_rng(14).random((3, 1, 10, 10),
+                                              dtype=np.float32)
+    frames[2, 0, 4, 7] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^frame 2: low-resolution "
+                                             r"frame holds 1 non-finite "
+                                             r"values, first at index "
+                                             r"\(0, 4, 7\)"):
+        upscale_frames(g, frames)
