@@ -108,30 +108,10 @@ def cmd_bench(args) -> int:
 
 def cmd_eval(args) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    unknown = [m for m in wanted if m not in metricsmod.DEFAULT_METRICS]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}; available: "
-                         f"{list(metricsmod.DEFAULT_METRICS)}")
-    if not wanted:
-        raise ValueError("no metrics requested")
     gen = read_sequence(args.gen)
     ref = read_sequence(args.ref)
-    if gen.shape != ref.shape:
-        raise ValueError(f"sequence shapes differ: generated {gen.shape} "
-                         f"vs reference {ref.shape}")
     label = args.label or args.gen.rstrip("/").split("/")[-1]
-    values = {}
-    for m in wanted:
-        if m == "psnr":
-            values[m] = float(np.mean([metricsmod.psnr(gen[t], ref[t])
-                                       for t in range(gen.shape[0])]))
-        elif m == "ssim":
-            values[m] = float(np.mean([metricsmod.ssim(gen[t], ref[t])
-                                       for t in range(gen.shape[0])]))
-        elif m == "tof":
-            values[m] = metricsmod.tof(gen, ref)
-        elif m == "tlp":
-            values[m] = metricsmod.tlp(gen, ref)
+    values = metricsmod.evaluate_sequence(gen, ref, metrics=wanted)
     for m in wanted:
         print(f"{m} {values[m]:.6f}")
     if args.report:

@@ -81,7 +81,9 @@ def read_ppm(path) -> np.ndarray:
         raise FrameFormatError(f"{path}: pixel data truncated, expected "
                                f"{3 * h * w} bytes, found {len(data)}")
     pixels = np.frombuffer(data, dtype=np.uint8).reshape(h, w, 3)
-    return (pixels.transpose(2, 0, 1).astype(DTYPE) / DTYPE(255.0))
+    frame = pixels.transpose(2, 0, 1).astype(DTYPE)
+    frame /= DTYPE(255.0)
+    return frame
 
 
 F32_HEADER = struct.Struct("<IIII")
@@ -155,19 +157,24 @@ def read_sequence(directory) -> np.ndarray:
     """Read all frames of a directory into a (t, c, h, w) float32 array.
 
     Frames are ordered by filename index, which must be contiguous; all
-    frames must agree in shape.
+    frames must agree in shape. The result is allocated once the first
+    frame is read, and every frame is written straight into it, so the
+    sequence is held once plus the frame being read.
     """
     found = _scan_dir(directory)
     reader = read_ppm if found[0][1] == "ppm" else read_f32
-    frames = []
-    for _, _, name in found:
+    seq = None
+    for t, (_, _, name) in enumerate(found):
         frame = reader(os.path.join(directory, name))
-        if frames and frame.shape != frames[0].shape:
+        if seq is None:
+            seq = np.empty((len(found),) + frame.shape, dtype=DTYPE)
+        elif frame.shape != seq.shape[1:]:
             raise FrameFormatError(
                 f"{directory}/{name}: frame shape {frame.shape} differs "
-                f"from first frame {frames[0].shape}")
-        frames.append(frame)
-    return np.stack(frames).astype(DTYPE)
+                f"from first frame {seq.shape[1:]}")
+        seq[t] = frame
+        del frame                       # not held across the next read
+    return seq
 
 
 def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,

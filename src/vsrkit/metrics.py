@@ -9,6 +9,7 @@ weighted combination folds all four into one score per method.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy import ndimage
 
 from .conv import ConvKernel, conv2d
 from .pipeline import warp
-from .tensor import DTYPE, ShapeError
+from .tensor import DTYPE, ShapeError, check_finite
 
 # ITU-R 601 luma weights
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -39,11 +40,14 @@ def luma(frame: np.ndarray) -> np.ndarray:
     return LUMA_WEIGHTS[0] * r + LUMA_WEIGHTS[1] * g + LUMA_WEIGHTS[2] * b
 
 
-def _check_pair(ref, test):
+def _check_pair(ref, test, names=("reference", "test")):
+    """Equal shapes and finite values; a fault names the frame's role."""
     ref = np.asarray(ref)
     test = np.asarray(test)
     if ref.shape != test.shape:
         raise ShapeError(f"frame shapes differ: {ref.shape} vs {test.shape}")
+    for name, frame in zip(names, (ref, test)):
+        check_finite(frame, f"{name} frame")
     return ref, test
 
 
@@ -115,27 +119,69 @@ def _downsample2(im: np.ndarray) -> np.ndarray:
     return ndimage.gaussian_filter(im, 1.0)[::2, ::2]
 
 
+def _window_sums(a: np.ndarray, b32: np.ndarray, flow: np.ndarray,
+                 sums: np.ndarray, tmp: np.ndarray) -> None:
+    """Warp ``b32`` by ``flow`` and write the 7x7 box sums of gx*gx, gy*gy,
+    gx*gy, gx*it and gy*it into ``sums``, each product filtered as soon as
+    it is formed in ``tmp``; ``it`` is the warped frame minus ``a``.
+
+    A function of its own so that the warped frame and its gradients are
+    freed on return, not held through the next iteration's warp.
+    """
+    bw = warp(b32, flow[None].astype(DTYPE))[0, 0].astype(np.float64)
+    gy, gx = np.gradient(bw)
+    it = np.subtract(bw, a, out=bw)
+    for out, (p, q) in zip(sums, ((gx, gx), (gy, gy), (gx, gy),
+                                  (gx, it), (gy, it))):
+        np.multiply(p, q, out=tmp)
+        ndimage.uniform_filter(tmp, LK_WINDOW, output=out)
+
+
 def _lk_level(a: np.ndarray, b: np.ndarray, flow: np.ndarray) -> tuple:
-    """Refine flow at one pyramid level; returns (flow, degenerate mask)."""
+    """Refine flow at one pyramid level; returns (flow, degenerate mask).
+
+    ``b`` is cast to float32 once; every iteration warps it by the current
+    flow through :func:`warp` and forms the window sums in a (5, h, w)
+    array (:func:`_window_sums`). The 2x2 solve then runs with ``out=``
+    and masked ``copyto`` on buffers kept across iterations, and a copy of
+    ``flow`` is updated in place. Each float64 operation is the one the
+    formula in the comment above it names, in the same order, so the flow
+    is bit-identical to evaluating those formulas directly.
+    """
     h, w = a.shape
-    degenerate = np.zeros((h, w), dtype=bool)
+    b32 = b[None, None].astype(DTYPE)
+    flow = np.array(flow, dtype=np.float64)
+    sums = np.empty((5, h, w))
+    sxx, syy, sxy, sxt, syt = sums
+    tmp = np.empty((h, w))
+    det = np.empty((h, w))
+    step = np.empty((h, w))
+    degenerate = np.empty((h, w), dtype=bool)
     for _ in range(LK_ITERS):
-        bw = warp(b[None, None].astype(DTYPE),
-                  flow[None].astype(DTYPE))[0, 0].astype(np.float64)
-        gy, gx = np.gradient(bw)
-        it = bw - a
-        sxx = ndimage.uniform_filter(gx * gx, LK_WINDOW)
-        syy = ndimage.uniform_filter(gy * gy, LK_WINDOW)
-        sxy = ndimage.uniform_filter(gx * gy, LK_WINDOW)
-        sxt = ndimage.uniform_filter(gx * it, LK_WINDOW)
-        syt = ndimage.uniform_filter(gy * it, LK_WINDOW)
-        det = sxx * syy - sxy * sxy
-        degenerate = det < LK_DET_EPS
-        safe = np.where(degenerate, 1.0, det)
-        du = np.where(degenerate, 0.0, -(syy * sxt - sxy * syt) / safe)
-        dv = np.where(degenerate, 0.0, -(sxx * syt - sxy * sxt) / safe)
-        flow = flow + np.stack([du, dv])
-        flow = np.clip(flow, -LK_MAX_DISP, LK_MAX_DISP)
+        _window_sums(a, b32, flow, sums, tmp)
+        # det = sxx * syy - sxy * sxy; degenerate windows divide by 1
+        np.multiply(sxx, syy, out=det)
+        np.multiply(sxy, sxy, out=tmp)
+        det -= tmp
+        np.less(det, LK_DET_EPS, out=degenerate)
+        np.copyto(det, 1.0, where=degenerate)
+        # du = -(syy * sxt - sxy * syt) / det, 0 where degenerate
+        np.multiply(syy, sxt, out=step)
+        np.multiply(sxy, syt, out=tmp)
+        step -= tmp
+        np.negative(step, out=step)
+        step /= det
+        np.copyto(step, 0.0, where=degenerate)
+        flow[0] += step
+        # dv = -(sxx * syt - sxy * sxt) / det, 0 where degenerate
+        np.multiply(sxx, syt, out=step)
+        np.multiply(sxy, sxt, out=tmp)
+        step -= tmp
+        np.negative(step, out=step)
+        step /= det
+        np.copyto(step, 0.0, where=degenerate)
+        flow[1] += step
+        np.clip(flow, -LK_MAX_DISP, LK_MAX_DISP, out=flow)
     return flow, degenerate
 
 
@@ -146,7 +192,7 @@ def dense_flow(a: np.ndarray, b: np.ndarray) -> FlowResult:
     Window systems with a near-singular structure tensor (flat texture)
     contribute zero update and are reported via ``degenerate_fraction``.
     """
-    a, b = _check_pair(a, b)
+    a, b = _check_pair(a, b, names=("first", "second"))
     ga = luma(a) if a.ndim == 3 else np.asarray(a, dtype=np.float64)
     gb = luma(b) if b.ndim == 3 else np.asarray(b, dtype=np.float64)
     levels = LK_LEVELS
@@ -188,15 +234,23 @@ def _resize_flow(flow: np.ndarray, target: tuple) -> np.ndarray:
     return out
 
 
-def _check_sequences(gen, ref):
+def _check_sequences(gen, ref, temporal: bool = True):
+    """Float32 (t, c, h, w) sequences of one shape with finite values; at
+    least 2 frames when ``temporal``. A fault names the sequence and the
+    frame."""
     gen = np.asarray(gen, dtype=DTYPE)
     ref = np.asarray(ref, dtype=DTYPE)
     if gen.ndim != 4 or ref.ndim != 4:
         raise ShapeError("sequences must be (t, c, h, w)")
     if gen.shape != ref.shape:
-        raise ShapeError(f"sequence shapes differ: {gen.shape} vs {ref.shape}")
-    if gen.shape[0] < 2:
-        raise ShapeError("temporal metrics need at least 2 frames")
+        raise ShapeError(f"sequence shapes differ: generated {gen.shape} "
+                         f"vs reference {ref.shape}")
+    if gen.shape[0] < (2 if temporal else 1):
+        raise ShapeError("temporal metrics need at least 2 frames"
+                         if temporal else "sequences are empty")
+    for name, seq in (("generated", gen), ("reference", ref)):
+        for t in range(seq.shape[0]):
+            check_finite(seq[t], f"{name} frame {t}")
     return gen, ref
 
 
@@ -400,16 +454,41 @@ def score_table(table: dict, weights: ScoreWeights | None = None) -> dict:
     return scores
 
 
-def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None) -> dict:
-    """All four metrics for one generated sequence against its reference."""
-    gen, ref = _check_sequences(gen, ref)
-    frame_psnr = [psnr(gen[t], ref[t]) for t in range(gen.shape[0])]
-    frame_ssim = [ssim(gen[t], ref[t]) for t in range(gen.shape[0])]
-    return {
-        "psnr": float(np.mean(frame_psnr)),
-        "ssim": float(np.mean(frame_ssim)),
-        "tof": tof(gen, ref),
-        "tlp": tlp(gen, ref, pd=pd),
-        "per_frame_psnr": frame_psnr,
-        "per_frame_ssim": frame_ssim,
-    }
+def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None,
+                      metrics=DEFAULT_METRICS) -> dict:
+    """The named metrics (all four by default) of one generated sequence
+    against its reference, plus the per-frame lists of PSNR and SSIM when
+    those are asked for.
+
+    The inputs are checked first. tOF then runs on one worker thread while
+    this thread computes PSNR, SSIM and tLP; each value is what its own
+    function returns for the same inputs, so the thread changes no value.
+    At least 2 frames are needed only for tOF and tLP.
+    """
+    wanted = list(metrics)
+    unknown = [m for m in wanted if m not in DEFAULT_METRICS]
+    if unknown:
+        raise ValueError(f"unknown metrics {unknown}; available: "
+                         f"{list(DEFAULT_METRICS)}")
+    if not wanted:
+        raise ValueError("no metrics requested")
+    gen, ref = _check_sequences(gen, ref,
+                                temporal="tof" in wanted or "tlp" in wanted)
+    frames = range(gen.shape[0])
+    per_frame = {}
+    values = {}
+    with ThreadPoolExecutor(1) as pool:
+        flow_gap = pool.submit(tof, gen, ref) if "tof" in wanted else None
+        if "psnr" in wanted:
+            per_frame["psnr"] = [psnr(gen[t], ref[t]) for t in frames]
+        if "ssim" in wanted:
+            per_frame["ssim"] = [ssim(gen[t], ref[t]) for t in frames]
+        if "tlp" in wanted:
+            values["tlp"] = tlp(gen, ref, pd=pd)
+        if flow_gap is not None:
+            values["tof"] = flow_gap.result()
+    for m, vals in per_frame.items():
+        values[m] = float(np.mean(vals))
+    out = {m: values[m] for m in DEFAULT_METRICS if m in values}
+    out.update((f"per_frame_{m}", vals) for m, vals in per_frame.items())
+    return out

@@ -17,6 +17,11 @@ from .graph import NetworkGraph
 from .tensor import DTYPE, NonFiniteError, ShapeError
 
 
+# samples per strip of output rows that warp processes at once: its
+# scratch buffers stay a few hundred kB, reused across strips and images
+WARP_STRIP = 16384
+
+
 def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
     """Backward-warp ``x`` by a dense displacement field.
 
@@ -25,6 +30,14 @@ def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
     (y, x) bilinearly samples the input at (y + v, x + u), clamping sample
     coordinates to the image border. Non-finite flow raises
     :class:`NonFiniteError`.
+
+    Each image is done in strips of whole rows, about ``WARP_STRIP``
+    samples each, on scratch buffers allocated once per call. In a strip
+    the sample coordinates are ``flow + arange`` in float64, clipped in
+    place and floored straight into integer cells; the float32 weights
+    are the float64 fractions. Each corner is one flat index ``y * w + x``
+    gathered with ``take`` from the (c, h * w) planes, and the float32
+    interpolation writes into the preallocated NCHW output.
     """
     x = tops.check_tensor(x, "warp input")
     flow = tops.check_tensor(flow, "flow")
@@ -33,29 +46,65 @@ def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
         raise ShapeError(f"flow shape {flow.shape} does not match "
                          f"({n}, 2, {h}, {w})")
     tops.check_finite(flow, "flow")
-    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    sx = gx[None] + flow[:, 0].astype(np.float64)
-    sy = gy[None] + flow[:, 1].astype(np.float64)
-    sx = np.clip(sx, 0.0, w - 1.0)
-    sy = np.clip(sy, 0.0, h - 1.0)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (sx - x0).astype(DTYPE)[..., None]
-    fy = (sy - y0).astype(DTYPE)[..., None]
+    out = np.empty((n, c, h, w), dtype=DTYPE)
+    rows = max(1, min(h, WARP_STRIP // w))
+    gx = np.arange(w, dtype=np.float64)
+    gy = np.arange(h, dtype=np.float64)[:, None]
+    s = np.empty((2, rows, w))              # sample x, y, then fractions
+    frac = np.empty((2, rows * w), dtype=DTYPE)
+    cell = np.empty((2, rows, w), dtype=np.intp)
+    far = s.view(np.intp)                   # s is dead once frac is taken
+    v = np.empty((2, c, rows * w), dtype=DTYPE)
+    for i in range(n):
+        planes = x[i].reshape(c, h * w)
+        for r0 in range(0, h, rows):
+            r = min(rows, h - r0)
+            m = r * w
+            sx, sy = s[:, :r]
+            np.add(flow[i, 0, r0:r0 + r], gx, out=sx)
+            np.add(flow[i, 1, r0:r0 + r], gy[r0:r0 + r], out=sy)
+            np.clip(sx, 0.0, w - 1.0, out=sx)
+            np.clip(sy, 0.0, h - 1.0, out=sy)
+            x0, y0 = cell[:, :r]
+            x1, y1 = far[:, :r]
+            np.floor(sx, out=x0, casting="unsafe")
+            np.floor(sy, out=y0, casting="unsafe")
+            np.subtract(sx, x0, out=sx)
+            np.subtract(sy, y0, out=sy)
+            fx, fy = frac[:, :m]
+            fx[...] = sx.reshape(m)
+            fy[...] = sy.reshape(m)
+            # corner indices; x1 - x0 and y1 - y0 are 0 at the far border
+            np.add(x0, 1, out=x1)
+            np.minimum(x1, w - 1, out=x1)
+            y0 *= w
+            np.add(y0, w, out=y1)
+            np.minimum(y1, (h - 1) * w, out=y1)
+            x1 -= x0                        # dx
+            y0 += x0                        # (y0, x0)
+            y1 += x0                        # (y1, x0)
+            np.add(y0, x1, out=x0)          # (y0, x1)
+            np.add(y1, x1, out=x1)          # (y1, x1)
+            i00, i01, i10, i11 = (k.reshape(m) for k in (y0, x0, y1, x1))
 
-    xv = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # (n, h, w, c)
-    b = np.arange(n, dtype=np.intp)[:, None, None]
-    v00 = xv[b, y0, x0]
-    v01 = xv[b, y0, x1]
-    v10 = xv[b, y1, x0]
-    v11 = xv[b, y1, x1]
-    top = v00 + (v01 - v00) * fx
-    bot = v10 + (v11 - v10) * fx
-    out = top + (bot - top) * fy
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)).astype(DTYPE)
+            # the indices are in range by construction; mode="clip" lets
+            # take write into out without an intermediate buffer
+            o = out[i].reshape(c, h * w)[:, r0 * w:r0 * w + m]
+            p, q = v[:, :, :m]
+            np.take(planes, i01, axis=1, out=o, mode="clip")
+            np.take(planes, i00, axis=1, out=p, mode="clip")
+            o -= p                          # top = v00 + (v01 - v00) * fx
+            o *= fx
+            o += p
+            np.take(planes, i11, axis=1, out=p, mode="clip")
+            np.take(planes, i10, axis=1, out=q, mode="clip")
+            p -= q                          # bot = v10 + (v11 - v10) * fx
+            p *= fx
+            p += q
+            p -= o                          # out = top + (bot - top) * fy
+            p *= fy
+            o += p
+    return out
 
 
 @dataclass

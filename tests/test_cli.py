@@ -161,6 +161,17 @@ def test_eval_rejects_mismatched_sequences(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_single_frame_needs_two_only_for_temporal_metrics(tmp_path,
+                                                              capsys):
+    gen_dir, _ = _write_lr_frames(tmp_path, t=1, c=3, h=40, w=40, seed=8)
+    assert main(["eval", "--gen", str(gen_dir), "--ref", str(gen_dir),
+                 "--metrics", "psnr"]) == 0
+    assert capsys.readouterr().out == "psnr 100.000000\n"
+    assert main(["eval", "--gen", str(gen_dir), "--ref", str(gen_dir),
+                 "--metrics", "psnr,tof"]) == 1
+    assert "at least 2 frames" in capsys.readouterr().err
+
+
 def test_score_ranks_methods(tmp_path, capsys):
     rng = np.random.default_rng(7)
     ref = rng.random((3, 3, 40, 40), dtype=np.float32)

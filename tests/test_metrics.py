@@ -6,6 +6,7 @@ from scipy import ndimage
 
 from vsrkit import (
     MetricRecord,
+    NonFiniteError,
     RandomFeatureDistance,
     ScoreWeights,
     ShapeError,
@@ -21,6 +22,7 @@ from vsrkit import (
     tlp,
     tof,
 )
+from vsrkit import metrics
 
 
 def _smooth_image(rng, h=72, w=72):
@@ -317,3 +319,55 @@ def test_evaluate_sequence_bundles_all_metrics():
     assert out["tlp"] == 0.0
     assert len(out["per_frame_psnr"]) == 3
     assert len(out["per_frame_ssim"]) == 3
+
+
+def test_evaluate_sequence_returns_only_the_named_metrics():
+    rng = np.random.default_rng(15)
+    one = rng.random((1, 3, 40, 40), dtype=np.float32)
+    out = evaluate_sequence(one, one.copy(), metrics=("ssim", "psnr"))
+    assert out == {"psnr": 100.0, "ssim": 1.0,
+                   "per_frame_psnr": [100.0], "per_frame_ssim": [1.0]}
+    for temporal in ("tof", "tlp"):
+        with pytest.raises(ShapeError, match="at least 2 frames"):
+            evaluate_sequence(one, one.copy(), metrics=("psnr", temporal))
+    with pytest.raises(ValueError, match="unknown metrics"):
+        evaluate_sequence(one, one.copy(), metrics=("psnr", "vmaf"))
+    with pytest.raises(ValueError, match="no metrics requested"):
+        evaluate_sequence(one, one.copy(), metrics=())
+
+
+# ---------------------------------------------------------------------------
+# non-finite frames
+
+@pytest.mark.parametrize("metric", [psnr, ssim], ids=["psnr", "ssim"])
+def test_frame_metrics_name_the_non_finite_frame(metric):
+    ref = np.random.default_rng(16).random((3, 40, 40), dtype=np.float32)
+    test = ref.copy()
+    test[1, 5, 7] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^test frame holds 1 "
+                       r"non-finite values, first at index \(1, 5, 7\)"):
+        metric(ref, test)
+    with pytest.raises(NonFiniteError, match=r"^reference frame holds 1 "):
+        metric(test, ref)
+
+
+@pytest.mark.parametrize("metric", [tof, tlp], ids=["tof", "tlp"])
+def test_sequence_metrics_name_the_non_finite_frame(metric):
+    ref = np.random.default_rng(17).random((3, 3, 40, 40), dtype=np.float32)
+    gen = ref.copy()
+    gen[1, 0, 3, 4] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^generated frame 1 holds 1 "
+                       r"non-finite values, first at index \(0, 3, 4\)"):
+        metric(gen, ref)
+
+
+def test_evaluate_sequence_checks_frames_before_its_worker_starts(monkeypatch):
+    def no_worker(*args, **kwargs):
+        raise AssertionError("worker thread created before the check")
+
+    monkeypatch.setattr(metrics, "ThreadPoolExecutor", no_worker)
+    gen = np.random.default_rng(18).random((3, 3, 40, 40), dtype=np.float32)
+    ref = gen.copy()
+    ref[2, 1, 0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^reference frame 2 holds 1 "):
+        evaluate_sequence(gen, ref)

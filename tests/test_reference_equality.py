@@ -1,0 +1,238 @@
+"""The buffer-lean warp, Lucas-Kanade step, sequence reader and overlapped
+evaluation against straightforward reference implementations.
+
+``_reference_warp`` and ``_reference_lk_level`` are the plain formulations
+(meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``).
+The library versions must reproduce them bit for bit, and must stay inside
+the ``tracemalloc`` peaks measured for them at 384x512.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from scipy import ndimage
+
+from vsrkit import (
+    default_perceptual_distance,
+    dense_flow,
+    evaluate_sequence,
+    psnr,
+    read_f32,
+    read_ppm,
+    read_sequence,
+    ssim,
+    tlp,
+    tof,
+    warp,
+    write_sequence,
+)
+from vsrkit import metrics
+from vsrkit.tensor import DTYPE
+
+
+def _reference_warp(x, flow):
+    x = np.asarray(x, dtype=DTYPE)
+    flow = np.asarray(flow, dtype=DTYPE)
+    n, c, h, w = x.shape
+    gy, gx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    sx = gx[None] + flow[:, 0].astype(np.float64)
+    sy = gy[None] + flow[:, 1].astype(np.float64)
+    sx = np.clip(sx, 0.0, w - 1.0)
+    sy = np.clip(sy, 0.0, h - 1.0)
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (sx - x0).astype(DTYPE)[..., None]
+    fy = (sy - y0).astype(DTYPE)[..., None]
+
+    xv = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # (n, h, w, c)
+    b = np.arange(n, dtype=np.intp)[:, None, None]
+    v00 = xv[b, y0, x0]
+    v01 = xv[b, y0, x1]
+    v10 = xv[b, y1, x0]
+    v11 = xv[b, y1, x1]
+    top = v00 + (v01 - v00) * fx
+    bot = v10 + (v11 - v10) * fx
+    out = top + (bot - top) * fy
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)).astype(DTYPE)
+
+
+def _reference_lk_level(a, b, flow):
+    h, w = a.shape
+    degenerate = np.zeros((h, w), dtype=bool)
+    for _ in range(metrics.LK_ITERS):
+        bw = _reference_warp(b[None, None].astype(DTYPE),
+                             flow[None].astype(DTYPE))[0, 0].astype(np.float64)
+        gy, gx = np.gradient(bw)
+        it = bw - a
+        win = metrics.LK_WINDOW
+        sxx = ndimage.uniform_filter(gx * gx, win)
+        syy = ndimage.uniform_filter(gy * gy, win)
+        sxy = ndimage.uniform_filter(gx * gy, win)
+        sxt = ndimage.uniform_filter(gx * it, win)
+        syt = ndimage.uniform_filter(gy * it, win)
+        det = sxx * syy - sxy * sxy
+        degenerate = det < metrics.LK_DET_EPS
+        safe = np.where(degenerate, 1.0, det)
+        du = np.where(degenerate, 0.0, -(syy * sxt - sxy * syt) / safe)
+        dv = np.where(degenerate, 0.0, -(sxx * syt - sxy * sxt) / safe)
+        flow = flow + np.stack([du, dv])
+        flow = np.clip(flow, -metrics.LK_MAX_DISP, metrics.LK_MAX_DISP)
+    return flow, degenerate
+
+
+def _texture_pair(seed, h, w, dy=1, dx=2):
+    tex = ndimage.gaussian_filter(
+        np.random.default_rng(seed).random((h + 8, w + 8)), 1.5)
+    return tex[4:4 + h, 4:4 + w], tex[4 + dy:4 + dy + h, 4 + dx:4 + dx + w]
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# warp
+
+def _warp_cases():
+    rng = np.random.default_rng(11)
+
+    def case(shape, scale):
+        n, c, h, w = shape
+        return (rng.random(shape, dtype=np.float32),
+                (rng.standard_normal((n, 2, h, w)) * scale).astype(np.float32))
+
+    wide = rng.random((2, 5, 24, 32), dtype=np.float32)
+    return {
+        "n2-c3-across-borders": case((2, 3, 24, 32), 40.0),
+        "zero-flow": (case((2, 3, 24, 32), 0.0)[0],
+                      np.zeros((2, 2, 24, 32), dtype=np.float32)),
+        "channel-slice": (wide[:, 1:4],
+                          case((2, 3, 24, 32), 3.0)[1]),
+        "h1": case((1, 3, 1, 17), 4.0),
+        "w1": case((2, 2, 9, 1), 4.0),
+        "several-strips": case((1, 2, 300, 64), 6.0),
+        "row-wider-than-a-strip": case((1, 1, 2, 20000), 30.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_warp_cases()))
+def test_warp_is_bit_identical_to_reference(name):
+    x, flow = _warp_cases()[name]
+    out = warp(x, flow)
+    assert out.dtype == np.float32 and out.flags.c_contiguous
+    assert np.array_equal(out, _reference_warp(x, flow))
+
+
+def test_warp_peak_memory_at_384x512():
+    rng = np.random.default_rng(12)
+    x = rng.random((1, 3, 384, 512), dtype=np.float32)
+    flow = (rng.standard_normal((1, 2, 384, 512)) * 3).astype(np.float32)
+    # measured 3.6 MB (1.5x the 2.4 MB output); the reference peaks at 38 MB
+    assert _peak_bytes(warp, x, flow) < 2.5 * x.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Lucas-Kanade
+
+@pytest.mark.parametrize("scale", [0.0, 0.3, 4.0, 80.0])
+def test_lk_level_is_bit_identical_to_reference(scale):
+    a, b = _texture_pair(13, 96, 128)
+    flow = np.random.default_rng(14).standard_normal((2, 96, 128)) * scale
+    got_flow, got_deg = metrics._lk_level(a, b, flow.copy())
+    want_flow, want_deg = _reference_lk_level(a, b, flow.copy())
+    assert np.array_equal(got_flow, want_flow)
+    assert np.array_equal(got_deg, want_deg)
+
+
+def _reference_dense_flow(monkeypatch, a, b):
+    with monkeypatch.context() as m:
+        m.setattr(metrics, "_lk_level", _reference_lk_level)
+        return dense_flow(a, b)
+
+
+def _flow_pairs():
+    rng = np.random.default_rng(15)
+    faint = 0.5 + 1e-2 * rng.standard_normal((96, 128))
+    return {
+        "shifted-texture": _texture_pair(16, 96, 128),
+        "flat": (np.full((96, 128), 0.4), np.full((96, 128), 0.4)),
+        # a faint texture under a large brightness step drives the
+        # Lucas-Kanade update into the displacement clamp both ways
+        "clamped": (faint, faint + 1.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_flow_pairs()))
+def test_dense_flow_is_bit_identical_to_reference(name, monkeypatch):
+    a, b = _flow_pairs()[name]
+    got = dense_flow(a, b)
+    want = _reference_dense_flow(monkeypatch, a, b)
+    assert np.array_equal(got.flow, want.flow)
+    assert got.degenerate_fraction == want.degenerate_fraction
+    if name == "clamped":
+        assert got.flow.max() == metrics.LK_MAX_DISP
+        assert got.flow.min() == -metrics.LK_MAX_DISP
+
+
+def test_dense_flow_peak_memory_at_384x512():
+    a, b = _texture_pair(17, 384, 512)
+    # measured 30 MB; the reference step and warp peak at 54 MB
+    assert _peak_bytes(dense_flow, a, b) < 40e6
+
+
+# ---------------------------------------------------------------------------
+# read_sequence
+
+@pytest.mark.parametrize("fmt", ["ppm", "f32"])
+def test_read_sequence_equals_stacked_frame_reads(tmp_path, fmt):
+    seq = np.random.default_rng(18).random((5, 3, 12, 20), dtype=np.float32)
+    paths = write_sequence(seq, tmp_path, fmt=fmt)
+    reader = read_ppm if fmt == "ppm" else read_f32
+    got = read_sequence(tmp_path)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert np.array_equal(got, np.stack([reader(p) for p in paths]))
+
+
+def test_read_sequence_peak_memory_is_one_copy(tmp_path):
+    seq = np.random.default_rng(19).random((8, 3, 384, 512), dtype=np.float32)
+    write_sequence(seq, tmp_path, fmt="ppm")
+    frame = seq[0].nbytes
+    # measured 1.16x the result (one frame plus its bytes on top of it);
+    # reading a list, stacking it and casting the stack peaks at 3x
+    assert _peak_bytes(read_sequence, tmp_path) < seq.nbytes + 2 * frame
+
+
+# ---------------------------------------------------------------------------
+# evaluate_sequence
+
+def _sequences(t=3, seed=20):
+    rng = np.random.default_rng(seed)
+    ref = rng.random((t, 3, 40, 48), dtype=np.float32)
+    gen = np.clip(ref + rng.normal(0, 0.05, ref.shape), 0, 1).astype(DTYPE)
+    gen[1:] = np.roll(gen[1:], 1, axis=-1)
+    return gen, ref
+
+
+def test_evaluate_sequence_equals_the_metric_functions_one_by_one():
+    gen, ref = _sequences()
+    frame_psnr = [psnr(gen[t], ref[t]) for t in range(3)]
+    frame_ssim = [ssim(gen[t], ref[t]) for t in range(3)]
+    want = {"psnr": float(np.mean(frame_psnr)),
+            "ssim": float(np.mean(frame_ssim)),
+            "tof": tof(gen, ref),
+            "tlp": tlp(gen, ref, pd=default_perceptual_distance()),
+            "per_frame_psnr": frame_psnr,
+            "per_frame_ssim": frame_ssim}
+    assert evaluate_sequence(gen, ref) == want
+    assert evaluate_sequence(gen, ref, metrics=("tof", "psnr")) == {
+        "psnr": want["psnr"], "tof": want["tof"],
+        "per_frame_psnr": frame_psnr}
