@@ -21,7 +21,6 @@ from .conv import (
     conv2d_naive,
     conv2d_winograd,
     conv_transpose2d,
-    gemm,
     im2col,
     maxpool2,
 )
@@ -39,10 +38,7 @@ from .graph import (
     concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,
-    count_flops,
-    count_params,
     fuse_conv_bn,
-    graph_forward,
     init_random,
     maxpool2_layer,
     pixel_shuffle_layer,
@@ -56,7 +52,7 @@ from .models import (
     build_generator,
     build_srnet,
 )
-from .pipeline import RecurrentState, upscale_frames, vsr_run, vsr_step, warp
+from .pipeline import RecurrentState, model_geometry, vsr_run, vsr_step, warp
 from .metrics import (
     FlowResult,
     MetricRecord,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics as qmetrics
 from .graph import NetworkGraph, fuse_conv_bn
-from .pipeline import vsr_step
+from .pipeline import _graph_cost, model_geometry, upscale_steps
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
 # 300 MHz clock; the per-row peaks it implies are pinned in tests.
@@ -113,76 +113,39 @@ class BenchResult:
     flops_per_frame: int
 
 
-def _graph_cost(models: dict, shape: tuple) -> tuple:
-    """(macs, flops) per frame over the bundle's graphs; pipeline glue
-    (warping, flow resize, packing) is excluded and documented as such."""
-    n, c, h, w = shape
-    macs = flops = 0
-    if "fnet" in models and "srnet" in models:
-        fnet, srnet = models["fnet"], models["srnet"]
-        scale = int(srnet.meta["scale"])
-        rep_f = fnet.count_flops((n, 2 * c, h, w))
-        rep_s = srnet.count_flops((n, c * (1 + scale * scale), h, w))
-        macs = rep_f.mac_total + rep_s.mac_total
-        flops = rep_f.flops + rep_s.flops
-    else:
-        rep = models["net"].count_flops(shape)
-        macs, flops = rep.mac_total, rep.flops
-    return macs, flops
-
-
-def _as_bundle(models) -> dict:
-    if isinstance(models, NetworkGraph):
-        return {"net": models}
-    return dict(models)
-
-
 def time_pipeline(models, input_shape, frames: int, backend: str = "gemm",
                   fused: bool = False, warmup: int = 5,
                   seed: int = 0) -> BenchResult:
     """Steady-state FPS on a seeded synthetic sequence.
 
-    ``models`` is either a {"fnet", "srnet"} bundle (recurrent pipeline) or
-    a single graph applied per frame. Warm-up frames run first and are not
-    timed; timing uses the monotonic performance counter per frame.
+    ``models`` is a single graph, or any bundle :func:`vsr_run` accepts
+    (a single net or a recurrent pair). Warm-up frames run first and are
+    not timed; each frame's time is the monotonic gap between consecutive
+    frames of :func:`upscale_steps`.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    bundle = _as_bundle(models)
+    bundle = {"net": models} if isinstance(models, NetworkGraph) \
+        else dict(models)
     if fused:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
+    scale, _ = model_geometry(bundle)
+    # graph names in reverse order: a recurrent pair reads <srnet>+<fnet>
+    arch = "+".join(str(bundle[k].meta.get("arch", k))
+                    for k in sorted(bundle, reverse=True))
     n, c, h, w = (int(v) for v in input_shape)
     rng = np.random.default_rng(seed)
     seq = rng.random((frames + warmup, c, h, w), dtype=np.float32)
 
-    if "fnet" in bundle:
-        scale = int(bundle["srnet"].meta["scale"])
-        arch = str(bundle["srnet"].meta.get("arch", "srnet")) + "+fnet"
-        run_one = None
-    else:
-        net = bundle["net"]
-        scale = int(net.meta.get("scale", 1))
-        arch = str(net.meta.get("arch", "net"))
-        run_one = net
-
     times = []
-    if run_one is None:
-        state = None
-        for t in range(frames + warmup):
-            t0 = time.perf_counter()
-            _, _, state = vsr_step(bundle, seq[t:t + 1], state, backend)
-            t1 = time.perf_counter()
-            if t >= warmup:
-                times.append(t1 - t0)
-    else:
-        for t in range(frames + warmup):
-            t0 = time.perf_counter()
-            run_one.forward(seq[t:t + 1], backend)
-            t1 = time.perf_counter()
-            if t >= warmup:
-                times.append(t1 - t0)
+    t0 = time.perf_counter()
+    for _ in upscale_steps(bundle, seq, backend):
+        t1 = time.perf_counter()
+        times.append(t1 - t0)
+        t0 = t1
+    times = times[warmup:]
 
     wall = float(sum(times))
     macs, flops = _graph_cost(bundle, (1, c, h, w))

@@ -16,10 +16,10 @@ from . import bench as benchmod
 from . import metrics as metricsmod
 from .conv import BACKENDS
 from .frame_io import read_sequence, write_sequence
-from .graph import NetworkGraph, fuse_conv_bn, init_random
+from .graph import fuse_conv_bn, init_random
 from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
-from .pipeline import upscale_frames, vsr_run
+from .pipeline import model_geometry, vsr_run
 from .tensor import DTYPE
 
 
@@ -32,25 +32,6 @@ def _parse_size(text: str) -> tuple:
     if w < 1 or h < 1:
         raise ValueError(f"--size dimensions must be positive, got {text!r}")
     return w, h
-
-
-def _is_generator(bundle: dict) -> bool:
-    return {"fnet", "srnet"} <= set(bundle)
-
-
-def _sole_graph(bundle: dict) -> NetworkGraph:
-    if len(bundle) != 1:
-        raise ValueError(f"model holds graphs {sorted(bundle)}; expected "
-                         f"either a single net or an fnet+srnet pair")
-    return next(iter(bundle.values()))
-
-
-def _model_scale_channels(bundle: dict) -> tuple:
-    if _is_generator(bundle):
-        meta = bundle["srnet"].meta
-        return int(meta.get("scale", 4)), int(meta.get("frame_channels", 3))
-    g = _sole_graph(bundle)
-    return int(g.meta.get("scale", 1)), g.in_channels
 
 
 def _write_report(path, sections, fmt):
@@ -66,7 +47,7 @@ def cmd_upscale(args) -> int:
     bundle = load_bundle(args.model)
     if args.fuse_bn:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
-    scale, want_c = _model_scale_channels(bundle)
+    scale, want_c = model_geometry(bundle)
     if args.scale is not None and args.scale != scale:
         raise ValueError(f"model upscales x{scale}, but --scale {args.scale} "
                          f"was requested")
@@ -76,11 +57,7 @@ def cmd_upscale(args) -> int:
     elif frames.shape[1] != want_c:
         raise ValueError(f"model expects {want_c}-channel frames, directory "
                          f"holds {frames.shape[1]}-channel frames")
-    if _is_generator(bundle):
-        out = vsr_run(bundle, frames, backend=args.conv)
-    else:
-        out = upscale_frames(_sole_graph(bundle), frames, backend=args.conv)
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(vsr_run(bundle, frames, backend=args.conv), 0.0, 1.0)
     paths = write_sequence(out, args.out, fmt=args.format)
     print(f"wrote {len(paths)} frames ({out.shape[2]}x{out.shape[3]}) "
           f"to {args.out}")
@@ -90,9 +67,8 @@ def cmd_upscale(args) -> int:
 def cmd_bench(args) -> int:
     bundle = load_bundle(args.model)
     w, h = _parse_size(args.size)
-    _, c = _model_scale_channels(bundle)
-    models = bundle if _is_generator(bundle) else _sole_graph(bundle)
-    result = benchmod.time_pipeline(models, (1, c, h, w), args.frames,
+    _, c = model_geometry(bundle)
+    result = benchmod.time_pipeline(bundle, (1, c, h, w), args.frames,
                                     backend=args.conv, fused=args.fuse_bn,
                                     warmup=args.warmup, seed=args.seed)
     print(f"{result.arch} {w}x{h} backend={result.backend} "

@@ -178,22 +178,6 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays.
-
-    Delegates to numpy's BLAS-backed matmul; the result is deterministic for
-    a given process configuration and independent of how the library blocks
-    the computation internally.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"gemm expects 2-D matrices, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dims differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """Convolution as a channel-major lowering followed by one matrix
     multiplication per image.

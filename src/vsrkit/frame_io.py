@@ -28,11 +28,22 @@ class FrameFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # single-frame containers
 
+def _check_finite_frame(frame: np.ndarray, path, name: str) -> None:
+    try:
+        check_finite(frame, name)
+    except NonFiniteError as e:
+        raise FrameFormatError(f"{path}: {e}") from None
+
+
 def write_ppm(path, frame: np.ndarray) -> None:
-    """Write one (3, h, w) [0,1] frame as binary P6, rounding to 8 bits."""
+    """Write one (3, h, w) [0,1] frame as binary P6, rounding to 8 bits.
+
+    A non-finite frame raises :class:`FrameFormatError` before the file
+    is opened."""
     frame = np.asarray(frame)
     if frame.ndim != 3 or frame.shape[0] != 3:
         raise ShapeError(f"P6 needs a (3, h, w) frame, got {frame.shape}")
+    _check_finite_frame(frame, path, "frame")
     _, h, w = frame.shape
     pixels = np.rint(np.clip(frame, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -90,10 +101,12 @@ F32_HEADER = struct.Struct("<IIII")
 
 
 def write_f32(path, frame: np.ndarray) -> None:
-    """Write one (c, h, w) frame losslessly."""
+    """Write one (c, h, w) frame losslessly; a non-finite frame raises
+    :class:`FrameFormatError` before the file is opened."""
     frame = np.asarray(frame, dtype=DTYPE)
     if frame.ndim != 3:
         raise ShapeError(f"expected a (c, h, w) frame, got {frame.shape}")
+    _check_finite_frame(frame, path, "frame")
     c, h, w = frame.shape
     with open(path, "wb") as fh:
         fh.write(F32_HEADER.pack(1, c, h, w))
@@ -115,10 +128,7 @@ def read_f32(path) -> np.ndarray:
         raise FrameFormatError(f"{path}: payload truncated, expected "
                                f"{4 * c * h * w} bytes, found {len(data)}")
     frame = np.frombuffer(data, dtype="<f4").reshape(c, h, w).astype(DTYPE)
-    try:
-        check_finite(frame, "payload")
-    except NonFiniteError as e:
-        raise FrameFormatError(f"{path}: {e}") from None
+    _check_finite_frame(frame, path, "payload")
     return frame
 
 

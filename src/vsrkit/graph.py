@@ -473,15 +473,6 @@ class CostReport:
         return 2 * self.macs + self.pointwise_ops
 
 
-def count_params(graph: NetworkGraph) -> int:
-    return graph.count_params()
-
-
-def count_flops(graph: NetworkGraph, input_shape) -> int:
-    """Total MAC-equivalent operation count for one forward pass."""
-    return graph.count_flops(input_shape).mac_total
-
-
 # ---------------------------------------------------------------------------
 # fusion pass
 
@@ -547,21 +538,6 @@ def fuse_conv_bn(graph: NetworkGraph) -> NetworkGraph:
         log.debug("fused %d batch-norm layers away",
                   len(graph.layers) - len(fused_graph.layers))
     return fused_graph
-
-
-def graph_forward(graph: NetworkGraph, inputs,
-                  backend: str = "gemm") -> np.ndarray:
-    """Run the graph on one tensor, or on several concatenated channel-wise
-    (multi-input graphs such as the flow net take their inputs that way)."""
-    if isinstance(inputs, (list, tuple)):
-        if not inputs:
-            raise GraphError("empty input list")
-        x = inputs[0]
-        for extra in inputs[1:]:
-            x = tops.concat_channels(x, extra)
-    else:
-        x = inputs
-    return graph.forward(x, backend)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tops
-from .graph import NetworkGraph
+from .graph import GraphError, NetworkGraph
 from .tensor import DTYPE, NonFiniteError, ShapeError
 
 
@@ -120,16 +120,42 @@ def _pool_factor(fnet: NetworkGraph) -> int:
     return 2 ** levels
 
 
-def _check_generator(generator: dict) -> tuple:
-    for key in ("fnet", "srnet"):
-        if key not in generator:
-            raise ValueError(f"generator bundle is missing the {key!r} graph")
-    fnet, srnet = generator["fnet"], generator["srnet"]
-    scale = int(srnet.meta.get("scale", 0))
-    if scale < 1:
-        raise ValueError("srnet graph does not declare its scale factor")
-    frame_c = int(srnet.meta.get("frame_channels", 3))
-    return fnet, srnet, scale, frame_c
+def _pair(bundle: dict):
+    """(fnet, srnet) for a recurrent bundle, None for a single net."""
+    if set(bundle) == {"fnet", "srnet"}:
+        return bundle["fnet"], bundle["srnet"]
+    if len(bundle) != 1:
+        raise GraphError(f"model holds graphs {sorted(bundle)}; expected "
+                         f"either a single net or an fnet+srnet pair")
+    return None
+
+
+def _meta_int(graph: NetworkGraph, name: str, key: str, default) -> int:
+    if key not in graph.meta and default is not None:
+        return default
+    v = graph.meta.get(key)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        got = f"{v!r}" if key in graph.meta else "missing"
+        raise GraphError(f"graph {name!r}: meta {key!r} must be an integer "
+                         f">= 1, got {got}")
+    return int(v)
+
+
+def model_geometry(bundle: dict) -> tuple:
+    """(scale, frame_channels) of a single net or of an fnet+srnet pair.
+
+    A pair takes both from the srnet meta: ``scale`` is required and
+    ``frame_channels`` defaults to 3. A single net's meta ``scale``
+    defaults to 1 and it takes frames of its input channel count. A value
+    that is not an integer >= 1, or a bundle of any other graphs, raises
+    :class:`GraphError` naming the graph and the meta key.
+    """
+    pair = _pair(bundle)
+    if pair is None:
+        (name, net), = bundle.items()
+        return _meta_int(net, name, "scale", 1), net.in_channels
+    return (_meta_int(pair[1], "srnet", "scale", None),
+            _meta_int(pair[1], "srnet", "frame_channels", 3))
 
 
 def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
@@ -156,10 +182,17 @@ def vsr_step(generator: dict, lr: np.ndarray,
              backend: str = "gemm") -> tuple:
     """One recurrent step; returns (hr_frame, flow, next_state).
 
-    A non-finite input frame, or a non-finite flow (from non-finite
-    weights), raises :class:`NonFiniteError`.
+    A bundle that is not an fnet+srnet pair, or bad srnet meta (see
+    :func:`model_geometry`), raises :class:`GraphError`. A non-finite input
+    frame, or a non-finite flow (from non-finite weights), raises
+    :class:`NonFiniteError`.
     """
-    fnet, srnet, scale, frame_c = _check_generator(generator)
+    pair = _pair(generator)
+    if pair is None:
+        raise GraphError(f"vsr_step needs an fnet+srnet pair, model holds "
+                         f"graphs {sorted(generator)}")
+    fnet, srnet = pair
+    scale, frame_c = model_geometry(generator)
     lr = tops.check_tensor(lr, "low-resolution frame")
     tops.check_finite(lr, "low-resolution frame")
     n, c, h, w = lr.shape
@@ -181,39 +214,55 @@ def vsr_step(generator: dict, lr: np.ndarray,
     return hr, flow, RecurrentState(prev_lr=lr, prev_hr=hr)
 
 
-def vsr_run(generator: dict, frames: np.ndarray,
-            backend: str = "gemm") -> np.ndarray:
-    """Upscale a whole (t, c, h, w) sequence; returns (t, c, h*s, w*s).
+def _graph_cost(bundle: dict, shape: tuple) -> tuple:
+    """(macs, flops) per frame over the bundle's graphs, at the input
+    shapes :func:`vsr_step` feeds them; pipeline glue (warping, flow
+    resize, packing) is excluded and documented as such."""
+    n, c, h, w = shape
+    pair = _pair(bundle)
+    if pair is None:
+        reps = [g.count_flops(shape) for g in bundle.values()]
+    else:
+        scale, _ = model_geometry(bundle)
+        reps = [pair[0].count_flops((n, 2 * c, h, w)),
+                pair[1].count_flops((n, c * (1 + scale * scale), h, w))]
+    return sum(r.mac_total for r in reps), sum(r.flops for r in reps)
 
-    A :class:`NonFiniteError` from any step is re-raised naming its frame.
+
+def upscale_steps(bundle: dict, frames: np.ndarray, backend: str = "gemm"):
+    """Yield the upscaled (c, h*s, w*s) frames of a (t, c, h, w) sequence,
+    one per input frame, for either bundle kind.
+
+    An fnet+srnet pair runs the recurrent :func:`vsr_step` chain; a single
+    net runs ``forward`` on each frame independently. A non-finite input
+    frame, flow or output raises :class:`NonFiniteError` naming the frame
+    (and, for an output, the graph that produced it).
     """
+    model_geometry(bundle)
+    recurrent = _pair(bundle) is not None
+    name, net = ("srnet", None) if recurrent else next(iter(bundle.items()))
     frames = np.asarray(frames, dtype=DTYPE)
     if frames.ndim != 4:
         raise ShapeError(f"expected (t, c, h, w) sequence, got {frames.shape}")
     if frames.shape[0] < 1:
         raise ShapeError("sequence is empty")
     state = None
-    outs = []
     for t in range(frames.shape[0]):
         try:
-            hr, _, state = vsr_step(generator, frames[t:t + 1], state, backend)
+            if recurrent:
+                # through the module global, so rebinding vsr_step reaches it
+                hr, _, state = vsr_step(bundle, frames[t:t + 1], state, backend)
+            else:
+                tops.check_finite(frames[t], "low-resolution frame")
+                hr = net.forward(frames[t:t + 1], backend)
+            tops.check_finite(hr, f"graph {name!r} output")
         except NonFiniteError as e:
             raise NonFiniteError(f"frame {t}: {e}") from None
-        outs.append(hr[0])
-    return np.stack(outs).astype(DTYPE)
+        yield hr[0]
 
 
-def upscale_frames(graph: NetworkGraph, frames: np.ndarray,
-                   backend: str = "gemm") -> np.ndarray:
-    """Frame-independent upscaling for the single-image nets.
-
-    A non-finite input frame raises :class:`NonFiniteError` naming the frame.
-    """
-    frames = np.asarray(frames, dtype=DTYPE)
-    if frames.ndim != 4:
-        raise ShapeError(f"expected (t, c, h, w) sequence, got {frames.shape}")
-    outs = []
-    for t in range(frames.shape[0]):
-        tops.check_finite(frames[t], f"frame {t}: low-resolution frame")
-        outs.append(graph.forward(frames[t:t + 1], backend)[0])
-    return np.stack(outs).astype(DTYPE)
+def vsr_run(bundle: dict, frames: np.ndarray,
+            backend: str = "gemm") -> np.ndarray:
+    """Upscale a whole (t, c, h, w) sequence with a single net or an
+    fnet+srnet pair; returns (t, c, h*s, w*s). See :func:`upscale_steps`."""
+    return np.stack(list(upscale_steps(bundle, frames, backend)))

@@ -3,6 +3,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 
@@ -24,3 +25,17 @@ def _edit_vsm_header(path, edit):
 @pytest.fixture()
 def edit_vsm_header():
     return _edit_vsm_header
+
+
+def _write_raw_f32(path, frame):
+    """Write a (c, h, w) frame as an .f32 file byte for byte, without the
+    writer's checks, so tests can make files that hold non-finite values."""
+    c, h, w = frame.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<IIII", 1, c, h, w))
+        fh.write(np.ascontiguousarray(frame, dtype="<f4").tobytes())
+
+
+@pytest.fixture()
+def write_raw_f32():
+    return _write_raw_f32

@@ -33,7 +33,6 @@ from vsrkit import (
     dense_flow,
     fpga_max_flops,
     fuse_conv_bn,
-    gemm,
     im2col,
     init_random,
     normalize_metric,
@@ -219,7 +218,7 @@ def test_criterion_06_im2col_layout():
         kern = ConvKernel(w)
         cols = im2col(x, 3)
         assert cols.shape == (4, 2 * 9)
-        prod = gemm(cols, w.reshape(3, -1).T)
+        prod = cols @ w.reshape(3, -1).T
         direct = conv2d_naive(x, kern)
         assert np.array_equal(prod.T.reshape(1, 3, 2, 2), direct)
 

@@ -10,6 +10,7 @@ from vsrkit import (
     NetworkGraph,
     batch_norm_layer,
     conv2d_layer,
+    load_bundle,
     load_model,
     read_sequence,
     save_model,
@@ -282,14 +283,17 @@ def test_missing_model_file_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_upscale_non_finite_frame_is_a_clean_error(tmp_path, capsys):
+def test_upscale_non_finite_frame_is_a_clean_error(tmp_path, capsys,
+                                                   write_raw_f32):
     model = tmp_path / "gen.vsm"
     main(["build-model", "--arch", "egvsr", "--out", str(model)])
     frames = np.random.default_rng(8).random((2, 3, 16, 16),
                                              dtype=np.float32)
     frames[1, 2, 7, 7] = np.nan
     lr_dir = tmp_path / "lr"
-    write_sequence(frames, lr_dir, fmt="f32")
+    lr_dir.mkdir()
+    for t, frame in enumerate(frames):
+        write_raw_f32(lr_dir / f"{t:04d}.f32", frame)
     capsys.readouterr()
     assert main(["upscale", "--model", str(model), "--in", str(lr_dir),
                  "--out", str(tmp_path / "hr")]) == 1
@@ -405,6 +409,78 @@ def test_inspect_rejects_malformed_header_structure(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "error:" in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def egvsr_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("egvsr") / "gen.vsm"
+    assert main(["build-model", "--arch", "egvsr", "--out", str(path)]) == 0
+    return path
+
+
+def _set_srnet_meta(key, value):
+    """Header edit: set (or, with value None, drop) one srnet meta key."""
+    def edit(header):
+        meta = next(g for g in header["graphs"]
+                    if g["name"] == "srnet")["meta"]
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+    return edit
+
+
+def _assert_clean_error(code, capsys, message):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["bench", "upscale"])
+@pytest.mark.parametrize("key, value", [
+    ("scale", None), ("scale", "x"), ("scale", 0), ("scale", 4.5),
+    ("frame_channels", [1]),
+], ids=["scale-missing", "scale-str", "scale-zero", "scale-fractional",
+        "frame-channels-list"])
+def test_bad_srnet_meta_is_a_clean_error(tmp_path, capsys, edit_vsm_header,
+                                         egvsr_model, command, key, value):
+    model = tmp_path / "gen.vsm"
+    model.write_bytes(egvsr_model.read_bytes())
+    edit_vsm_header(model, _set_srnet_meta(key, value))
+    if command == "bench":
+        argv = ["bench", "--model", str(model), "--size", "16x16",
+                "--frames", "1", "--warmup", "0"]
+    else:
+        lr_dir, _ = _write_lr_frames(tmp_path, t=2, c=3, h=16, w=16)
+        argv = ["upscale", "--model", str(model), "--in", str(lr_dir),
+                "--out", str(tmp_path / "hr")]
+    capsys.readouterr()
+    _assert_clean_error(main(argv), capsys, f"graph 'srnet': meta '{key}'")
+
+
+def _save_with_nan_weight(bundle, gname, path):
+    conv = next(ly for ly in bundle[gname].layers if ly.kind == "conv2d")
+    conv.arrays["weight"][0, 0, 0, 0] = np.nan
+    save_model(bundle, path)
+
+
+@pytest.mark.parametrize("arch, gname, c, fmt", [
+    ("control-a", "net", 1, "f32"), ("egvsr", "srnet", 3, "ppm"),
+])
+def test_upscale_nan_weight_is_a_clean_error(tmp_path, capsys, arch, gname,
+                                             c, fmt):
+    model = tmp_path / "m.vsm"
+    assert main(["build-model", "--arch", arch, "--out", str(model)]) == 0
+    _save_with_nan_weight(load_bundle(model), gname, model)
+    lr_dir, _ = _write_lr_frames(tmp_path, t=2, c=c, h=16, w=16)
+    out_dir = tmp_path / "hr"
+    capsys.readouterr()
+    code = main(["upscale", "--model", str(model), "--in", str(lr_dir),
+                 "--out", str(out_dir), "--format", fmt])
+    _assert_clean_error(code, capsys, f"frame 0: graph '{gname}' output "
+                                      f"holds")
+    assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 def test_unknown_subcommand_exits_with_usage_error():

@@ -18,10 +18,7 @@ from vsrkit import (
     conv2d,
     conv2d_layer,
     conv_transpose2d_layer,
-    count_flops,
-    count_params,
     fuse_conv_bn,
-    graph_forward,
     init_random,
     maxpool2_layer,
     pixel_shuffle_layer,
@@ -204,19 +201,6 @@ def test_residual_add_and_concat_sources():
     assert np.allclose(out[:, 2:], a, atol=1e-6)
 
 
-def test_graph_forward_accepts_input_list():
-    g = NetworkGraph([conv2d_layer("c", 5, 1, 1,
-                                   weights=np.ones((1, 5, 1, 1),
-                                                   dtype=np.float32))],
-                     in_channels=5)
-    a = np.full((1, 2, 3, 3), 1.0, dtype=np.float32)
-    b = np.full((1, 3, 3, 3), 2.0, dtype=np.float32)
-    out = graph_forward(g, [a, b])
-    assert np.allclose(out, 2 * 1.0 + 3 * 2.0, atol=1e-6)
-    same = graph_forward(g, np.concatenate([a, b], axis=1))
-    assert np.array_equal(out, same)
-
-
 def _kind_cases():
     """One small graph per layer kind, its layer last: (layers, in_channels)."""
     rng = np.random.default_rng(21)
@@ -349,11 +333,11 @@ def test_fusion_rewires_downstream_skip_names():
 # parameter and operation counting
 
 def test_count_params_examples():
-    assert count_params(NetworkGraph([], in_channels=3)) == 0
+    assert NetworkGraph([], in_channels=3).count_params() == 0
     g = NetworkGraph([conv2d_layer("c", 1, 64, 5)], in_channels=1)
-    assert count_params(g) == 1 * 64 * 25 + 64  # 1664
+    assert g.count_params() == 1 * 64 * 25 + 64  # 1664
     g2 = NetworkGraph([batch_norm_layer("b", 7)], in_channels=7)
-    assert count_params(g2) == 4 * 7
+    assert g2.count_params() == 4 * 7
 
 
 def test_count_flops_single_element_conv():
@@ -399,13 +383,13 @@ def test_count_flops_reports_per_layer_shapes():
     rep = g.count_flops((1, 1, 8, 8))
     assert rep.per_layer[0]["out_shape"] == (1, 2, 8, 8)
     assert rep.per_layer[1]["out_shape"] == (1, 2, 4, 4)
-    assert count_flops(g, (1, 1, 8, 8)) == rep.mac_total
+    assert g.count_flops((1, 1, 8, 8)).mac_total == rep.mac_total
 
 
 def test_fused_graph_has_no_more_params():
     rng = np.random.default_rng(14)
     g = _conv_bn_graph(rng)
-    assert count_params(fuse_conv_bn(g)) <= count_params(g)
+    assert fuse_conv_bn(g).count_params() <= g.count_params()
 
 
 def test_init_random_is_seeded_and_fills_convs():

@@ -264,15 +264,37 @@ def test_f32_rejects_truncation(tmp_path):
         read_f32(path)
 
 
-def test_f32_rejects_non_finite_payload(tmp_path):
+def test_f32_rejects_non_finite_payload(tmp_path, write_raw_f32):
     frame = np.zeros((2, 3, 3), dtype=np.float32)
     frame[1, 2, 0] = np.nan
     frame[0, 0, 1] = -np.inf
     path = tmp_path / "0007.f32"
-    write_f32(path, frame)
+    write_raw_f32(path, frame)
     with pytest.raises(FrameFormatError, match=r"0007\.f32: payload holds 2 "
                                                r"non-finite values"):
         read_f32(path)
+
+
+def test_write_f32_refuses_non_finite_frame(tmp_path):
+    frame = np.zeros((2, 3, 3), dtype=np.float32)
+    frame[1, 0, 2] = np.inf
+    path = tmp_path / "0003.f32"
+    with pytest.raises(FrameFormatError, match=r"0003\.f32: frame holds 1 "
+                                               r"non-finite values, first at "
+                                               r"index \(1, 0, 2\)"):
+        write_f32(path, frame)
+    assert not path.exists()
+
+
+def test_write_ppm_refuses_non_finite_frame(tmp_path):
+    frame = np.full((3, 2, 4), 0.5, dtype=np.float32)
+    frame[2, 1, 3] = np.nan
+    path = tmp_path / "0004.ppm"
+    with pytest.raises(FrameFormatError, match=r"0004\.ppm: frame holds 1 "
+                                               r"non-finite values, first at "
+                                               r"index \(2, 1, 3\)"):
+        write_ppm(path, frame)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

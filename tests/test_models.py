@@ -9,7 +9,6 @@ from vsrkit import (
     build_fnet,
     build_generator,
     build_srnet,
-    count_params,
     init_random,
 )
 
@@ -19,7 +18,7 @@ TRUNK_PARAMS = 738_560
 
 
 def test_fnet_parameter_count():
-    assert count_params(build_fnet()) == FNET_PARAMS
+    assert build_fnet().count_params() == FNET_PARAMS
     # roughly 1.75M parameters by design
     assert abs(FNET_PARAMS - 1.75e6) / 1.75e6 < 0.01
 
@@ -47,7 +46,7 @@ def test_fnet_zero_weights_give_zero_flow():
 
 def test_srnet_parameter_count_and_trunk():
     srnet = build_srnet()
-    assert count_params(srnet) == SRNET_PARAMS
+    assert srnet.count_params() == SRNET_PARAMS
     trunk = sum(l.param_count() for l in srnet.layers
                 if l.name.startswith("b"))
     assert trunk == TRUNK_PARAMS
@@ -80,7 +79,7 @@ def test_generator_bundle():
     assert set(gen) == {"fnet", "srnet"}
     assert gen["srnet"].meta["scale"] == 4
     assert gen["srnet"].meta["frame_channels"] == 3
-    total = sum(count_params(g) for g in gen.values())
+    total = sum(g.count_params() for g in gen.values())
     assert total == FNET_PARAMS + SRNET_PARAMS
 
 
@@ -94,7 +93,7 @@ HEADS = {"control-a": {"out_conv": 33}, "control-b": {"out_deconv": 801},
 def test_control_variant_parameter_counts():
     for variant, total in CONTROL_TOTALS.items():
         g = build_control_srnet(variant)
-        assert count_params(g) == total, variant
+        assert g.count_params() == total, variant
         by_name = {l.name: l.param_count() for l in g.layers}
         for name, params in BACKBONE.items():
             assert by_name[name] == params, (variant, name)

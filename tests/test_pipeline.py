@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from vsrkit import (
+    GraphError,
+    NetworkGraph,
     NonFiniteError,
     RecurrentState,
     ShapeError,
@@ -12,11 +14,12 @@ from vsrkit import (
     build_generator,
     build_srnet,
     init_random,
-    upscale_frames,
+    model_geometry,
     vsr_run,
     vsr_step,
     warp,
 )
+from vsrkit import pipeline
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +161,7 @@ def test_vsr_step_identical_frames_with_zero_flow_reuse_history(generator):
 
 def test_vsr_step_validates_generator(generator):
     lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
-    with pytest.raises((ValueError, KeyError)):
+    with pytest.raises(GraphError, match=r"needs an fnet\+srnet pair"):
         vsr_step({"fnet": generator["fnet"]}, lr)
 
 
@@ -218,18 +221,18 @@ def test_vsr_run_names_the_frame_of_non_finite_flow():
         vsr_run(generator, frames)
 
 
-def test_upscale_frames_applies_single_graph_per_frame():
+def test_vsr_run_applies_single_graph_per_frame():
     g = init_random(build_control_srnet("control-a"), 13)
     frames = np.random.default_rng(13).random((3, 1, 10, 10),
                                               dtype=np.float32)
-    out = upscale_frames(g, frames)
+    out = vsr_run({"net": g}, frames)
     assert out.shape == (3, 1, 30, 30)
     # frames are independent: reordering the input reorders the output
-    flipped = upscale_frames(g, frames[::-1].copy())
+    flipped = vsr_run({"net": g}, frames[::-1].copy())
     assert np.array_equal(flipped, out[::-1])
 
 
-def test_upscale_frames_names_the_non_finite_frame():
+def test_vsr_run_names_the_non_finite_frame_of_a_single_net():
     g = init_random(build_control_srnet("control-a"), 14)
     frames = np.random.default_rng(14).random((3, 1, 10, 10),
                                               dtype=np.float32)
@@ -238,4 +241,75 @@ def test_upscale_frames_names_the_non_finite_frame():
                                              r"frame holds 1 non-finite "
                                              r"values, first at index "
                                              r"\(0, 4, 7\)"):
-        upscale_frames(g, frames)
+        vsr_run({"net": g}, frames)
+
+
+def _nan_weight(graph):
+    g = graph.copy()
+    conv = next(ly for ly in g.layers if ly.kind == "conv2d")
+    conv.arrays["weight"][0, 0, 0, 0] = np.nan
+    return g
+
+
+def test_vsr_run_names_the_frame_and_graph_of_non_finite_output(generator):
+    frames = np.random.default_rng(15).random((2, 3, 16, 16),
+                                              dtype=np.float32)
+    bad = {"fnet": generator["fnet"], "srnet": _nan_weight(generator["srnet"])}
+    with pytest.raises(NonFiniteError, match=r"^frame 0: graph 'srnet' "
+                                             r"output holds \d+ non-finite"):
+        vsr_run(bad, frames)
+    net = _nan_weight(init_random(build_control_srnet("control-b"), 16))
+    with pytest.raises(NonFiniteError, match=r"^frame 0: graph 'net' "
+                                             r"output holds \d+ non-finite"):
+        vsr_run({"net": net}, frames[:, :1])
+
+
+def test_vsr_run_calls_vsr_step_through_the_module_global(generator,
+                                                          monkeypatch):
+    # the benchmark's tracer times pipeline stages by rebinding
+    # pipeline.vsr_step; vsr_run must look the name up on every frame
+    calls = []
+    step = pipeline.vsr_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "vsr_step", counting)
+    frames = np.random.default_rng(17).random((3, 3, 16, 16),
+                                              dtype=np.float32)
+    vsr_run(generator, frames)
+    assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# bundle geometry
+
+def test_model_geometry_of_both_bundle_kinds(generator):
+    assert model_geometry(generator) == (4, 3)
+    assert model_geometry({"net": build_control_srnet("control-a")}) == (3, 1)
+
+
+def test_model_geometry_names_the_graph_and_meta_key(generator):
+    for key, value in (("scale", None), ("scale", "x"), ("scale", 0),
+                       ("scale", 4.5), ("scale", True),
+                       ("frame_channels", [1])):
+        srnet = generator["srnet"].copy()
+        if value is None:
+            del srnet.meta[key]
+        else:
+            srnet.meta[key] = value
+        bundle = {"fnet": generator["fnet"], "srnet": srnet}
+        with pytest.raises(GraphError, match=f"graph 'srnet': meta '{key}'"):
+            model_geometry(bundle)
+        with pytest.raises(GraphError, match=f"graph 'srnet': meta '{key}'"):
+            vsr_step(bundle, np.zeros((1, 3, 16, 16), dtype=np.float32))
+
+
+def test_model_geometry_rejects_other_bundles(generator):
+    net = NetworkGraph([], in_channels=3)
+    for bundle in ({}, {"fnet": generator["fnet"], "other": net},
+                   dict(generator, extra=net)):
+        with pytest.raises(GraphError, match="expected either a single net "
+                                             "or an fnet\\+srnet pair"):
+            model_geometry(bundle)

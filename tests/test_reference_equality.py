@@ -1,5 +1,6 @@
-"""The buffer-lean warp, Lucas-Kanade step, sequence reader and overlapped
-evaluation against straightforward reference implementations.
+"""The buffer-lean warp, Lucas-Kanade step, sequence reader, overlapped
+evaluation and single frame loop against straightforward reference
+implementations.
 
 ``_reference_warp`` and ``_reference_lk_level`` are the plain formulations
 (meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``).
@@ -8,12 +9,15 @@ the ``tracemalloc`` peaks measured for them at 384x512.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from vsrkit import (
+    build_control_srnet,
+    build_generator,
     default_perceptual_distance,
     dense_flow,
     evaluate_sequence,
@@ -21,13 +25,18 @@ from vsrkit import (
     read_f32,
     read_ppm,
     read_sequence,
+    fuse_conv_bn,
+    init_random,
     ssim,
+    time_pipeline,
     tlp,
     tof,
+    vsr_run,
+    vsr_step,
     warp,
     write_sequence,
 )
-from vsrkit import metrics
+from vsrkit import bench, metrics
 from vsrkit.tensor import DTYPE
 
 
@@ -236,3 +245,73 @@ def test_evaluate_sequence_equals_the_metric_functions_one_by_one():
     assert evaluate_sequence(gen, ref, metrics=("tof", "psnr")) == {
         "psnr": want["psnr"], "tof": want["tof"],
         "per_frame_psnr": frame_psnr}
+
+
+# ---------------------------------------------------------------------------
+# the frame loop behind vsr_run
+
+def _reference_vsr_run(generator, frames, backend):
+    state = None
+    outs = []
+    for t in range(frames.shape[0]):
+        hr, _, state = vsr_step(generator, frames[t:t + 1], state, backend)
+        outs.append(hr[0])
+    return np.stack(outs).astype(DTYPE)
+
+
+def _reference_upscale_frames(graph, frames, backend):
+    outs = [graph.forward(frames[t:t + 1], backend)[0]
+            for t in range(frames.shape[0])]
+    return np.stack(outs).astype(DTYPE)
+
+
+def _egvsr(fused):
+    gen = build_generator()
+    gen = {"fnet": init_random(gen["fnet"], 0),
+           "srnet": init_random(gen["srnet"], 1)}
+    if fused:
+        gen = {k: fuse_conv_bn(g) for k, g in gen.items()}
+    return gen
+
+
+@pytest.mark.parametrize("fused, backend", [(True, "gemm"),
+                                            (False, "winograd")],
+                         ids=["fused-gemm", "unfused-winograd"])
+def test_vsr_run_recurrent_is_bit_identical_to_reference(fused, backend):
+    gen = _egvsr(fused)
+    frames = np.random.default_rng(21).random((3, 3, 16, 24),
+                                              dtype=np.float32)
+    got = vsr_run(gen, frames, backend)
+    want = _reference_vsr_run(gen, frames, backend)
+    assert got.dtype == want.dtype == DTYPE
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variant", ["control-a", "control-b", "control-c"])
+def test_vsr_run_single_net_is_bit_identical_to_reference(variant):
+    net = init_random(build_control_srnet(variant), 0)
+    frames = np.random.default_rng(22).random((3, 1, 12, 10),
+                                              dtype=np.float32)
+    got = vsr_run({"net": net}, frames, "gemm")
+    want = _reference_upscale_frames(net, frames, "gemm")
+    assert got.dtype == want.dtype == DTYPE
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ["recurrent", "single"])
+def test_time_pipeline_times_the_gaps_between_frames(kind, monkeypatch):
+    # a clock that advances one second per reading: every timed frame is
+    # exactly one gap, and the warm-up gaps are dropped
+    ticks = iter(range(1000))
+    monkeypatch.setattr(bench, "time",
+                        SimpleNamespace(perf_counter=lambda: next(ticks)))
+    if kind == "recurrent":
+        models, shape, arch = _egvsr(False), (1, 3, 16, 16), "srnet+fnet"
+    else:
+        models, shape, arch = (build_control_srnet("control-a"),
+                               (1, 1, 12, 12), "control-a")
+    res = time_pipeline(models, shape, frames=3, warmup=2)
+    assert (res.arch, res.frames, res.warmup) == (arch, 3, 2)
+    assert res.wall_time_s == 3.0 and res.fps == 1.0
+    assert res.mean_frame_s == res.median_frame_s == 1.0
+    assert next(ticks) == 6         # one reading before the loop, one a frame
