@@ -192,6 +192,8 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     """Write a (t, c, h, w) array as numbered frame files; returns paths.
 
     ``fmt`` defaults to "ppm" for 3-channel sequences and "f32" otherwise.
+    Every frame is checked before anything is written: a non-finite frame
+    raises :class:`FrameFormatError` naming its path and leaves no file.
     """
     seq = np.asarray(seq, dtype=DTYPE)
     if seq.ndim != 4:
@@ -201,11 +203,11 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     if fmt not in ("ppm", "f32"):
         raise ValueError(f"unknown frame format {fmt!r}")
     writer = write_ppm if fmt == "ppm" else write_f32
+    paths = [os.path.join(directory, f"{str(start + t).zfill(pad)}.{fmt}")
+             for t in range(seq.shape[0])]
+    for path, frame in zip(paths, seq):
+        _check_finite_frame(frame, path, "frame")
     os.makedirs(directory, exist_ok=True)
-    paths = []
-    for t in range(seq.shape[0]):
-        name = f"{str(start + t).zfill(pad)}.{fmt}"
-        path = os.path.join(directory, name)
-        writer(path, seq[t])
-        paths.append(path)
+    for path, frame in zip(paths, seq):
+        writer(path, frame)
     return paths

@@ -6,7 +6,8 @@ Skip connections are expressed by ``residual_add`` / ``concat`` layers that
 reference an earlier layer's output by name. Channel compatibility, weight
 shapes and layer attributes are validated eagerly at construction; spatial
 constraints are checked when an actual input size is known (forward or cost
-analysis). Both checks run through one per-kind rule, ``NetworkGraph._infer``.
+analysis). Each layer kind is described once, in ``NetworkGraph._infer``: its
+checks, shape rule, cost and execution step.
 
 Graphs are immutable by convention after construction: the fusion pass and
 every other transform returns a new graph and never mutates its input.
@@ -242,35 +243,43 @@ class NetworkGraph:
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise GraphError(f"duplicate layer names: {dup}")
-        shapes = self._shapes((self.in_channels, None, None))
-        self._out_channels = shapes[-1][0] if shapes else self.in_channels
+        self._plan((self.in_channels, None, None))
 
-    # -- shape inference and attribute validation ------------------------------
+    # -- the per-kind rule -------------------------------------------------------
 
-    def _shapes(self, cur: tuple) -> list:
-        """Per-layer output (c, h, w) from input ``cur``; raises naming the layer."""
+    def _plan(self, cur: tuple, backend: str = "gemm") -> list:
+        """One ``_infer`` result per layer for input ``cur`` = (c, h, w);
+        raises naming the layer."""
+        if cur[0] != self.in_channels:
+            raise GraphError(f"graph expects {self.in_channels} input channels, "
+                             f"got {cur[0]}")
+        if backend not in convops.BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}")
         seen: dict[str, tuple] = {}
-        shapes = []
+        plan = []
         for i, ly in enumerate(self.layers):
             try:
-                cur = self._infer(ly, cur, seen)
+                step = self._infer(ly, cur, seen, backend)
             except (ShapeError, GraphError, KeyError, TypeError) as e:
                 raise GraphError(
                     f"layer {i} ({ly.name!r}, {ly.kind}): {e}") from e
-            seen[ly.name] = cur
-            shapes.append(cur)
-        return shapes
+            cur = seen[ly.name] = step[0]
+            plan.append(step)
+        return plan
 
     @staticmethod
-    def _infer(ly: Layer, cur: tuple, seen: dict) -> tuple:
-        """Output (c, h, w) of one layer for input ``cur``; checks attributes.
+    def _infer(ly: Layer, cur: tuple, seen: dict, backend: str) -> tuple:
+        """Check one layer for input ``cur`` = (c, h, w); return its output
+        (c, h, w), MACs and pointwise ops per image, and step ``run(x, saved)``.
 
-        With h = w = None (graph construction) only channels are inferred;
-        the spatial rules apply once a real input size is known.
+        With h = w = None (graph construction) only channels are inferred and
+        the costs read 0. Steps look kernels up in their modules when called,
+        so a tracer that rebinds ``convops.conv2d`` sees every call.
         """
         c, h, w = cur
         a = ly.attrs
         sized = h is not None
+        hw = h * w if sized else 0      # rules that resize update it
         if ly.kind in ("conv2d", "conv_transpose2d"):
             k, p = a["k"], a["pad"]
             s = a["stride"] if ly.kind == "conv2d" else a["scale"]
@@ -285,29 +294,40 @@ class NetworkGraph:
                 raise ShapeError(f"weight shape {wt.shape} != declared {want}")
             if ly.arrays["bias"].size != a["c_out"]:
                 raise ShapeError("bias length mismatch")
+            kern = lambda stride: ConvKernel(wt, ly.arrays["bias"],
+                                             stride=stride, pad=p)
+            # conv2d costs per output pixel, conv_transpose2d per input pixel
+            macs = a["c_in"] * k ** 2 * a["c_out"]
             if ly.kind == "conv2d":
                 if sized:
                     h, w = convops.out_dims(h, w, k, s, p)
+                    hw = h * w
+                run = lambda x, saved: convops.conv2d(x, kern(s), backend)
             elif not 0 <= s - k + 2 * p < s:
                 raise ShapeError(f"k={k} pad={p} inconsistent with x{s} output")
-            elif sized:
-                h, w = h * s, w * s
-            return a["c_out"], h, w
+            else:
+                if sized:
+                    h, w = h * s, w * s
+                run = lambda x, saved: convops.conv_transpose2d(x, kern(1), s)
+            return (a["c_out"], h, w), macs * hw, 0, run
         if ly.kind == "batch_norm":
             _check(a.get("eps", 0) > 0, f"eps must be > 0, got {a.get('eps')!r}")
             if a["c"] != c:
                 raise ShapeError(f"normalizes {a['c']} channels, gets {c}")
             if ly.arrays["gamma"].size != c:
                 raise ShapeError("parameter arrays do not match channel count")
-            return cur
+            return cur, c * hw, 0, lambda x, saved: batchnorm_forward(
+                x, _bn_params_of(ly))
         if ly.kind == "activation":
             _check(a["fn"] in convops.ACTIVATIONS,
                    f"unknown activation {a['fn']!r}")
-            return cur
+            return cur, 0, c * hw, lambda x, saved: convops.activation(
+                x, a["fn"], alpha=a.get("alpha", 0.2), scale=a.get("scale", 1.0))
         if ly.kind == "maxpool2":
             if sized:
                 h, w = (h + 1) // 2, (w + 1) // 2
-            return c, h, w
+                hw = h * w
+            return (c, h, w), 0, c * hw, lambda x, saved: convops.maxpool2(x)
         if ly.kind == "bilinear_up":
             s = a["scale"]
             _check(0 < s < math.inf, f"scale must be finite and > 0, got {s!r}")
@@ -315,7 +335,9 @@ class NetworkGraph:
                 h, w = int(round(h * s)), int(round(w * s))
                 if h < 1 or w < 1:
                     raise ShapeError(f"resize to {h}x{w} is empty")
-            return c, h, w
+                hw = h * w
+            return (c, h, w), 0, c * hw, lambda x, saved: tops.bilinear_resize(
+                x, s)
         if ly.kind == "pixel_shuffle":
             r = a["r"]
             _check(isinstance(r, int) and r >= 1,
@@ -324,7 +346,8 @@ class NetworkGraph:
                 raise ShapeError(f"{c} channels not divisible by r^2={r * r}")
             if sized:
                 h, w = h * r, w * r
-            return c // (r * r), h, w
+            return (c // (r * r), h, w), 0, 0, lambda x, saved: (
+                tops.pixel_shuffle(x, r))
         # concat, residual_add
         src = seen.get(a["source"])
         if src is None:
@@ -335,11 +358,10 @@ class NetworkGraph:
         if src[1:] != (h, w):
             raise ShapeError(f"source {a['source']!r} is {src[1]}x{src[2]}, "
                              f"stream is {h}x{w}")
-        return (c + src[0] if ly.kind == "concat" else c), h, w
-
-    @property
-    def out_channels(self) -> int:
-        return self._out_channels
+        if ly.kind == "concat":
+            return (c + src[0], h, w), 0, 0, lambda x, saved: (
+                tops.concat_channels(x, saved[a["source"]]))
+        return cur, 0, c * hw, lambda x, saved: x + saved[a["source"]]
 
     def referenced_sources(self) -> set:
         return {ly.attrs["source"] for ly in self.layers
@@ -352,56 +374,21 @@ class NetworkGraph:
     # -- execution -------------------------------------------------------------
 
     def forward(self, x: np.ndarray, backend: str = "gemm") -> np.ndarray:
-        """Deterministic forward pass through the named conv backend."""
+        """Deterministic forward pass through the named conv backend; every
+        layer's shape rule is checked for the input size before any runs."""
         x = tops.check_tensor(x, "graph input")
-        if x.shape[1] != self.in_channels:
-            raise GraphError(f"graph expects {self.in_channels} input channels, "
-                             f"got {x.shape[1]}")
-        if backend not in convops.BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}")
+        plan = self._plan(x.shape[1:], backend)
         wanted = self.referenced_sources()
         saved: dict[str, np.ndarray] = {}
-        cur = x
-        for i, ly in enumerate(self.layers):
+        for i, (ly, (_, _, _, run)) in enumerate(zip(self.layers, plan)):
             try:
-                cur = self._run_layer(ly, cur, saved, backend)
+                x = run(x, saved)
             except (ShapeError, GraphError, ValueError) as e:
                 raise GraphError(
                     f"layer {i} ({ly.name!r}, {ly.kind}): {e}") from e
             if ly.name in wanted:
-                saved[ly.name] = cur
-        return cur
-
-    @staticmethod
-    def _run_layer(ly: Layer, x: np.ndarray, saved: dict, backend: str) -> np.ndarray:
-        a = ly.attrs
-        if ly.kind == "conv2d":
-            kern = ConvKernel(ly.arrays["weight"], ly.arrays["bias"],
-                              stride=a["stride"], pad=a["pad"])
-            return convops.conv2d(x, kern, backend)
-        if ly.kind == "conv_transpose2d":
-            kern = ConvKernel(ly.arrays["weight"], ly.arrays["bias"],
-                              stride=1, pad=a["pad"])
-            return convops.conv_transpose2d(x, kern, a["scale"])
-        if ly.kind == "batch_norm":
-            return batchnorm_forward(x, _bn_params_of(ly))
-        if ly.kind == "activation":
-            return convops.activation(x, a["fn"], alpha=a.get("alpha", 0.2),
-                                      scale=a.get("scale", 1.0))
-        if ly.kind == "maxpool2":
-            return convops.maxpool2(x)
-        if ly.kind == "bilinear_up":
-            return tops.bilinear_resize(x, a["scale"])
-        if ly.kind == "pixel_shuffle":
-            return tops.pixel_shuffle(x, a["r"])
-        if ly.kind == "concat":
-            return tops.concat_channels(x, saved[a["source"]])
-        if ly.kind == "residual_add":
-            src = saved[a["source"]]
-            if src.shape != x.shape:
-                raise ShapeError(f"residual shapes differ: {x.shape} vs {src.shape}")
-            return x + src
-        raise GraphError(f"unhandled kind {ly.kind!r}")
+                saved[ly.name] = x
+        return x
 
     # -- accounting --------------------------------------------------------------
 
@@ -412,10 +399,7 @@ class NetworkGraph:
     def infer_shapes(self, input_shape) -> list:
         """Per-layer output shapes (c, h, w) for a given input shape."""
         n, c, h, w = (int(v) for v in input_shape)
-        if c != self.in_channels:
-            raise GraphError(f"graph expects {self.in_channels} input channels, "
-                             f"got {c}")
-        return self._shapes((c, h, w))
+        return [step[0] for step in self._plan((c, h, w))]
 
     def count_flops(self, input_shape):
         """MAC/elementwise-op accounting for one forward pass.
@@ -425,33 +409,15 @@ class NetworkGraph:
         element; activations, pooling, resizing and residual adds count one
         op per output element; pure data movement costs nothing.
         """
-        shapes = self.infer_shapes(input_shape)
-        n = int(input_shape[0])
-        per_layer = []
-        macs = 0
-        pointwise = 0
-        prev = (self.in_channels, int(input_shape[2]), int(input_shape[3]))
-        for ly, shp in zip(self.layers, shapes):
-            c, h, w = shp
-            a = ly.attrs
-            m = e = 0
-            if ly.kind == "conv2d":
-                m = a["c_in"] * h * w * a["k"] ** 2 * a["c_out"]
-            elif ly.kind == "conv_transpose2d":
-                m = a["c_in"] * prev[1] * prev[2] * a["k"] ** 2 * a["c_out"]
-            elif ly.kind == "batch_norm":
-                m = c * h * w
-            elif ly.kind in ("activation", "maxpool2", "bilinear_up",
-                             "residual_add"):
-                e = c * h * w
-            macs += n * m
-            pointwise += n * e
-            per_layer.append({"name": ly.name, "kind": ly.kind,
-                              "out_shape": (n, c, h, w),
-                              "params": ly.param_count(),
-                              "macs": n * m, "pointwise_ops": n * e})
-            prev = shp
-        return CostReport(macs=macs, pointwise_ops=pointwise, per_layer=per_layer)
+        n, c, h, w = (int(v) for v in input_shape)
+        per_layer = [{"name": ly.name, "kind": ly.kind, "out_shape": (n, *shape),
+                      "params": ly.param_count(),
+                      "macs": n * m, "pointwise_ops": n * e}
+                     for ly, (shape, m, e, _) in zip(self.layers,
+                                                     self._plan((c, h, w)))]
+        return CostReport(macs=sum(r["macs"] for r in per_layer),
+                          pointwise_ops=sum(r["pointwise_ops"] for r in per_layer),
+                          per_layer=per_layer)
 
 
 @dataclass
@@ -481,10 +447,12 @@ def fuse_conv_bn(graph: NetworkGraph) -> NetworkGraph:
 
     With the batch-norm's per-channel (scale, shift) from
     :meth:`BatchNormParams.affine`, output channel o of the fused conv gets
-    weights scaled by scale_o and bias b_o*scale_o + shift_o. Batch-norm layers that do not directly follow a conv (or whose
-    conv output is referenced by a skip connection) are rewritten as an
-    explicit diagonal 1x1 conv instead. The input graph is never mutated;
-    applying the pass twice equals applying it once.
+    weights scaled by scale_o and bias b_o*scale_o + shift_o.
+
+    A batch-norm that does not directly follow a conv, or whose conv output
+    is referenced by a skip connection, is rewritten as an explicit
+    diagonal 1x1 conv instead. The input graph is never mutated; applying
+    the pass twice equals applying it once.
 
     Raises :class:`GraphError` if any batch-norm carries non-frozen
     statistics, since folding is only valid with fixed running estimates.

@@ -147,15 +147,23 @@ def model_geometry(bundle: dict) -> tuple:
     A pair takes both from the srnet meta: ``scale`` is required and
     ``frame_channels`` defaults to 3. A single net's meta ``scale``
     defaults to 1 and it takes frames of its input channel count. A value
-    that is not an integer >= 1, or a bundle of any other graphs, raises
+    that is not an integer >= 1 or that does not match the nets' input
+    channels, or a bundle of any other graphs, raises
     :class:`GraphError` naming the graph and the meta key.
     """
     pair = _pair(bundle)
     if pair is None:
         (name, net), = bundle.items()
         return _meta_int(net, name, "scale", 1), net.in_channels
-    return (_meta_int(pair[1], "srnet", "scale", None),
-            _meta_int(pair[1], "srnet", "frame_channels", 3))
+    scale = _meta_int(pair[1], "srnet", "scale", None)
+    frame_c = _meta_int(pair[1], "srnet", "frame_channels", 3)
+    for name, key, want in (("fnet", "frame_channels", 2 * frame_c),
+                            ("srnet", "scale", frame_c * (1 + scale * scale))):
+        if bundle[name].in_channels != want:
+            raise GraphError(f"graph 'srnet': meta {key!r} implies {want} "
+                             f"input channels for graph {name!r}, which takes "
+                             f"{bundle[name].in_channels}")
+    return scale, frame_c
 
 
 def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,

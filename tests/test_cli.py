@@ -440,9 +440,9 @@ def _assert_clean_error(code, capsys, message):
 @pytest.mark.parametrize("command", ["bench", "upscale"])
 @pytest.mark.parametrize("key, value", [
     ("scale", None), ("scale", "x"), ("scale", 0), ("scale", 4.5),
-    ("frame_channels", [1]),
+    ("frame_channels", [1]), ("frame_channels", 1), ("scale", 2),
 ], ids=["scale-missing", "scale-str", "scale-zero", "scale-fractional",
-        "frame-channels-list"])
+        "frame-channels-list", "frame-channels-vs-fnet", "scale-vs-srnet"])
 def test_bad_srnet_meta_is_a_clean_error(tmp_path, capsys, edit_vsm_header,
                                          egvsr_model, command, key, value):
     model = tmp_path / "gen.vsm"

@@ -24,6 +24,7 @@ from vsrkit import (
     pixel_shuffle_layer,
     residual_add_layer,
 )
+from vsrkit import conv as conv_module, graph as graph_module
 from vsrkit.graph import LAYER_KINDS
 
 
@@ -221,8 +222,8 @@ def _kind_cases():
 
 @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
 def test_shape_rule_matches_execution_for_every_kind(kind):
-    # infer_shapes and forward keep separate per-kind code; this pins them
-    # together on an odd-sized input
+    # forward runs each kind's step after its shape rule; this pins the
+    # step's real output shape to the rule on an odd-sized input
     cases = _kind_cases()
     assert set(cases) == set(LAYER_KINDS)
     layers, c = cases[kind]
@@ -233,6 +234,52 @@ def test_shape_rule_matches_execution_for_every_kind(kind):
     for backend in BACKENDS:
         assert g.forward(x, backend).shape[1:] == want, backend
     assert g.count_flops(x.shape).per_layer[-1]["out_shape"] == (2, *want)
+
+
+def _counting(monkeypatch, module, name, counts):
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_forward_checks_every_shape_rule_before_running_a_layer(monkeypatch):
+    # 7x9 -> 4x5 -> 8x10: only the concat can see the mismatch, and it is
+    # found before the conv runs
+    g = NetworkGraph([conv2d_layer("down", 3, 3, 3, stride=2),
+                      bilinear_up_layer("up", 2.0),
+                      concat_layer("cat", source="down")], in_channels=3)
+    counts = {}
+    _counting(monkeypatch, conv_module, "conv2d", counts)
+    x = np.zeros((1, 3, 7, 9), dtype=np.float32)
+    with pytest.raises(GraphError, match=r"layer 2 \('cat', concat\): "
+                                         r"source 'down' is 4x5, stream is "
+                                         r"8x10"):
+        g.forward(x)
+    assert counts == {}
+
+
+def test_forward_looks_kernels_up_in_their_modules(monkeypatch):
+    # perfbench times layers by rebinding these module attributes; a step
+    # that held on to the function it first saw would escape its spans
+    g = init_random(NetworkGraph([conv2d_layer("c1", 3, 4, 3),
+                                  batch_norm_layer("b1", 4),
+                                  activation_layer("a1", "relu"),
+                                  conv2d_layer("c2", 4, 2, 3),
+                                  activation_layer("a2", "leaky_relu")],
+                                 in_channels=3), seed=24)
+    x = np.random.default_rng(25).random((1, 3, 6, 8), dtype=np.float32)
+    want = g.forward(x)
+    counts = {}
+    for module, name in ((conv_module, "conv2d"),
+                         (conv_module, "activation"),
+                         (graph_module, "batchnorm_forward")):
+        _counting(monkeypatch, module, name, counts)
+    assert np.array_equal(g.forward(x), want)
+    assert counts == {"conv2d": 2, "activation": 2, "batchnorm_forward": 1}
 
 
 # ---------------------------------------------------------------------------

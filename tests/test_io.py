@@ -297,6 +297,17 @@ def test_write_ppm_refuses_non_finite_frame(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["ppm", "f32"])
+def test_write_sequence_with_a_non_finite_frame_writes_nothing(tmp_path, fmt):
+    seq = np.full((4, 3, 2, 5), 0.5, dtype=np.float32)
+    seq[2, 0, 1, 1] = np.nan
+    out = tmp_path / "seq"
+    with pytest.raises(FrameFormatError, match=rf"0002\.{fmt}: frame holds 1 "
+                                               r"non-finite values"):
+        write_sequence(seq, out, fmt=fmt)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sequence directories
 

@@ -293,7 +293,8 @@ def test_model_geometry_of_both_bundle_kinds(generator):
 def test_model_geometry_names_the_graph_and_meta_key(generator):
     for key, value in (("scale", None), ("scale", "x"), ("scale", 0),
                        ("scale", 4.5), ("scale", True),
-                       ("frame_channels", [1])):
+                       ("frame_channels", [1]), ("frame_channels", 1),
+                       ("scale", 2)):
         srnet = generator["srnet"].copy()
         if value is None:
             del srnet.meta[key]

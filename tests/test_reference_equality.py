@@ -1,6 +1,6 @@
 """The buffer-lean warp, Lucas-Kanade step, sequence reader, overlapped
-evaluation and single frame loop against straightforward reference
-implementations.
+evaluation, single frame loop and per-kind layer steps and costs against
+straightforward reference implementations.
 
 ``_reference_warp`` and ``_reference_lk_level`` are the plain formulations
 (meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``).
@@ -36,8 +36,11 @@ from vsrkit import (
     warp,
     write_sequence,
 )
-from vsrkit import bench, metrics
+from vsrkit import BACKENDS, bench, conv, graph, metrics, tensor
+from vsrkit.conv import ConvKernel
 from vsrkit.tensor import DTYPE
+
+from test_graph import _kind_cases
 
 
 def _reference_warp(x, flow):
@@ -315,3 +318,106 @@ def test_time_pipeline_times_the_gaps_between_frames(kind, monkeypatch):
     assert res.wall_time_s == 3.0 and res.fps == 1.0
     assert res.mean_frame_s == res.median_frame_s == 1.0
     assert next(ticks) == 6         # one reading before the loop, one a frame
+
+
+# ---------------------------------------------------------------------------
+# layer steps and costs
+
+def _reference_forward(g, x, backend):
+    """One if-chain over the layer kinds, run layer by layer."""
+    x = tensor.check_tensor(x, "graph input")
+    wanted = g.referenced_sources()
+    saved = {}
+    for ly in g.layers:
+        a = ly.attrs
+        if ly.kind == "conv2d":
+            x = conv.conv2d(x, ConvKernel(ly.arrays["weight"], ly.arrays["bias"],
+                                          stride=a["stride"], pad=a["pad"]),
+                            backend)
+        elif ly.kind == "conv_transpose2d":
+            x = conv.conv_transpose2d(
+                x, ConvKernel(ly.arrays["weight"], ly.arrays["bias"],
+                              stride=1, pad=a["pad"]), a["scale"])
+        elif ly.kind == "batch_norm":
+            x = graph.batchnorm_forward(x, graph._bn_params_of(ly))
+        elif ly.kind == "activation":
+            x = conv.activation(x, a["fn"], alpha=a.get("alpha", 0.2),
+                                scale=a.get("scale", 1.0))
+        elif ly.kind == "maxpool2":
+            x = conv.maxpool2(x)
+        elif ly.kind == "bilinear_up":
+            x = tensor.bilinear_resize(x, a["scale"])
+        elif ly.kind == "pixel_shuffle":
+            x = tensor.pixel_shuffle(x, a["r"])
+        elif ly.kind == "concat":
+            x = tensor.concat_channels(x, saved[a["source"]])
+        else:
+            x = x + saved[a["source"]]
+        if ly.name in wanted:
+            saved[ly.name] = x
+    return x
+
+
+def _reference_cost(g, input_shape):
+    """(macs, pointwise_ops, per-layer rows) from one if-chain over kinds."""
+    n = input_shape[0]
+    rows = []
+    prev = tuple(input_shape[1:])
+    for ly, (c, h, w) in zip(g.layers, g.infer_shapes(input_shape)):
+        a = ly.attrs
+        m = e = 0
+        if ly.kind == "conv2d":
+            m = a["c_in"] * h * w * a["k"] ** 2 * a["c_out"]
+        elif ly.kind == "conv_transpose2d":
+            m = a["c_in"] * prev[1] * prev[2] * a["k"] ** 2 * a["c_out"]
+        elif ly.kind == "batch_norm":
+            m = c * h * w
+        elif ly.kind in ("activation", "maxpool2", "bilinear_up",
+                         "residual_add"):
+            e = c * h * w
+        rows.append({"name": ly.name, "kind": ly.kind,
+                     "out_shape": (n, c, h, w), "params": ly.param_count(),
+                     "macs": n * m, "pointwise_ops": n * e})
+        prev = (c, h, w)
+    return (sum(r["macs"] for r in rows),
+            sum(r["pointwise_ops"] for r in rows), rows)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", sorted(_kind_cases()))
+def test_forward_of_each_kind_is_bit_identical_to_reference(kind, backend):
+    layers, c = _kind_cases()[kind]
+    g = init_random(graph.NetworkGraph(layers, in_channels=c), seed=26)
+    x = np.random.default_rng(27).random((2, c, 7, 9), dtype=np.float32)
+    got = g.forward(x, backend)
+    want = _reference_forward(g, x, backend)
+    assert got.dtype == want.dtype == DTYPE
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+def test_forward_of_egvsr_is_bit_identical_to_reference(fused, backend):
+    rng = np.random.default_rng(28)
+    for net in _egvsr(fused).values():
+        x = rng.random((1, net.in_channels, 8, 16), dtype=np.float32)
+        got = net.forward(x, backend)
+        want = _reference_forward(net, x, backend)
+        assert got.dtype == want.dtype == DTYPE
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("arch", ["egvsr", "control-a", "control-b",
+                                  "control-c"])
+def test_count_flops_equals_reference(arch):
+    if arch == "egvsr":
+        nets = list(build_generator().values())
+        nets += [fuse_conv_bn(g) for g in nets]
+    else:
+        nets = [build_control_srnet(arch)]
+    for net in nets:
+        shape = (2, net.in_channels, 24, 40)
+        report = net.count_flops(shape)
+        macs, pointwise, rows = _reference_cost(net, shape)
+        assert (report.macs, report.pointwise_ops) == (macs, pointwise)
+        assert report.per_layer == rows
