@@ -93,7 +93,14 @@ def cmd_eval(args) -> int:
     if args.report:
         rows = [{"method": label, "metric": m, "value": values[m]}
                 for m in wanted]
-        _write_report(args.report, {"metrics": rows}, args.format)
+        sections = {"metrics": rows}
+        per_frame = [m for m in ("psnr", "ssim") if m in wanted]
+        if per_frame:
+            sections["per_frame"] = [
+                {"method": label, "frame": t,
+                 **{m: values[f"per_frame_{m}"][t] for m in per_frame}}
+                for t in range(gen.shape[0])]
+        _write_report(args.report, sections, args.format)
         print(f"report written to {args.report}")
     return 0
 

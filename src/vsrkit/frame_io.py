@@ -192,8 +192,9 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     """Write a (t, c, h, w) array as numbered frame files; returns paths.
 
     ``fmt`` defaults to "ppm" for 3-channel sequences and "f32" otherwise.
-    Every frame is checked before anything is written: a non-finite frame
-    raises :class:`FrameFormatError` naming its path and leaves no file.
+    Every frame is checked before anything is written, the directory
+    included: a non-finite frame raises :class:`FrameFormatError` naming
+    its path, and a ppm frame without 3 channels raises :class:`ShapeError`.
     """
     seq = np.asarray(seq, dtype=DTYPE)
     if seq.ndim != 4:
@@ -205,6 +206,8 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     writer = write_ppm if fmt == "ppm" else write_f32
     paths = [os.path.join(directory, f"{str(start + t).zfill(pad)}.{fmt}")
              for t in range(seq.shape[0])]
+    if fmt == "ppm" and seq.shape[1] != 3:
+        raise ShapeError(f"P6 needs a (3, h, w) frame, got {seq.shape[1:]}")
     for path, frame in zip(paths, seq):
         _check_finite_frame(frame, path, "frame")
     os.makedirs(directory, exist_ok=True)

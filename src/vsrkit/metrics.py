@@ -9,6 +9,7 @@ weighted combination folds all four into one score per method.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -29,15 +30,25 @@ HIGHER_IS_BETTER = {"psnr": True, "ssim": True, "tof": False, "tlp": False}
 
 
 def luma(frame: np.ndarray) -> np.ndarray:
-    """Collapse (..., c, h, w) RGB to (..., h, w) luma; gray passes through."""
-    frame = np.asarray(frame, dtype=np.float64)
+    """Collapse (..., c, h, w) RGB to (..., h, w) luma; gray passes through.
+
+    The float64 plane is built one channel at a time, so no float64 copy
+    of the whole frame is made; the products and their order of summation
+    are those of ``0.299 * r + 0.587 * g + 0.114 * b`` on float64.
+    """
+    frame = np.asarray(frame)
     c = frame.shape[-3]
     if c == 1:
-        return frame[..., 0, :, :]
+        return np.asarray(frame[..., 0, :, :], dtype=np.float64)
     if c != 3:
         raise ShapeError(f"expected 1 or 3 channels, got {c}")
-    r, g, b = (frame[..., i, :, :] for i in range(3))
-    return LUMA_WEIGHTS[0] * r + LUMA_WEIGHTS[1] * g + LUMA_WEIGHTS[2] * b
+    y = np.multiply(frame[..., 0, :, :], LUMA_WEIGHTS[0], dtype=np.float64)
+    part = np.multiply(frame[..., 1, :, :], LUMA_WEIGHTS[1], dtype=np.float64)
+    y += part
+    np.multiply(frame[..., 2, :, :], LUMA_WEIGHTS[2], out=part,
+                dtype=np.float64)
+    y += part
+    return y
 
 
 def _check_pair(ref, test, names=("reference", "test")):
@@ -120,68 +131,93 @@ def _downsample2(im: np.ndarray) -> np.ndarray:
 
 
 def _window_sums(a: np.ndarray, b32: np.ndarray, flow: np.ndarray,
-                 sums: np.ndarray, tmp: np.ndarray) -> None:
+                 sums: np.ndarray) -> None:
     """Warp ``b32`` by ``flow`` and write the 7x7 box sums of gx*gx, gy*gy,
-    gx*gy, gx*it and gy*it into ``sums``, each product filtered as soon as
-    it is formed in ``tmp``; ``it`` is the warped frame minus ``a``.
+    gx*gy, gx*it and gy*it into ``sums``; ``it`` is the warped frame minus
+    ``a``.
 
-    A function of its own so that the warped frame and its gradients are
-    freed on return, not held through the next iteration's warp.
+    Each product is formed in the ``syt`` plane, not yet filled, and
+    filtered from there as soon as it is formed; the last one is formed in
+    ``gx``, which is no longer needed by then. A function of its own so
+    that the warped frame and its gradients are freed on return, not held
+    through the next iteration's warp.
     """
     bw = warp(b32, flow[None].astype(DTYPE))[0, 0].astype(np.float64)
-    gy, gx = np.gradient(bw)
+    gy = np.empty_like(bw)
+    gx = np.empty_like(bw)
+    # np.gradient(bw) written straight into gy and gx (gx through the
+    # transposed views): the same central differences inside and
+    # one-sided ones at the edges
+    for g, f in ((gy, bw), (gx.T, bw.T)):
+        np.subtract(f[2:], f[:-2], out=g[1:-1])
+        g[1:-1] /= 2.0
+        np.subtract(f[1], f[0], out=g[0])
+        np.subtract(f[-1], f[-2], out=g[-1])
     it = np.subtract(bw, a, out=bw)
-    for out, (p, q) in zip(sums, ((gx, gx), (gy, gy), (gx, gy),
-                                  (gx, it), (gy, it))):
-        np.multiply(p, q, out=tmp)
-        ndimage.uniform_filter(tmp, LK_WINDOW, output=out)
+    sxx, syy, sxy, sxt, syt = sums
+    for out, p, q, scratch in ((sxx, gx, gx, syt), (syy, gy, gy, syt),
+                               (sxy, gx, gy, syt), (sxt, gx, it, syt),
+                               (syt, gy, it, gx)):
+        np.multiply(p, q, out=scratch)
+        ndimage.uniform_filter(scratch, LK_WINDOW, output=out)
+
+
+# elements per row strip of the 2x2 solve: the strip's buffers and its
+# slices of the window sums stay in cache
+LK_STRIP = 1 << 14
 
 
 def _lk_level(a: np.ndarray, b: np.ndarray, flow: np.ndarray) -> tuple:
-    """Refine flow at one pyramid level; returns (flow, degenerate mask).
+    """Refine ``flow`` at one pyramid level in place; returns (flow,
+    degenerate mask).
 
-    ``b`` is cast to float32 once; every iteration warps it by the current
-    flow through :func:`warp` and forms the window sums in a (5, h, w)
-    array (:func:`_window_sums`). The 2x2 solve then runs with ``out=``
-    and masked ``copyto`` on buffers kept across iterations, and a copy of
-    ``flow`` is updated in place. Each float64 operation is the one the
-    formula in the comment above it names, in the same order, so the flow
-    is bit-identical to evaluating those formulas directly.
+    ``b`` is cast to float32 once and the float64 plane is let go; every
+    iteration warps it by the current flow through :func:`warp` and forms
+    the full-plane window sums in a (5, h, w) array (:func:`_window_sums`).
+    The 2x2 solve then runs over row strips with ``out=`` and masked
+    ``copyto`` on strip-sized buffers. Each float64 operation is the one
+    the formula in the comment above it names, in the same order, so the
+    flow is bit-identical to evaluating those formulas directly.
     """
     h, w = a.shape
     b32 = b[None, None].astype(DTYPE)
-    flow = np.array(flow, dtype=np.float64)
+    del b
     sums = np.empty((5, h, w))
-    sxx, syy, sxy, sxt, syt = sums
-    tmp = np.empty((h, w))
-    det = np.empty((h, w))
-    step = np.empty((h, w))
+    rows = max(1, LK_STRIP // w)
+    det = np.empty((rows, w))
+    step = np.empty((rows, w))
+    tmp = np.empty((rows, w))
     degenerate = np.empty((h, w), dtype=bool)
     for _ in range(LK_ITERS):
-        _window_sums(a, b32, flow, sums, tmp)
-        # det = sxx * syy - sxy * sxy; degenerate windows divide by 1
-        np.multiply(sxx, syy, out=det)
-        np.multiply(sxy, sxy, out=tmp)
-        det -= tmp
-        np.less(det, LK_DET_EPS, out=degenerate)
-        np.copyto(det, 1.0, where=degenerate)
-        # du = -(syy * sxt - sxy * syt) / det, 0 where degenerate
-        np.multiply(syy, sxt, out=step)
-        np.multiply(sxy, syt, out=tmp)
-        step -= tmp
-        np.negative(step, out=step)
-        step /= det
-        np.copyto(step, 0.0, where=degenerate)
-        flow[0] += step
-        # dv = -(sxx * syt - sxy * sxt) / det, 0 where degenerate
-        np.multiply(sxx, syt, out=step)
-        np.multiply(sxy, sxt, out=tmp)
-        step -= tmp
-        np.negative(step, out=step)
-        step /= det
-        np.copyto(step, 0.0, where=degenerate)
-        flow[1] += step
-        np.clip(flow, -LK_MAX_DISP, LK_MAX_DISP, out=flow)
+        _window_sums(a, b32, flow, sums)
+        for y in range(0, h, rows):
+            s = slice(y, y + rows)
+            sxx, syy, sxy, sxt, syt = sums[:, s]
+            n = sxx.shape[0]
+            d, st, tm, deg = det[:n], step[:n], tmp[:n], degenerate[s]
+            # det = sxx * syy - sxy * sxy; degenerate windows divide by 1
+            np.multiply(sxx, syy, out=d)
+            np.multiply(sxy, sxy, out=tm)
+            d -= tm
+            np.less(d, LK_DET_EPS, out=deg)
+            np.copyto(d, 1.0, where=deg)
+            # du = -(syy * sxt - sxy * syt) / det, 0 where degenerate
+            np.multiply(syy, sxt, out=st)
+            np.multiply(sxy, syt, out=tm)
+            st -= tm
+            np.negative(st, out=st)
+            st /= d
+            np.copyto(st, 0.0, where=deg)
+            flow[0, s] += st
+            # dv = -(sxx * syt - sxy * sxt) / det, 0 where degenerate
+            np.multiply(sxx, syt, out=st)
+            np.multiply(sxy, sxt, out=tm)
+            st -= tm
+            np.negative(st, out=st)
+            st /= d
+            np.copyto(st, 0.0, where=deg)
+            flow[1, s] += st
+            np.clip(flow[:, s], -LK_MAX_DISP, LK_MAX_DISP, out=flow[:, s])
     return flow, degenerate
 
 
@@ -193,23 +229,26 @@ def dense_flow(a: np.ndarray, b: np.ndarray) -> FlowResult:
     contribute zero update and are reported via ``degenerate_fraction``.
     """
     a, b = _check_pair(a, b, names=("first", "second"))
-    ga = luma(a) if a.ndim == 3 else np.asarray(a, dtype=np.float64)
-    gb = luma(b) if b.ndim == 3 else np.asarray(b, dtype=np.float64)
+    pyr_a = [luma(a) if a.ndim == 3 else np.asarray(a, dtype=np.float64)]
+    pyr_b = [luma(b) if b.ndim == 3 else np.asarray(b, dtype=np.float64)]
+    if min(pyr_a[0].shape) < 2:
+        raise ShapeError(f"dense_flow needs frames of at least 2x2 pixels, "
+                         f"got {pyr_a[0].shape}")
     levels = LK_LEVELS
-    while levels > 1 and min(ga.shape) // 2 ** (levels - 1) < 2 * LK_WINDOW:
+    while (levels > 1
+           and min(pyr_a[0].shape) // 2 ** (levels - 1) < 2 * LK_WINDOW):
         levels -= 1
-    pyr_a = [ga]
-    pyr_b = [gb]
     for _ in range(levels - 1):
         pyr_a.append(_downsample2(pyr_a[-1]))
         pyr_b.append(_downsample2(pyr_b[-1]))
+    # coarsest level first; each level's planes are handed over, not kept
     flow = np.zeros((2,) + pyr_a[-1].shape)
-    degenerate = np.zeros(pyr_a[-1].shape, dtype=bool)
-    for lvl in range(levels - 1, -1, -1):
-        if lvl != levels - 1:
-            target = pyr_a[lvl].shape
-            flow = 2.0 * _resize_flow(flow, target)
-        flow, degenerate = _lk_level(pyr_a[lvl], pyr_b[lvl], flow)
+    while True:
+        flow, degenerate = _lk_level(pyr_a.pop(), pyr_b.pop(), flow)
+        if not pyr_a:
+            break
+        flow = _resize_flow(flow, pyr_a[-1].shape)
+        flow *= 2.0
     return FlowResult(flow=flow.astype(DTYPE),
                       degenerate_fraction=float(np.mean(degenerate)))
 
@@ -254,16 +293,31 @@ def _check_sequences(gen, ref, temporal: bool = True):
     return gen, ref
 
 
+def _pair_flow(seq: np.ndarray, t: int) -> np.ndarray:
+    """The flow from frame t - 1 of a checked sequence to frame t."""
+    return dense_flow(seq[t - 1], seq[t]).flow
+
+
+def _results(futures: deque):
+    """Each future's result in order; a future is let go once it is read."""
+    while futures:
+        yield futures.popleft().result()
+
+
+def _flow_gap(gen_flows, ref_flows) -> float:
+    """tOF from the flows of the generated and the reference pairs, taken
+    pair by pair in order: the mean over pairs of the mean L1 gap."""
+    return float(np.mean([float(np.mean(np.abs(fg - fr)))
+                          for fg, fr in zip(gen_flows, ref_flows)]))
+
+
 def tof(gen: np.ndarray, ref: np.ndarray) -> float:
     """Temporal flow error: mean L1 gap between the motion estimated from
     consecutive generated frames and from the corresponding reference frames."""
     gen, ref = _check_sequences(gen, ref)
-    gaps = []
-    for t in range(1, gen.shape[0]):
-        fg = dense_flow(gen[t - 1], gen[t]).flow
-        fr = dense_flow(ref[t - 1], ref[t]).flow
-        gaps.append(float(np.mean(np.abs(fg - fr))))
-    return float(np.mean(gaps))
+    pairs = range(1, gen.shape[0])
+    return _flow_gap((_pair_flow(gen, t) for t in pairs),
+                     (_pair_flow(ref, t) for t in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +514,12 @@ def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None,
     against its reference, plus the per-frame lists of PSNR and SSIM when
     those are asked for.
 
-    The inputs are checked first. tOF then runs on one worker thread while
-    this thread computes PSNR, SSIM and tLP; each value is what its own
-    function returns for the same inputs, so the thread changes no value.
-    At least 2 frames are needed only for tOF and tLP.
+    The inputs are checked first. Two worker threads then compute tLP,
+    every flow of tOF and each frame's PSNR and SSIM, so at most two
+    computations run at once; this thread submits them and reduces each
+    pair's two flows to their gap as they come in. Each value is what its
+    own function returns for the same inputs, so the threads change no
+    value. At least 2 frames are needed only for tOF and tLP.
     """
     wanted = list(metrics)
     unknown = [m for m in wanted if m not in DEFAULT_METRICS]
@@ -475,20 +531,28 @@ def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None,
     gen, ref = _check_sequences(gen, ref,
                                 temporal="tof" in wanted or "tlp" in wanted)
     frames = range(gen.shape[0])
-    per_frame = {}
     values = {}
-    with ThreadPoolExecutor(1) as pool:
-        flow_gap = pool.submit(tof, gen, ref) if "tof" in wanted else None
-        if "psnr" in wanted:
-            per_frame["psnr"] = [psnr(gen[t], ref[t]) for t in frames]
-        if "ssim" in wanted:
-            per_frame["ssim"] = [ssim(gen[t], ref[t]) for t in frames]
-        if "tlp" in wanted:
-            values["tlp"] = tlp(gen, ref, pd=pd)
-        if flow_gap is not None:
-            values["tof"] = flow_gap.result()
-    for m, vals in per_frame.items():
-        values[m] = float(np.mean(vals))
+    with ThreadPoolExecutor(2) as pool:
+        # the longest task first, then the flows, the generated and the
+        # reference flow of a pair side by side, then the per-frame tasks
+        lp = pool.submit(tlp, gen, ref, pd=pd) if "tlp" in wanted else None
+        gen_flows, ref_flows = deque(), deque()
+        if "tof" in wanted:
+            for t in range(1, gen.shape[0]):
+                gen_flows.append(pool.submit(_pair_flow, gen, t))
+                ref_flows.append(pool.submit(_pair_flow, ref, t))
+        per_frame = {m: [pool.submit(fn, gen[t], ref[t]) for t in frames]
+                     for m, fn in (("psnr", psnr), ("ssim", ssim))
+                     if m in wanted}
+        if "tof" in wanted:
+            # each pair is reduced to its gap as soon as both flows are in,
+            # and let go, so the flows held do not grow with the sequence
+            values["tof"] = _flow_gap(_results(gen_flows),
+                                      _results(ref_flows))
+    per_frame = {m: [f.result() for f in fs] for m, fs in per_frame.items()}
+    values.update((m, float(np.mean(vals))) for m, vals in per_frame.items())
+    if lp is not None:
+        values["tlp"] = lp.result()
     out = {m: values[m] for m in DEFAULT_METRICS if m in values}
     out.update((f"per_frame_{m}", vals) for m, vals in per_frame.items())
     return out

@@ -10,13 +10,16 @@ from vsrkit import (
     NetworkGraph,
     batch_norm_layer,
     conv2d_layer,
+    evaluate_sequence,
     load_bundle,
     load_model,
     read_sequence,
     save_model,
+    score_table,
     write_sequence,
 )
 from vsrkit.cli import main
+from vsrkit.metrics import DEFAULT_METRICS
 
 
 @pytest.fixture()
@@ -205,6 +208,36 @@ def test_score_accepts_weights(tmp_path, capsys):
                  "--weights", "0.7,0.3"]) == 0
     assert main(["score", "--reports", str(r1),
                  "--weights", "0.7,0.7"]) == 1
+
+
+def test_eval_report_keeps_per_frame_values_and_score_reads_the_metrics(
+        tmp_path):
+    rng = np.random.default_rng(9)
+    ref = rng.random((3, 3, 40, 40), dtype=np.float32)
+    write_sequence(ref, tmp_path / "ref")
+    table, reports = {}, []
+    for name, sigma in (("close", 0.02), ("far", 0.2)):
+        noisy = np.clip(ref + rng.normal(0, sigma, ref.shape), 0, 1)
+        write_sequence(noisy.astype(np.float32), tmp_path / name)
+        values = evaluate_sequence(read_sequence(tmp_path / name),
+                                   read_sequence(tmp_path / "ref"))
+        table[name] = {m: values[m] for m in DEFAULT_METRICS}
+        report = tmp_path / f"{name}.json"
+        assert main(["eval", "--gen", str(tmp_path / name),
+                     "--ref", str(tmp_path / "ref"), "--label", name,
+                     "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())["sections"]
+        assert [(r["metric"], r["value"]) for r in doc["metrics"]] == \
+            list(table[name].items())
+        assert doc["per_frame"] == [
+            {"method": name, "frame": t, "psnr": values["per_frame_psnr"][t],
+             "ssim": values["per_frame_ssim"][t]} for t in range(3)]
+        reports.append(str(report))
+    scores = tmp_path / "scores.json"
+    assert main(["score", "--reports", ",".join(reports),
+                 "--report", str(scores)]) == 0
+    assert json.loads(scores.read_text())["sections"]["scores"] == \
+        score_table(table)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from vsrkit import (
     FrameFormatError,
     ModelFormatError,
     NetworkGraph,
+    ShapeError,
     activation_layer,
     build_control_srnet,
     build_generator,
@@ -305,6 +306,15 @@ def test_write_sequence_with_a_non_finite_frame_writes_nothing(tmp_path, fmt):
     with pytest.raises(FrameFormatError, match=rf"0002\.{fmt}: frame holds 1 "
                                                r"non-finite values"):
         write_sequence(seq, out, fmt=fmt)
+    assert not out.exists()
+
+
+def test_write_sequence_of_1_channel_ppm_frames_creates_no_directory(tmp_path):
+    out = tmp_path / "seq"
+    with pytest.raises(ShapeError, match=r"P6 needs a \(3, h, w\) frame, "
+                                         r"got \(1, 8, 8\)"):
+        write_sequence(np.full((2, 1, 8, 8), 0.5, dtype=np.float32), out,
+                       fmt="ppm")
     assert not out.exists()
 
 

@@ -152,6 +152,13 @@ def test_dense_flow_accepts_rgb_frames():
     assert res.flow.shape == (2, 72, 72)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 9), (1, 9, 1)])
+def test_dense_flow_rejects_frames_thinner_than_2_pixels(shape):
+    a = np.full(shape, 0.5, dtype=np.float32)
+    with pytest.raises(ShapeError, match="at least 2x2 pixels"):
+        dense_flow(a, a.copy())
+
+
 # ---------------------------------------------------------------------------
 # temporal metrics
 

@@ -1,6 +1,6 @@
-"""The buffer-lean warp, Lucas-Kanade step, sequence reader, overlapped
-evaluation, single frame loop and per-kind layer steps and costs against
-straightforward reference implementations.
+"""The buffer-lean warp, Lucas-Kanade step, luma, sequence reader,
+overlapped evaluation, single frame loop and per-kind layer steps and costs
+against straightforward reference implementations.
 
 ``_reference_warp`` and ``_reference_lk_level`` are the plain formulations
 (meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``).
@@ -8,7 +8,10 @@ The library versions must reproduce them bit for bit, and must stay inside
 the ``tracemalloc`` peaks measured for them at 384x512.
 """
 
+import threading
+import time
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +30,7 @@ from vsrkit import (
     read_sequence,
     fuse_conv_bn,
     init_random,
+    luma,
     ssim,
     time_pipeline,
     tlp,
@@ -197,8 +201,26 @@ def test_dense_flow_is_bit_identical_to_reference(name, monkeypatch):
 
 def test_dense_flow_peak_memory_at_384x512():
     a, b = _texture_pair(17, 384, 512)
-    # measured 30 MB; the reference step and warp peak at 54 MB
-    assert _peak_bytes(dense_flow, a, b) < 40e6
+    # measured 17.4 MB; the reference step and warp peak at 54 MB
+    assert _peak_bytes(dense_flow, a, b) < 20e6
+
+
+# ---------------------------------------------------------------------------
+# luma
+
+@pytest.mark.parametrize("shape", [(3, 24, 32), (4, 3, 24, 32), (1, 24, 32)],
+                         ids=["frame", "sequence", "gray"])
+def test_luma_is_bit_identical_to_the_weighted_sum(shape):
+    x = np.random.default_rng(23).random(shape, dtype=np.float32)
+    planes = x.astype(np.float64)
+    if shape[-3] == 1:
+        want = planes[..., 0, :, :]
+    else:
+        r, g, b = (planes[..., i, :, :] for i in range(3))
+        want = 0.299 * r + 0.587 * g + 0.114 * b
+    got = luma(x)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +248,18 @@ def test_read_sequence_peak_memory_is_one_copy(tmp_path):
 # ---------------------------------------------------------------------------
 # evaluate_sequence
 
-def _sequences(t=3, seed=20):
+def _sequences(t=3, seed=20, h=40, w=48):
     rng = np.random.default_rng(seed)
-    ref = rng.random((t, 3, 40, 48), dtype=np.float32)
+    ref = rng.random((t, 3, h, w), dtype=np.float32)
     gen = np.clip(ref + rng.normal(0, 0.05, ref.shape), 0, 1).astype(DTYPE)
     gen[1:] = np.roll(gen[1:], 1, axis=-1)
     return gen, ref
 
 
-def test_evaluate_sequence_equals_the_metric_functions_one_by_one():
-    gen, ref = _sequences()
-    frame_psnr = [psnr(gen[t], ref[t]) for t in range(3)]
-    frame_ssim = [ssim(gen[t], ref[t]) for t in range(3)]
+def _check_evaluate_sequence_equals_the_metric_functions(gen, ref):
+    frames = range(gen.shape[0])
+    frame_psnr = [psnr(gen[t], ref[t]) for t in frames]
+    frame_ssim = [ssim(gen[t], ref[t]) for t in frames]
     want = {"psnr": float(np.mean(frame_psnr)),
             "ssim": float(np.mean(frame_ssim)),
             "tof": tof(gen, ref),
@@ -248,6 +270,53 @@ def test_evaluate_sequence_equals_the_metric_functions_one_by_one():
     assert evaluate_sequence(gen, ref, metrics=("tof", "psnr")) == {
         "psnr": want["psnr"], "tof": want["tof"],
         "per_frame_psnr": frame_psnr}
+
+
+def test_evaluate_sequence_equals_the_metric_functions_one_by_one():
+    _check_evaluate_sequence_equals_the_metric_functions(*_sequences())
+
+
+def test_evaluate_sequence_equals_the_metric_functions_on_three_levels():
+    # 96x128 gives dense_flow all three pyramid levels; 40x48 gives two
+    gen, ref = _sequences(t=5, h=96, w=128)
+    _check_evaluate_sequence_equals_the_metric_functions(gen, ref)
+
+
+def test_evaluate_sequence_runs_at_most_two_computations_at_once(
+        monkeypatch):
+    lock = threading.Lock()
+    running = [0]
+    peak = [0]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                calls[name] += 1
+            try:
+                time.sleep(0.002)       # long enough for tasks to overlap
+                return fn(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+        return wrapper
+
+    for name in ("dense_flow", "psnr", "ssim", "tlp"):
+        monkeypatch.setattr(metrics, name,
+                            counted(name, getattr(metrics, name)))
+    gen, ref = _sequences(t=4)
+    evaluate_sequence(gen, ref)
+    assert calls == {"dense_flow": 6, "psnr": 4, "ssim": 4, "tlp": 1}
+    assert peak[0] == 2
+
+
+def test_evaluate_sequence_peak_memory_at_384x512():
+    gen, ref = _sequences(t=3, h=384, w=512)
+    # measured 39.3-40.9 MB: two dense_flow calls at a time, and the
+    # flows of the pairs not yet reduced
+    assert _peak_bytes(evaluate_sequence, gen, ref) < 47e6
 
 
 # ---------------------------------------------------------------------------
