@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -58,8 +59,8 @@ class FpgaProfile:
     rows: tuple = DEFAULT_PROFILE_ROWS
 
     def __post_init__(self):
-        if self.lut_total < 1 or self.frequency <= 0:
-            raise ValueError("lut_total and frequency must be positive")
+        if not (1 <= self.lut_total < math.inf and 0 < self.frequency < math.inf):
+            raise ValueError("lut_total and frequency must be positive and finite")
         for row in self.rows:
             n, luts, lat = row
             if n < 1 or luts < 1 or lat < 1:
@@ -84,8 +85,8 @@ def fpga_max_flops(profile: FpgaProfile, input_size: int) -> float:
 
 def theoretical_fps(max_flops: float, flops_per_frame: float) -> float:
     """Frame rate supported by a throughput bound for a per-frame cost."""
-    if flops_per_frame <= 0:
-        raise ValueError(f"flops_per_frame must be positive, "
+    if not 0 < flops_per_frame < math.inf:
+        raise ValueError(f"flops_per_frame must be positive and finite, "
                          f"got {flops_per_frame}")
     return max_flops / flops_per_frame
 

@@ -7,7 +7,9 @@ Three interchangeable forward-convolution implementations are provided:
 * :func:`conv2d_gemm`    -- channel-major lowering: the k*k strided tap
   slices of the padded input fill a (c_in*k*k, oh*ow) matrix, which the
   (c_out, c_in*k*k) filter matrix multiplies straight into the NCHW
-  output (col2im is a plain reshape, no transpose);
+  output (col2im is a plain reshape, no transpose), in two fixed row
+  bands, the second on a helper thread when called from the main thread,
+  with the same bits on any thread;
 * :func:`conv2d_winograd`-- minimal-filtering F(2x2,3x3) tiling, 16
   multiplications per 2x2 output tile instead of 36: add/subtract
   transform passes over contiguous buffers around one batched matmul of
@@ -20,7 +22,10 @@ naive reference within the tolerances stated on each function.
 """
 from __future__ import annotations
 
+import functools
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +36,9 @@ log = logging.getLogger(__name__)
 
 BACKENDS = ("naive", "gemm", "winograd")
 ACTIVATIONS = ("relu", "leaky_relu", "tanh")
+
+# second row band of main-thread gemm convs; its thread starts on first use
+_HELPER = ThreadPoolExecutor(1, thread_name_prefix="vsrkit-gemm")
 
 # F(2x2,3x3) transform matrices: input (BT d B), filter (G g GT), output
 # (AT m A). The element-wise product stage touches 4x4 = 16 values per tile
@@ -178,17 +186,31 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     return np.ascontiguousarray(cols.T)
 
 
-def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
-    """Convolution as a channel-major lowering followed by one matrix
-    multiplication per image.
+def _gemm_band(xp, wmat, out, k, stride, ow, cols, r0, r1) -> None:
+    """Lower output rows [r0, r1) of every image into their part of the
+    flat ``cols`` and multiply them straight into their columns of ``out``."""
+    kk = wmat.shape[1]
+    band = cols[kk * r0 * ow:kk * r1 * ow].reshape(kk, (r1 - r0) * ow)
+    rows = slice(r0 * stride, (r1 - 1) * stride + k)
+    for b in range(xp.shape[0]):
+        np.matmul(wmat, _lower(xp[b, :, rows], k, stride, r1 - r0, ow, band),
+                  out=out[b, :, r0 * ow:r1 * ow])
 
-    The input is zero-padded once. For each image the k*k strided tap
-    slices fill a (c_in*k*k, oh*ow) buffer, reused across the batch, and
-    the (c_out, c_in*k*k) filter matrix multiplies it straight into that
-    image's (c_out, oh*ow) slot of the output. The bias is added in place
-    and the result reshaped to NCHW without a transpose or copy. Returns a
-    C-contiguous float32 tensor equal to :func:`conv2d_naive` within 1e-6
-    relative.
+
+def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
+    """Convolution as a channel-major lowering followed by matrix
+    multiplications straight into the output.
+
+    The input is zero-padded once. Each image's output is computed in two
+    fixed row bands, rows [0, oh//2) and [oh//2, oh): the k*k strided tap
+    slices of the input rows a band reads fill its (c_in*k*k, rows*ow)
+    part of one buffer, reused across the batch, and the (c_out,
+    c_in*k*k) filter matrix multiplies that into the band's columns of the
+    image's (c_out, oh*ow) output. Called from the main thread, the second
+    band runs on a helper thread meanwhile; elsewhere both run in turn, so
+    the bits do not depend on the thread. The bias is added in place and
+    the result reshaped to NCHW without a copy. Returns a C-contiguous
+    float32 tensor equal to :func:`conv2d_naive` within 1e-6 relative.
     """
     x = _check_conv_input(x, kern)
     n, c, h, w = x.shape
@@ -198,11 +220,23 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     wmat = kern.weights.reshape(kern.c_out, -1)  # (c_out, c_in*k*k)
     # out before cols, so the short-lived cols buffer sits above the result
     # on the heap and is returned when freed; the reverse order leaves a
-    # cols-sized hole under each output (about 10% more peak RSS on egvsr)
+    # cols-sized hole under each output (about 10% more peak RSS on egvsr).
+    # One cols for both bands: two half-size ones moved glibc's thresholds
+    # and cost ~3,000 page faults per perceptual distance on a worker
     out = np.empty((n, kern.c_out, oh * ow), dtype=DTYPE)
-    cols = np.empty((c * k * k, oh * ow), dtype=DTYPE)
-    for b in range(n):
-        np.matmul(wmat, _lower(xp[b], k, s, oh, ow, cols), out=out[b])
+    cols = np.empty(c * k * k * oh * ow, dtype=DTYPE)
+    mid = oh // 2
+    bands = ((0, mid), (mid, oh)) if mid else ((0, oh),)
+    run = functools.partial(_gemm_band, xp, wmat, out, k, s, ow, cols)
+    if len(bands) == 2 and threading.current_thread() is threading.main_thread():
+        second = _HELPER.submit(run, *bands[1])
+        try:
+            run(*bands[0])
+        finally:  # nothing may write to out once this returns or raises
+            second.result()
+    else:
+        for band in bands:
+            run(*band)
     out += kern.bias[:, None]
     return out.reshape(n, kern.c_out, oh, ow)
 
@@ -229,6 +263,10 @@ def _at_passes(m, out) -> None:
     out[1] -= m[3]
 
 
+# (k, stride) pairs whose gemm fallback has been logged; once per cause
+_FALLBACK_LOGGED: set = set()
+_FALLBACK_LOCK = threading.Lock()
+
 # (16, 9) filter transform: row 4a+b of kron(G, G) applied to a flattened
 # 3x3 filter g gives (G g GT)[a, b]
 _WINOGRAD_GG = np.kron(WINOGRAD_G, WINOGRAD_G)
@@ -238,7 +276,7 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """F(2x2,3x3) minimal-filtering convolution.
 
     Requires k=3 and stride 1; any other geometry falls back to
-    :func:`conv2d_gemm` (reported on the backend-selection log). Per image,
+    :func:`conv2d_gemm` (logged once per (k, stride) per process). Per image,
     the input is zero-padded once into a buffer holding every 4x4 tile at
     stride 2. The input transform BT d B runs as add/subtract passes over
     stride-2 row slices, then column slices, into a contiguous
@@ -251,8 +289,12 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """
     x = _check_conv_input(x, kern)
     if kern.k != 3 or kern.stride != 1:
-        log.info("winograd backend: k=%d stride=%d unsupported, falling back to gemm",
-                 kern.k, kern.stride)
+        with _FALLBACK_LOCK:
+            first = (kern.k, kern.stride) not in _FALLBACK_LOGGED
+            _FALLBACK_LOGGED.add((kern.k, kern.stride))
+        if first:
+            log.info("winograd backend: k=%d stride=%d unsupported, "
+                     "falling back to gemm", kern.k, kern.stride)
         return conv2d_gemm(x, kern)
     n, ci, h, w = x.shape
     co, p = kern.c_out, kern.pad

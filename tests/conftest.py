@@ -6,6 +6,8 @@ import struct
 import numpy as np
 import pytest
 
+from vsrkit import conv
+
 
 def _edit_vsm_header(path, edit):
     """Rewrite the JSON header of the .vsm file at ``path`` in place.
@@ -39,3 +41,11 @@ def _write_raw_f32(path, frame):
 @pytest.fixture()
 def write_raw_f32():
     return _write_raw_f32
+
+
+@pytest.fixture(autouse=True)
+def _no_winograd_fallback_logged_yet(monkeypatch):
+    """Each test starts as a fresh process does: the winograd backend has
+    logged no gemm fallback yet, so a test that looks for that line sees it
+    whichever tests ran before."""
+    monkeypatch.setattr(conv, "_FALLBACK_LOGGED", set())

@@ -63,6 +63,23 @@ def test_fpga_max_flops_scales_with_resources():
     assert abs(fpga_max_flops(double_clock, 4) - 2 * got) / got < 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_fpga_profile_rejects_non_finite_or_non_positive_frequency(bad):
+    with pytest.raises(ValueError, match="frequency"):
+        FpgaProfile(frequency=bad)
+
+
+def test_fpga_profile_rejects_non_finite_lut_total():
+    with pytest.raises(ValueError, match="lut_total"):
+        FpgaProfile(lut_total=float("inf"))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
+def test_theoretical_fps_rejects_non_finite_frame_cost(bad):
+    with pytest.raises(ValueError, match="flops_per_frame"):
+        theoretical_fps(1e12, bad)
+
+
 def test_fpga_table_peak_values():
     profile = FpgaProfile(lut_total=326_080, frequency=300e6)
     rows = fpga_table(profile)

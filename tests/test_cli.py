@@ -308,8 +308,35 @@ def test_estimate_fpga_csv_report(tmp_path):
     assert "input_size" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["--flops-per-frame", "nan"],
+    ["--flops-per-frame", "1e9,inf"],
+    ["--freq", "nan"],
+    ["--freq", "inf"],
+])
+def test_estimate_fpga_rejects_non_finite_values(capsys, argv):
+    assert main(["estimate-fpga"] + argv) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "finite" in captured.err
+    assert "nan fps" not in captured.out and "-> 0.00 fps" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # error handling
+
+def test_bench_out_of_memory_is_a_clean_error(capsys, monkeypatch, control_model):
+    from vsrkit import bench
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. TiB for an array")
+
+    monkeypatch.setattr(bench, "time_pipeline", exhausted)
+    assert main(["bench", "--model", str(control_model),
+                 "--size", "200000x200000", "--frames", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+
 
 def test_missing_model_file_is_a_clean_error(tmp_path, capsys):
     assert main(["inspect", "--model", str(tmp_path / "nope.vsm")]) == 1

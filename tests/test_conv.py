@@ -1,23 +1,35 @@
 """Convolution backends: direct reference, im2col+GEMM, Winograd, adjoint."""
 
 import logging
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from vsrkit import (
     ConvKernel,
+    NetworkGraph,
     ShapeError,
     activation,
+    build_fnet,
+    build_srnet,
     conv2d,
     conv2d_gemm,
+    conv2d_layer,
     conv2d_naive,
     conv2d_winograd,
     conv_transpose2d,
     im2col,
+    init_random,
     maxpool2,
+    vsr_run,
 )
+from vsrkit import conv
 from vsrkit.conv import WINOGRAD_AT, WINOGRAD_BT, _at_passes, _bt_passes
+from vsrkit.models import FNetConfig, SRNetConfig
 
 
 def _conv_ref(x, w, b, stride, pad):
@@ -154,6 +166,119 @@ def test_gemm_path_reproduces_naive():
         assert float(np.max(np.abs(got - ref))) / denom <= 1e-6
 
 
+def _on_worker(fn, *args):
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=60)
+
+
+@pytest.mark.parametrize("n,ci,co,h,w", [
+    (2, 64, 64, 23, 32),
+    # narrow bands, where the BLAS edge kernels would round a one-band
+    # product differently from a two-band one
+    (1, 8, 4, 17, 13),
+    (1, 3, 5, 9, 7),
+])
+def test_gemm_bits_do_not_depend_on_the_thread(n, ci, co, h, w):
+    # on the main thread the second row band runs on the helper; on a worker
+    # both bands run in turn; the partition, and so every bit, is the same
+    rng = np.random.default_rng(30)
+    x = rng.random((n, ci, h, w), dtype=np.float32)
+    kern = ConvKernel(rng.standard_normal((co, ci, 3, 3)).astype(np.float32),
+                      rng.standard_normal(co).astype(np.float32), pad=1)
+    assert threading.current_thread() is threading.main_thread()
+    main = conv2d_gemm(x, kern)
+    assert np.array_equal(main, _on_worker(conv2d_gemm, x, kern))
+    assert np.array_equal(main, conv2d_gemm(x, kern))
+
+
+def test_gemm_main_and_worker_calls_at_once_keep_their_bits():
+    # three workers (more than the cores) convolve while the main thread
+    # does, its second bands on the helper; with a short switch interval
+    # a band written to the wrong output or buffer would show
+    rng = np.random.default_rng(38)
+    x = rng.random((1, 8, 17, 13), dtype=np.float32)
+    kern = ConvKernel(rng.standard_normal((4, 8, 3, 3)).astype(np.float32),
+                      pad=1)
+    want = conv2d_gemm(x, kern)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            jobs = [pool.submit(conv2d_gemm, x, kern) for _ in range(60)]
+            mains = [conv2d_gemm(x, kern) for _ in range(60)]
+            workers = [j.result(timeout=60) for j in jobs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, want) for got in mains + workers)
+
+
+# (n, h, w, k, stride, pad): oh of 1, 2 and 3, odd oh, band edges at
+# strides 2 and 3 where the bands' input rows overlap or leave a gap
+BAND_CASES = [
+    (1, 3, 7, 3, 1, 0),    # oh = 1: one band only
+    (1, 4, 5, 3, 1, 0),    # oh = 2
+    (1, 5, 6, 3, 1, 0),    # oh = 3
+    (1, 11, 9, 3, 1, 1),   # oh = 11
+    (1, 9, 8, 3, 2, 1),    # stride 2, oh = 5: bands overlap by one row
+    (1, 14, 10, 3, 2, 0),  # stride 2, oh = 6
+    (1, 16, 11, 5, 3, 2),  # stride 3, oh = 6
+    (1, 13, 7, 1, 3, 0),   # stride 3 with k = 1: rows between bands unread
+    (3, 10, 12, 3, 1, 1),  # a batch of 3
+]
+
+
+@pytest.mark.parametrize("n,h,w,k,stride,pad", BAND_CASES)
+def test_gemm_bands_reproduce_naive(n, h, w, k, stride, pad):
+    rng = np.random.default_rng(31 + h * w + k + stride)
+    kern = ConvKernel(rng.standard_normal((6, 4, k, k)).astype(np.float32),
+                      rng.standard_normal(6).astype(np.float32),
+                      stride=stride, pad=pad)
+    x = rng.random((n, 4, h, w), dtype=np.float32)
+    # and the same image as a non-contiguous view: every other column
+    wide = np.repeat(x, 2, axis=3)[..., ::2]
+    assert not wide.flags.c_contiguous
+    ref = conv2d_naive(x, kern)
+    denom = max(float(np.max(np.abs(ref))), 1e-6)
+    for inp in (x, wide):
+        for got in (conv2d_gemm(inp, kern), _on_worker(conv2d_gemm, inp, kern)):
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            assert float(np.max(np.abs(got - ref))) / denom <= 1e-6
+
+
+@pytest.mark.parametrize("failing", ["first", "second"])
+def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing):
+    band = conv._gemm_band
+    finished = []
+
+    def flaky(xp, wmat, out, k, stride, ow, cols, r0, r1):
+        if (r0 == 0) == (failing == "first"):
+            raise RuntimeError(f"{failing} band failed")
+        time.sleep(0.2)
+        band(xp, wmat, out, k, stride, ow, cols, r0, r1)
+        finished.append(r0)
+
+    monkeypatch.setattr(conv, "_gemm_band", flaky)
+    rng = np.random.default_rng(32)
+    x = rng.random((1, 3, 8, 8), dtype=np.float32)
+    kern = ConvKernel(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
+    with pytest.raises(RuntimeError, match=f"{failing} band failed"):
+        conv2d_gemm(x, kern)
+    # the band that did not fail ran to its end before the error came out
+    assert finished == [3 if failing == "first" else 0]
+
+
+def test_vsr_run_bits_do_not_depend_on_the_thread():
+    bundle = {
+        "fnet": init_random(build_fnet(FNetConfig(
+            encoder_widths=(8, 16, 16), decoder_widths=(16, 16, 8),
+            head_width=8)), 33),
+        "srnet": init_random(build_srnet(SRNetConfig(width=16, num_blocks=2)),
+                             34)}
+    frames = np.random.default_rng(35).random((3, 3, 24, 16), dtype=np.float32)
+    main = vsr_run(bundle, frames)
+    assert np.array_equal(main, _on_worker(vsr_run, bundle, frames))
+
+
 def test_winograd_reproduces_naive_for_3x3_stride1():
     rng = np.random.default_rng(7)
     cases = []
@@ -222,6 +347,23 @@ def test_winograd_falls_back_for_unsupported_geometry(caplog):
         out = conv2d_winograd(x, kern)
     assert any("falling back" in rec.message for rec in caplog.records)
     assert np.array_equal(out, conv2d_gemm(x, kern))
+
+
+def test_winograd_fallback_logs_once_per_cause(caplog):
+    rng = np.random.default_rng(36)
+    g = init_random(NetworkGraph([
+        conv2d_layer("c3", 2, 4, 3),
+        conv2d_layer("c1", 4, 2, 1),
+        conv2d_layer("s2", 2, 2, 3, stride=2),
+    ], in_channels=2), seed=37)
+    x = rng.random((1, 2, 8, 8), dtype=np.float32)
+    with caplog.at_level(logging.INFO, logger="vsrkit.conv"):
+        g.forward(x, backend="winograd")
+        g.forward(x, backend="winograd")
+    lines = [r.getMessage() for r in caplog.records if "falling back" in r.message]
+    assert len(lines) == 2
+    assert any("k=1 stride=1" in m for m in lines)
+    assert any("k=3 stride=2" in m for m in lines)
 
 
 def test_conv2d_rejects_unknown_backend():
