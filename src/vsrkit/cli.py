@@ -2,7 +2,8 @@
 
 Subcommands: upscale, bench, eval, score, fuse-bn, build-model,
 estimate-fpga, inspect. Every command exits 0 on success and nonzero with
-a diagnostic on stderr otherwise.
+a diagnostic on stderr otherwise. bench, eval, score and estimate-fpga
+share ``--report PATH`` and ``--format json|csv``, written by :func:`main`.
 """
 from __future__ import annotations
 
@@ -34,16 +35,10 @@ def _parse_size(text: str) -> tuple:
     return w, h
 
 
-def _write_report(path, sections, fmt):
-    doc = benchmod.emit_report(sections, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns the report sections it offers, or None
 
-def cmd_upscale(args) -> int:
+def cmd_upscale(args) -> None:
     bundle = load_bundle(args.model)
     if args.fuse_bn:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
@@ -61,10 +56,9 @@ def cmd_upscale(args) -> int:
     paths = write_sequence(out, args.out, fmt=args.format)
     print(f"wrote {len(paths)} frames ({out.shape[2]}x{out.shape[3]}) "
           f"to {args.out}")
-    return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> dict:
     bundle = load_bundle(args.model)
     w, h = _parse_size(args.size)
     _, c = model_geometry(bundle)
@@ -76,13 +70,10 @@ def cmd_bench(args) -> int:
           f"(mean {result.mean_frame_s * 1e3:.2f} ms, "
           f"median {result.median_frame_s * 1e3:.2f} ms, "
           f"{result.frames} frames after {result.warmup} warm-up)")
-    if args.report:
-        _write_report(args.report, {"bench": [result]}, args.format)
-        print(f"report written to {args.report}")
-    return 0
+    return {"bench": [result]}
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> dict:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     gen = read_sequence(args.gen)
     ref = read_sequence(args.ref)
@@ -90,19 +81,15 @@ def cmd_eval(args) -> int:
     values = metricsmod.evaluate_sequence(gen, ref, metrics=wanted)
     for m in wanted:
         print(f"{m} {values[m]:.6f}")
-    if args.report:
-        rows = [{"method": label, "metric": m, "value": values[m]}
-                for m in wanted]
-        sections = {"metrics": rows}
-        per_frame = [m for m in ("psnr", "ssim") if m in wanted]
-        if per_frame:
-            sections["per_frame"] = [
-                {"method": label, "frame": t,
-                 **{m: values[f"per_frame_{m}"][t] for m in per_frame}}
-                for t in range(gen.shape[0])]
-        _write_report(args.report, sections, args.format)
-        print(f"report written to {args.report}")
-    return 0
+    sections = {"metrics": [{"method": label, "metric": m, "value": values[m]}
+                            for m in wanted]}
+    per_frame = [m for m in ("psnr", "ssim") if m in wanted]
+    if per_frame:
+        sections["per_frame"] = [
+            {"method": label, "frame": t,
+             **{m: values[f"per_frame_{m}"][t] for m in per_frame}}
+            for t in range(gen.shape[0])]
+    return sections
 
 
 def _read_eval_report(path) -> tuple:
@@ -124,7 +111,7 @@ def _read_eval_report(path) -> tuple:
     return label, values
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> dict:
     paths = [p.strip() for p in args.reports.split(",") if p.strip()]
     if not paths:
         raise ValueError("no report paths given")
@@ -147,13 +134,10 @@ def cmd_score(args) -> int:
     scores = metricsmod.score_table(table, weights)
     for method in sorted(scores, key=lambda m: -scores[m]):
         print(f"{method}\t{scores[method]:.6f}")
-    if args.report:
-        _write_report(args.report, {"scores": scores}, args.format)
-        print(f"report written to {args.report}")
-    return 0
+    return {"scores": scores}
 
 
-def cmd_fuse_bn(args) -> int:
+def cmd_fuse_bn(args) -> None:
     bundle = load_bundle(args.inp)
     fused = {k: fuse_conv_bn(g) for k, g in bundle.items()}
     save_model(fused, args.out)
@@ -161,10 +145,9 @@ def cmd_fuse_bn(args) -> int:
     after = sum(len(g.layers) for g in fused.values())
     print(f"fused model written to {args.out} "
           f"({before} layers -> {after} layers)")
-    return 0
 
 
-def cmd_build_model(args) -> int:
+def cmd_build_model(args) -> None:
     if args.arch == "egvsr":
         model = build_generator()
         if args.init == "random-seeded":
@@ -180,10 +163,9 @@ def cmd_build_model(args) -> int:
     save_model(model, args.out)
     print(f"{args.arch} ({args.init}, seed {args.seed}): "
           f"{total} parameters -> {args.out}")
-    return 0
 
 
-def cmd_estimate_fpga(args) -> int:
+def cmd_estimate_fpga(args) -> dict:
     profile = benchmod.FpgaProfile(lut_total=args.lut_total,
                                    frequency=args.freq)
     rows = benchmod.fpga_table(profile)
@@ -207,13 +189,10 @@ def cmd_estimate_fpga(args) -> int:
                                 "fps": fps})
             print(f"flops_per_frame={fpf:.6g} -> {fps:.2f} fps")
         sections["projections"] = projections
-    if args.report:
-        _write_report(args.report, sections, args.format)
-        print(f"report written to {args.report}")
-    return 0
+    return sections
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     bundle = load_bundle(args.model)
     size = _parse_size(args.size) if args.size else None
     grand = 0
@@ -242,7 +221,6 @@ def cmd_inspect(args) -> int:
                   f"mac_total={report.mac_total} flops={report.flops}")
     if len(bundle) > 1:
         print(f"model total params={grand}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="vsrkit",
         description="CNN inference engine and video super-resolution toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", default=None, metavar="PATH")
+    report.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("upscale", help="upscale a frame directory")
     p.add_argument("--model", required=True)
@@ -266,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output frame container (default: ppm for RGB)")
     p.set_defaults(fn=cmd_upscale)
 
-    p = sub.add_parser("bench", help="time the pipeline on synthetic frames")
+    p = sub.add_parser("bench", parents=[report],
+                       help="time the pipeline on synthetic frames")
     p.add_argument("--model", required=True)
     p.add_argument("--size", required=True, metavar="WxH")
     p.add_argument("--frames", type=int, default=30)
@@ -274,30 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conv", choices=BACKENDS, default="gemm")
     p.add_argument("--fuse-bn", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--report", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("eval", help="compare a generated sequence against "
-                                    "its reference")
+    p = sub.add_parser("eval", parents=[report],
+                       help="compare a generated sequence against its "
+                            "reference")
     p.add_argument("--gen", required=True, metavar="DIR")
     p.add_argument("--ref", required=True, metavar="DIR")
     p.add_argument("--metrics", default="psnr,ssim,tof,tlp")
     p.add_argument("--label", default=None,
                    help="method name recorded in the report")
-    p.add_argument("--report", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("score", help="combine eval reports into one score "
-                                     "per method")
+    p = sub.add_parser("score", parents=[report],
+                       help="combine eval reports into one score per method")
     p.add_argument("--reports", required=True, metavar="PATH[,PATH...]")
     p.add_argument("--weights", default=None, metavar="w1,w2,...",
                    help="per-metric weights in canonical order "
                         "(psnr,ssim,tof,tlp restricted to present metrics); "
                         "default equal")
-    p.add_argument("--report", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_score)
 
     p = sub.add_parser("fuse-bn", help="fold batch-norm layers into convs")
@@ -313,16 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="MODEL")
     p.set_defaults(fn=cmd_build_model)
 
-    p = sub.add_parser("estimate-fpga", help="analytical accelerator "
-                                             "throughput bounds")
+    p = sub.add_parser("estimate-fpga", parents=[report],
+                       help="analytical accelerator throughput bounds")
     p.add_argument("--lut-total", type=int, default=benchmod.DEFAULT_LUT_TOTAL)
     p.add_argument("--freq", type=float, default=benchmod.DEFAULT_FREQUENCY)
     p.add_argument("--flops-per-frame", default=None, metavar="N[,N...]",
                    help="project frame rates for these per-frame FLOPs")
     p.add_argument("--table", action="store_true",
                    help="print the per-tile-size throughput table")
-    p.add_argument("--report", default=None, metavar="PATH")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(fn=cmd_estimate_fpga)
 
     p = sub.add_parser("inspect", help="print layer table and cost counters")
@@ -338,13 +313,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        sections = args.fn(args)
+        if getattr(args, "report", None):
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(benchmod.emit_report(sections, args.format))
+            print(f"report written to {args.report}")
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -366,25 +366,17 @@ def conv_transpose2d(x: np.ndarray, kern: ConvKernel, output_scale: int) -> np.n
             f"output (implied output padding {opad})")
     n, _, h, w = x.shape
     oh, ow = h * s, w * s
-    out = np.zeros((n, kern.c_out, oh, ow), dtype=DTYPE)
-    # scatter-add one (ky, kx) tap at a time, vectorized over the input grid
+    # tap (ky, kx) of input (iy, ix) lands at (ky + iy*s, kx + ix*s) of a
+    # buffer that also holds the crop [p:p+oh, p:p+ow]; taps outside the
+    # crop are scattered too and cut away with the rest of the border
+    ye, xe = (h - 1) * s + 1, (w - 1) * s + 1
+    full = np.zeros((n, kern.c_out, max(ye + k - 1, p + oh),
+                     max(xe + k - 1, p + ow)), dtype=DTYPE)
     for ky in range(k):
         for kx in range(k):
-            contrib = np.einsum("nihw,oi->nohw", x, kern.weights[:, :, ky, kx])
-            y0, x0 = ky - p, kx - p
-            # input rows iy map to output rows iy*s + y0; keep those in range
-            iy = np.arange(h)
-            ix = np.arange(w)
-            my = (iy * s + y0 >= 0) & (iy * s + y0 < oh)
-            mx = (ix * s + x0 >= 0) & (ix * s + x0 < ow)
-            if not my.any() or not mx.any():
-                continue
-            oy = iy[my] * s + y0
-            ox = ix[mx] * s + x0
-            out[:, :, oy[0]:oy[-1] + 1:s, ox[0]:ox[-1] + 1:s] += (
-                contrib[:, :, my][:, :, :, mx])
-    out += kern.bias[None, :, None, None]
-    return out
+            full[:, :, ky:ky + ye:s, kx:kx + xe:s] += np.einsum(
+                "nihw,oi->nohw", x, kern.weights[:, :, ky, kx])
+    return full[:, :, p:p + oh, p:p + ow] + kern.bias[None, :, None, None]
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:

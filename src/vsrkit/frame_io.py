@@ -188,7 +188,7 @@ def read_sequence(directory) -> np.ndarray:
 
 
 def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
-                   start: int = 0, pad: int = 4) -> list:
+                   start: int = 0) -> list:
     """Write a (t, c, h, w) array as numbered frame files; returns paths.
 
     ``fmt`` defaults to "ppm" for 3-channel sequences and "f32" otherwise.
@@ -204,7 +204,7 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     if fmt not in ("ppm", "f32"):
         raise ValueError(f"unknown frame format {fmt!r}")
     writer = write_ppm if fmt == "ppm" else write_f32
-    paths = [os.path.join(directory, f"{str(start + t).zfill(pad)}.{fmt}")
+    paths = [os.path.join(directory, f"{start + t:04d}.{fmt}")
              for t in range(seq.shape[0])]
     if fmt == "ppm" and seq.shape[1] != 3:
         raise ShapeError(f"P6 needs a (3, h, w) frame, got {seq.shape[1:]}")

@@ -4,10 +4,10 @@ parameter/MAC accounting.
 A :class:`NetworkGraph` is an ordered list of layers executed sequentially.
 Skip connections are expressed by ``residual_add`` / ``concat`` layers that
 reference an earlier layer's output by name. Channel compatibility, weight
-shapes and layer attributes are validated eagerly at construction; spatial
-constraints are checked when an actual input size is known (forward or cost
-analysis). Each layer kind is described once, in ``NetworkGraph._infer``: its
-checks, shape rule, cost and execution step.
+shapes, parameter arrays and layer attributes are validated eagerly at
+construction; spatial constraints are checked when an actual input size is
+known (forward or cost analysis). Each layer kind is described once, in
+``NetworkGraph._infer``: its checks, shape rule, cost and execution step.
 
 Graphs are immutable by convention after construction: the fusion pass and
 every other transform returns a new graph and never mutates its input.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,10 +92,11 @@ class BatchNormParams:
         self.beta = np.asarray(self.beta, dtype=DTYPE).ravel()
         self.mean = np.asarray(self.mean, dtype=DTYPE).ravel()
         self.var = np.asarray(self.var, dtype=DTYPE).ravel()
-        c = self.gamma.size
-        if not (self.beta.size == self.mean.size == self.var.size == c):
-            raise ShapeError("batch-norm parameter arrays must share one length")
-        if self.eps <= 0:
+        sizes = [a.size for a in (self.gamma, self.beta, self.mean, self.var)]
+        if len(set(sizes)) > 1:
+            raise ShapeError("batch-norm gamma, beta, mean and var must share "
+                             f"one length, got {sizes}")
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if np.any(self.var < 0):
             raise ValueError("variance must be non-negative")
@@ -260,9 +262,10 @@ class NetworkGraph:
         for i, ly in enumerate(self.layers):
             try:
                 step = self._infer(ly, cur, seen, backend)
-            except (ShapeError, GraphError, KeyError, TypeError) as e:
+            except (ValueError, KeyError, TypeError) as e:
+                why = f"missing {e}" if isinstance(e, KeyError) else e
                 raise GraphError(
-                    f"layer {i} ({ly.name!r}, {ly.kind}): {e}") from e
+                    f"layer {i} ({ly.name!r}, {ly.kind}): {why}") from e
             cur = seen[ly.name] = step[0]
             plan.append(step)
         return plan
@@ -273,8 +276,11 @@ class NetworkGraph:
         (c, h, w), MACs and pointwise ops per image, and step ``run(x, saved)``.
 
         With h = w = None (graph construction) only channels are inferred and
-        the costs read 0. Steps look kernels up in their modules when called,
-        so a tracer that rebinds ``convops.conv2d`` sees every call.
+        the costs read 0. A layer's parameters are checked and bound here,
+        once per plan: the step runs with the ``ConvKernel``,
+        ``BatchNormParams`` or activation arguments built by this call. Steps
+        look kernels up in their modules when called, so a tracer that
+        rebinds ``convops.conv2d`` sees every call.
         """
         c, h, w = cur
         a = ly.attrs
@@ -292,37 +298,36 @@ class NetworkGraph:
             want = (a["c_out"], a["c_in"], k, k)
             if tuple(wt.shape) != want:
                 raise ShapeError(f"weight shape {wt.shape} != declared {want}")
-            if ly.arrays["bias"].size != a["c_out"]:
-                raise ShapeError("bias length mismatch")
-            kern = lambda stride: ConvKernel(wt, ly.arrays["bias"],
-                                             stride=stride, pad=p)
+            kern = ConvKernel(wt, ly.arrays["bias"],
+                              stride=s if ly.kind == "conv2d" else 1, pad=p)
             # conv2d costs per output pixel, conv_transpose2d per input pixel
             macs = a["c_in"] * k ** 2 * a["c_out"]
             if ly.kind == "conv2d":
                 if sized:
                     h, w = convops.out_dims(h, w, k, s, p)
                     hw = h * w
-                run = lambda x, saved: convops.conv2d(x, kern(s), backend)
+                run = lambda x, saved: convops.conv2d(x, kern, backend)
             elif not 0 <= s - k + 2 * p < s:
                 raise ShapeError(f"k={k} pad={p} inconsistent with x{s} output")
             else:
                 if sized:
                     h, w = h * s, w * s
-                run = lambda x, saved: convops.conv_transpose2d(x, kern(1), s)
+                run = lambda x, saved: convops.conv_transpose2d(x, kern, s)
             return (a["c_out"], h, w), macs * hw, 0, run
         if ly.kind == "batch_norm":
-            _check(a.get("eps", 0) > 0, f"eps must be > 0, got {a.get('eps')!r}")
-            if a["c"] != c:
-                raise ShapeError(f"normalizes {a['c']} channels, gets {c}")
-            if ly.arrays["gamma"].size != c:
-                raise ShapeError("parameter arrays do not match channel count")
-            return cur, c * hw, 0, lambda x, saved: batchnorm_forward(
-                x, _bn_params_of(ly))
+            bn = _bn_params_of(ly)
+            if not a["c"] == c == bn.channels:
+                raise ShapeError(f"normalizes {a['c']} channels with "
+                                 f"{bn.channels} parameters, gets {c}")
+            return cur, c * hw, 0, lambda x, saved: batchnorm_forward(x, bn)
         if ly.kind == "activation":
-            _check(a["fn"] in convops.ACTIVATIONS,
-                   f"unknown activation {a['fn']!r}")
+            fn, alpha, scale = a["fn"], a.get("alpha", 0.2), a.get("scale", 1.0)
+            _check(fn in convops.ACTIVATIONS, f"unknown activation {fn!r}")
+            for key, v in (("alpha", alpha), ("scale", scale)):
+                _check(isinstance(v, numbers.Real) and math.isfinite(v),
+                       f"{key} must be a finite number, got {v!r}")
             return cur, 0, c * hw, lambda x, saved: convops.activation(
-                x, a["fn"], alpha=a.get("alpha", 0.2), scale=a.get("scale", 1.0))
+                x, fn, alpha=alpha, scale=scale)
         if ly.kind == "maxpool2":
             if sized:
                 h, w = (h + 1) // 2, (w + 1) // 2
@@ -457,44 +462,34 @@ def fuse_conv_bn(graph: NetworkGraph) -> NetworkGraph:
     Raises :class:`GraphError` if any batch-norm carries non-frozen
     statistics, since folding is only valid with fixed running estimates.
     """
-    for i, ly in enumerate(graph.layers):
-        if ly.kind == "batch_norm" and not ly.attrs.get("frozen", True):
-            raise GraphError(
-                f"layer {i} ({ly.name!r}): batch-norm statistics are not "
-                f"frozen; fusion requires inference-mode running estimates")
-
     referenced = graph.referenced_sources()
     out_layers: list[Layer] = []
     renames: dict[str, str] = {}
-    i = 0
-    while i < len(graph.layers):
-        ly = graph.layers[i]
-        nxt = graph.layers[i + 1] if i + 1 < len(graph.layers) else None
-        if (ly.kind == "conv2d" and nxt is not None
-                and nxt.kind == "batch_norm"
-                and ly.name not in referenced):
-            scale, shift = _bn_params_of(nxt).affine()
-            w = ly.arrays["weight"].astype(np.float64) * scale[:, None, None, None]
-            b = ly.arrays["bias"].astype(np.float64) * scale + shift
-            fused = conv2d_layer(ly.name, ly.attrs["c_in"], ly.attrs["c_out"],
-                                 ly.attrs["k"], stride=ly.attrs["stride"],
-                                 pad=ly.attrs["pad"],
-                                 weights=w.astype(DTYPE), bias=b.astype(DTYPE))
-            out_layers.append(fused)
-            # downstream skips that watched the BN output now watch the conv
-            renames[nxt.name] = ly.name
-            i += 2
+    for i, ly in enumerate(graph.layers):
+        if ly.kind != "batch_norm":
+            out_layers.append(ly.copy())
             continue
-        if ly.kind == "batch_norm":
-            p = _bn_params_of(ly)
+        if not ly.attrs.get("frozen", True):
+            raise GraphError(
+                f"layer {i} ({ly.name!r}): batch-norm statistics are not "
+                f"frozen; fusion requires inference-mode running estimates")
+        p = _bn_params_of(ly)
+        prev = graph.layers[i - 1] if i else None
+        if (prev is not None and prev.kind == "conv2d"
+                and prev.name not in referenced):
+            # scale the copy of that conv appended one step ago, in place
+            conv = out_layers[-1].arrays
+            w, b = conv["weight"], conv["bias"]
+            scale, shift = p.affine()
+            w[...] = w.astype(np.float64) * scale[:, None, None, None]
+            b[...] = b.astype(np.float64) * scale + shift
+            # downstream skips that watched the BN output now watch the conv
+            renames[ly.name] = prev.name
+        else:
             kern = bn_to_1x1(p)
             out_layers.append(conv2d_layer(ly.name, p.channels, p.channels, 1,
                                            stride=1, pad=0,
                                            weights=kern.weights, bias=kern.bias))
-            i += 1
-            continue
-        out_layers.append(ly.copy())
-        i += 1
 
     if renames:
         for ly in out_layers:

@@ -9,7 +9,6 @@ weighted combination folds all four into one score per method.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -293,31 +292,31 @@ def _check_sequences(gen, ref, temporal: bool = True):
     return gen, ref
 
 
-def _pair_flow(seq: np.ndarray, t: int) -> np.ndarray:
-    """The flow from frame t - 1 of a checked sequence to frame t."""
-    return dense_flow(seq[t - 1], seq[t]).flow
+def _pair_gaps(mapper, fn, gap, gen, ref):
+    """``gap(generated, reference)`` for each consecutive pair of two checked
+    sequences, in order, where each value is ``fn`` of the pair's two frames.
+
+    ``mapper(fn, firsts, seconds)`` is called at once with each pair's
+    frames, the generated and the reference pair side by side: ``map``, or
+    an executor's ``map``, which submits every call now and lets each result
+    go once it is read. The gaps are taken as the values are read.
+    """
+    pairs = range(1, gen.shape[0])
+    values = mapper(fn, [seq[t - 1] for t in pairs for seq in (gen, ref)],
+                    [seq[t] for t in pairs for seq in (gen, ref)])
+    return (gap(g, r) for g, r in zip(values, values))
 
 
-def _results(futures: deque):
-    """Each future's result in order; a future is let go once it is read."""
-    while futures:
-        yield futures.popleft().result()
-
-
-def _flow_gap(gen_flows, ref_flows) -> float:
-    """tOF from the flows of the generated and the reference pairs, taken
-    pair by pair in order: the mean over pairs of the mean L1 gap."""
-    return float(np.mean([float(np.mean(np.abs(fg - fr)))
-                          for fg, fr in zip(gen_flows, ref_flows)]))
+def _flow_l1(g: FlowResult, r: FlowResult) -> float:
+    """Mean L1 gap between two flows: one pair's term of tOF."""
+    return float(np.mean(np.abs(g.flow - r.flow)))
 
 
 def tof(gen: np.ndarray, ref: np.ndarray) -> float:
     """Temporal flow error: mean L1 gap between the motion estimated from
     consecutive generated frames and from the corresponding reference frames."""
     gen, ref = _check_sequences(gen, ref)
-    pairs = range(1, gen.shape[0])
-    return _flow_gap((_pair_flow(gen, t) for t in pairs),
-                     (_pair_flow(ref, t) for t in pairs))
+    return float(np.mean([*_pair_gaps(map, dense_flow, _flow_l1, gen, ref)]))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +385,8 @@ def tlp(gen: np.ndarray, ref: np.ndarray, pd=None) -> float:
     gen, ref = _check_sequences(gen, ref)
     if pd is None:
         pd = default_perceptual_distance()
-    gaps = []
-    for t in range(1, gen.shape[0]):
-        lp_gen = pd.distance(gen[t - 1], gen[t])
-        lp_ref = pd.distance(ref[t - 1], ref[t])
-        gaps.append(abs(lp_gen - lp_ref))
-    return float(np.mean(gaps))
+    return float(np.mean([*_pair_gaps(map, pd.distance,
+                                      lambda g, r: abs(g - r), gen, ref)]))
 
 
 # ---------------------------------------------------------------------------
@@ -530,26 +525,21 @@ def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None,
         raise ValueError("no metrics requested")
     gen, ref = _check_sequences(gen, ref,
                                 temporal="tof" in wanted or "tlp" in wanted)
-    frames = range(gen.shape[0])
     values = {}
     with ThreadPoolExecutor(2) as pool:
         # the longest task first, then the flows, the generated and the
         # reference flow of a pair side by side, then the per-frame tasks
         lp = pool.submit(tlp, gen, ref, pd=pd) if "tlp" in wanted else None
-        gen_flows, ref_flows = deque(), deque()
-        if "tof" in wanted:
-            for t in range(1, gen.shape[0]):
-                gen_flows.append(pool.submit(_pair_flow, gen, t))
-                ref_flows.append(pool.submit(_pair_flow, ref, t))
-        per_frame = {m: [pool.submit(fn, gen[t], ref[t]) for t in frames]
+        gaps = (_pair_gaps(pool.map, dense_flow, _flow_l1, gen, ref)
+                if "tof" in wanted else None)
+        per_frame = {m: pool.map(fn, gen, ref)
                      for m, fn in (("psnr", psnr), ("ssim", ssim))
                      if m in wanted}
-        if "tof" in wanted:
+        if gaps is not None:
             # each pair is reduced to its gap as soon as both flows are in,
             # and let go, so the flows held do not grow with the sequence
-            values["tof"] = _flow_gap(_results(gen_flows),
-                                      _results(ref_flows))
-    per_frame = {m: [f.result() for f in fs] for m, fs in per_frame.items()}
+            values["tof"] = float(np.mean([*gaps]))
+        per_frame = {m: [*vals] for m, vals in per_frame.items()}
     values.update((m, float(np.mean(vals))) for m, vals in per_frame.items())
     if lp is not None:
         values["tlp"] = lp.result()

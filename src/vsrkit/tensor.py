@@ -24,24 +24,12 @@ def _require(cond: bool, msg: str) -> None:
         raise ShapeError(msg)
 
 
-def tensor_new(shape, fill=0.0) -> np.ndarray:
-    """Create an NCHW tensor of the given shape.
-
-    ``fill`` is either a scalar or a flat sequence of n*c*h*w values in
-    n-major (then c, h, w) order.
-    """
+def tensor_new(shape, fill: float = 0.0) -> np.ndarray:
+    """Create an NCHW tensor of the given shape, every element ``fill``."""
     shape = tuple(int(d) for d in shape)
     _require(len(shape) == 4, f"expected 4 dims (n,c,h,w), got {shape}")
     _require(all(d >= 1 for d in shape), f"all dims must be >= 1, got {shape}")
-    if np.isscalar(fill):
-        return np.full(shape, fill, dtype=DTYPE)
-    data = np.asarray(fill, dtype=DTYPE).ravel()
-    n_expected = int(np.prod(shape))
-    _require(
-        data.size == n_expected,
-        f"value list has {data.size} elements, shape {shape} needs {n_expected}",
-    )
-    return data.reshape(shape).copy()
+    return np.full(shape, fill, dtype=DTYPE)
 
 
 def check_tensor(t: np.ndarray, name: str = "tensor") -> np.ndarray:

@@ -8,14 +8,17 @@ import pytest
 
 from vsrkit import (
     NetworkGraph,
+    activation_layer,
     batch_norm_layer,
     conv2d_layer,
     evaluate_sequence,
     load_bundle,
     load_model,
+    luma,
     read_sequence,
     save_model,
     score_table,
+    vsr_run,
     write_sequence,
 )
 from vsrkit.cli import main
@@ -126,6 +129,17 @@ def test_upscale_recurrent_bundle(tmp_path, capsys):
                  "--out", str(out_dir), "--fuse-bn"]) == 0
     hr = read_sequence(out_dir)
     assert hr.shape == (2, 3, 64, 64)
+
+
+def test_upscale_takes_the_luma_of_rgb_frames_for_a_1_channel_model(
+        tmp_path, control_model):
+    lr_dir, _ = _write_lr_frames(tmp_path, c=3)
+    out_dir = tmp_path / "hr"
+    assert main(["upscale", "--model", str(control_model),
+                 "--in", str(lr_dir), "--out", str(out_dir)]) == 0
+    gray = luma(read_sequence(lr_dir))[:, None].astype(np.float32)
+    want = np.clip(vsr_run({"net": load_model(control_model)}, gray), 0, 1)
+    assert np.array_equal(read_sequence(out_dir), want)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +302,22 @@ def test_bench_emits_report(tmp_path, capsys):
     assert row["fps"] > 0
 
 
+def test_bench_fuse_bn_times_the_fused_model(tmp_path, capsys):
+    model = tmp_path / "gen.vsm"
+    main(["build-model", "--arch", "egvsr", "--out", str(model)])
+    rows = {}
+    for flag in ([], ["--fuse-bn"]):
+        report = tmp_path / f"bench{len(flag)}.json"
+        assert main(["bench", "--model", str(model), "--size", "16x16",
+                     "--frames", "1", "--warmup", "0", "--report",
+                     str(report)] + flag) == 0
+        rows[bool(flag)] = json.loads(report.read_text())["sections"]["bench"][0]
+    assert "fused=True" in capsys.readouterr().out
+    assert rows[True]["fused"] and not rows[False]["fused"]
+    # the folded batch-norms no longer cost their one MAC per element
+    assert rows[True]["macs_per_frame"] < rows[False]["macs_per_frame"]
+
+
 def test_estimate_fpga_table_and_projections(capsys):
     assert main(["estimate-fpga", "--table",
                  "--flops-per-frame", "28.55e9,64.06e9"]) == 0
@@ -406,6 +436,46 @@ def test_fuse_bn_rejects_batch_norm_without_eps(tmp_path, capsys,
                  "--out", str(tmp_path / "f.vsm")]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "eps" in err
+
+
+def _faults():
+    """(layer name, edit) for each parameter fault found at load."""
+    def arr(key, fn):
+        return lambda ly: ly.arrays.__setitem__(key, fn(ly.arrays[key]))
+
+    def attr(key, value):
+        return lambda ly: ly.attrs.__setitem__(key, value)
+
+    negative = lambda a: np.concatenate([a[:-1], [-1.0]])
+    return {
+        "short beta": ("bn", arr("beta", lambda a: a[:-1])),
+        "short mean": ("bn", arr("mean", lambda a: a[:-1])),
+        "short var": ("bn", arr("var", lambda a: a[:-1])),
+        "negative var": ("bn", arr("var", negative)),
+        "nan eps": ("bn", attr("eps", float("nan"))),
+        "text alpha": ("act", attr("alpha", "abc")),
+        "nan alpha": ("act", attr("alpha", float("nan"))),
+        "infinite scale": ("act", attr("scale", float("inf"))),
+        "short conv bias": ("c", arr("bias", lambda a: a[:-1])),
+    }
+
+
+@pytest.mark.parametrize("command", ["inspect", "fuse-bn"])
+@pytest.mark.parametrize("fault", sorted(_faults()))
+def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
+    name, edit = _faults()[fault]
+    g = NetworkGraph([conv2d_layer("c", 2, 3, 3), batch_norm_layer("bn", 3),
+                      activation_layer("act", "leaky_relu")], in_channels=2)
+    edit(next(ly for ly in g.layers if ly.name == name))
+    model = tmp_path / "bad.vsm"
+    save_model(g, model)
+    argv = (["inspect", "--model", str(model)] if command == "inspect" else
+            ["fuse-bn", "--in", str(model), "--out", str(tmp_path / "f.vsm")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "graph 'net'" in err
+    assert f"({name!r}, " in err
+    assert not (tmp_path / "f.vsm").exists()
 
 
 def _first_conv(header):

@@ -63,6 +63,9 @@ def test_batchnorm_params_validation():
         BatchNormParams(gamma=[1.0, 1.0], beta=[0.0], mean=[0.0], var=[1.0])
     with pytest.raises(ValueError):
         BatchNormParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0], eps=0.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        BatchNormParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[1.0],
+                        eps=float("nan"))
     with pytest.raises(ValueError):
         BatchNormParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[-1.0])
 
@@ -130,6 +133,10 @@ def _bad_attr_cases():
         (lambda: activation_layer("l", "relu"), "fn", "gelu"),
         (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", 0.0),
         (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", None),
+        (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", float("nan")),
+        (lambda: activation_layer("l", "leaky_relu"), "alpha", "abc"),
+        (lambda: activation_layer("l", "leaky_relu"), "alpha", float("nan")),
+        (lambda: activation_layer("l", "tanh"), "scale", float("inf")),
     ]
 
 
@@ -144,6 +151,47 @@ def test_graph_rejects_bad_attributes_at_construction(make, key, value):
     c = 4 if layer.kind == "pixel_shuffle" else 2
     with pytest.raises(GraphError, match=r"layer 0 \('l'"):
         NetworkGraph([layer], in_channels=c)
+
+
+def _bad_array_cases():
+    rng = np.random.default_rng(26)
+    bn = lambda: batch_norm_layer("l", 2, _bn(2, rng))
+    conv = lambda: conv2d_layer("l", 2, 2, 3)
+    negative_var = np.array([1.0, -0.5], dtype=np.float32)
+    return {
+        "short beta": (bn, "beta", np.zeros(1)),
+        "short mean": (bn, "mean", np.zeros(1)),
+        "short var": (bn, "var", np.ones(1)),
+        "negative var": (bn, "var", negative_var),
+        "short conv bias": (conv, "bias", np.zeros(1)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_array_cases()))
+def test_graph_rejects_bad_parameter_arrays_before_any_layer_runs(
+        case, monkeypatch):
+    make, key, value = _bad_array_cases()[case]
+    bad = make()
+    bad.arrays[key] = value
+    with pytest.raises(GraphError, match=r"layer 0 \('l', "):
+        NetworkGraph([bad], in_channels=2)
+    # the same fault put in after construction stops forward before the
+    # layer ahead of it runs
+    good = make()
+    g = NetworkGraph([conv2d_layer("head", 2, 2, 1), good], in_channels=2)
+    good.arrays[key] = value
+    counts = {}
+    _counting(monkeypatch, conv_module, "conv2d", counts)
+    with pytest.raises(GraphError, match=r"layer 1 \('l', "):
+        g.forward(np.ones((1, 2, 4, 4), dtype=np.float32))
+    assert counts == {}
+
+
+def test_activation_runs_with_the_parameters_bound_at_plan_time():
+    g = NetworkGraph([activation_layer("l", "leaky_relu", alpha=0.5,
+                                       scale=2.0)], in_channels=1)
+    x = np.array([-1.0, 3.0], dtype=np.float32).reshape(1, 1, 1, 2)
+    assert g.forward(x).ravel().tolist() == [-1.0, 6.0]
 
 
 def test_graph_rejects_wrong_input_channels_at_forward():

@@ -1,6 +1,6 @@
 """The buffer-lean warp, Lucas-Kanade step, luma, sequence reader,
-overlapped evaluation, single frame loop and per-kind layer steps and costs
-against straightforward reference implementations.
+overlapped evaluation, single frame loop, per-kind layer steps and costs,
+and batch-norm fusion against straightforward reference implementations.
 
 ``_reference_warp`` and ``_reference_lk_level`` are the plain formulations
 (meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``).
@@ -282,6 +282,15 @@ def test_evaluate_sequence_equals_the_metric_functions_on_three_levels():
     _check_evaluate_sequence_equals_the_metric_functions(gen, ref)
 
 
+def test_evaluate_sequence_of_1_channel_sequences():
+    # gray frames take the luma plane as is, and the perceptual distance
+    # sees them as three equal channels
+    gen, ref = (seq[:, :1].copy() for seq in _sequences(t=4))
+    _check_evaluate_sequence_equals_the_metric_functions(gen, ref)
+    rgb = [np.repeat(seq, 3, axis=1) for seq in (gen, ref)]
+    assert evaluate_sequence(gen, ref)["tlp"] == tlp(*rgb)
+
+
 def test_evaluate_sequence_runs_at_most_two_computations_at_once(
         monkeypatch):
     lock = threading.Lock()
@@ -490,3 +499,76 @@ def test_count_flops_equals_reference(arch):
         macs, pointwise, rows = _reference_cost(net, shape)
         assert (report.macs, report.pointwise_ops) == (macs, pointwise)
         assert report.per_layer == rows
+
+
+# ---------------------------------------------------------------------------
+# batch-norm fusion
+
+def _reference_fuse(g):
+    """The two-index fusion loop: a conv and the batch-norm right after it
+    are consumed together, any other batch-norm becomes a 1x1 conv."""
+    referenced = g.referenced_sources()
+    out, renames, i = [], {}, 0
+    while i < len(g.layers):
+        ly = g.layers[i]
+        nxt = g.layers[i + 1] if i + 1 < len(g.layers) else None
+        if (ly.kind == "conv2d" and nxt is not None
+                and nxt.kind == "batch_norm" and ly.name not in referenced):
+            scale, shift = graph._bn_params_of(nxt).affine()
+            w = ly.arrays["weight"].astype(np.float64) * scale[:, None, None, None]
+            b = ly.arrays["bias"].astype(np.float64) * scale + shift
+            out.append(graph.conv2d_layer(
+                ly.name, ly.attrs["c_in"], ly.attrs["c_out"], ly.attrs["k"],
+                stride=ly.attrs["stride"], pad=ly.attrs["pad"],
+                weights=w.astype(DTYPE), bias=b.astype(DTYPE)))
+            renames[nxt.name] = ly.name
+            i += 2
+            continue
+        if ly.kind == "batch_norm":
+            p = graph._bn_params_of(ly)
+            kern = graph.bn_to_1x1(p)
+            out.append(graph.conv2d_layer(ly.name, p.channels, p.channels, 1,
+                                          stride=1, pad=0,
+                                          weights=kern.weights,
+                                          bias=kern.bias))
+        else:
+            out.append(ly.copy())
+        i += 1
+    for ly in out:
+        if ly.attrs.get("source") in renames:
+            ly.attrs["source"] = renames[ly.attrs["source"]]
+    return out
+
+
+def _fusion_cases():
+    # init_random draws every conv weight and batch-norm statistic
+    bn, conv2d = graph.batch_norm_layer, graph.conv2d_layer
+    small = {
+        "skip-referenced conv": [conv2d("c1", 3, 4, 3), bn("b1", 4),
+                                 graph.concat_layer("cat", source="c1"),
+                                 conv2d("c2", 8, 4, 3), bn("b2", 4),
+                                 graph.residual_add_layer("add", "b2")],
+        "standalone batch-norm": [bn("b0", 3), conv2d("c1", 3, 4, 3),
+                                  graph.activation_layer("a1", "relu"),
+                                  bn("b1", 4)],
+        "conv-bn-bn": [conv2d("c1", 3, 4, 3), bn("b1", 4), bn("b2", 4),
+                       graph.concat_layer("cat", source="b2")],
+    }
+    cases = {name: init_random(graph.NetworkGraph(layers, in_channels=3), 30)
+             for name, layers in small.items()}
+    cases.update((f"egvsr {k}", g) for k, g in _egvsr(False).items())
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_fusion_cases()))
+def test_fuse_conv_bn_equals_the_two_index_loop(case):
+    g = _fusion_cases()[case]
+    got = fuse_conv_bn(g).layers
+    want = _reference_fuse(g)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.name, a.kind, a.attrs) == (b.name, b.kind, b.attrs)
+        assert a.arrays.keys() == b.arrays.keys()
+        for key in a.arrays:
+            assert a.arrays[key].dtype == b.arrays[key].dtype == DTYPE
+            assert np.array_equal(a.arrays[key], b.arrays[key]), (a.name, key)
