@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics as qmetrics
 from .graph import NetworkGraph, fuse_conv_bn
-from .pipeline import _graph_cost, model_geometry, upscale_steps
+from .pipeline import model_geometry, upscale_steps
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
 # 300 MHz clock; the per-row peaks it implies are pinned in tests.
@@ -149,7 +149,9 @@ def time_pipeline(models, input_shape, frames: int, backend: str = "gemm",
     times = times[warmup:]
 
     wall = float(sum(times))
-    macs, flops = _graph_cost(bundle, (1, c, h, w))
+    # model_geometry checked that each graph takes (n, in_channels, h, w)
+    reps = [g.count_flops((1, g.in_channels, h, w)) for g in bundle.values()]
+    macs, flops = sum(r.mac_total for r in reps), sum(r.flops for r in reps)
     return BenchResult(arch=arch, height=h, width=w, scale=scale,
                        backend=backend, fused=fused, frames=frames,
                        warmup=warmup, wall_time_s=wall,

@@ -6,8 +6,8 @@ Skip connections are expressed by ``residual_add`` / ``concat`` layers that
 reference an earlier layer's output by name. Channel compatibility, weight
 shapes, parameter arrays and layer attributes are validated eagerly at
 construction; spatial constraints are checked when an actual input size is
-known (forward or cost analysis). Each layer kind is described once, in
-``NetworkGraph._infer``: its checks, shape rule, cost and execution step.
+known (forward or cost analysis). Each layer kind is described once: its
+row of ``LAYER_KINDS`` and its rule in ``NetworkGraph._infer``.
 
 Graphs are immutable by convention after construction: the fusion pass and
 every other transform returns a new graph and never mutates its input.
@@ -28,19 +28,21 @@ from .tensor import DTYPE, ShapeError
 
 log = logging.getLogger(__name__)
 
-# kind -> id written into .vsm headers. The ids are part of the file format:
-# retired kinds keep theirs (7 space_to_depth, 10 interpolation_resize), and
-# those ids are never reused.
+# kind -> (id written into .vsm headers, integer attributes, parameter
+# arrays in file order). The ids are part of the file format: retired kinds
+# keep theirs (7 space_to_depth, 10 interpolation_resize), and those ids are
+# never reused.
 LAYER_KINDS = {
-    "conv2d": 0,
-    "conv_transpose2d": 1,
-    "batch_norm": 2,
-    "activation": 3,
-    "maxpool2": 4,
-    "bilinear_up": 5,
-    "pixel_shuffle": 6,
-    "concat": 8,
-    "residual_add": 9,
+    "conv2d": (0, ("c_in", "c_out", "k", "stride", "pad"), ("weight", "bias")),
+    "conv_transpose2d": (1, ("c_in", "c_out", "k", "scale", "pad"),
+                         ("weight", "bias")),
+    "batch_norm": (2, ("c",), ("gamma", "beta", "mean", "var")),
+    "activation": (3, (), ()),
+    "maxpool2": (4, (), ()),
+    "bilinear_up": (5, (), ()),
+    "pixel_shuffle": (6, ("r",), ()),
+    "concat": (8, (), ()),
+    "residual_add": (9, (), ()),
 }
 
 
@@ -154,9 +156,6 @@ def batch_norm_layer(name, c, params: BatchNormParams | None = None,
     if params is None:
         params = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c),
                                  np.ones(c), eps=eps, frozen=frozen)
-    if params.channels != c:
-        raise ShapeError(f"batch-norm params for {params.channels} channels, "
-                         f"layer declares {c}")
     return Layer("batch_norm", name,
                  {"c": int(c), "eps": float(params.eps),
                   "frozen": bool(params.frozen)},
@@ -250,8 +249,8 @@ class NetworkGraph:
     # -- the per-kind rule -------------------------------------------------------
 
     def _plan(self, cur: tuple, backend: str = "gemm") -> list:
-        """One ``_infer`` result per layer for input ``cur`` = (c, h, w);
-        raises naming the layer."""
+        """Check each layer against its ``LAYER_KINDS`` row and return its
+        ``_infer`` result for input ``cur`` = (c, h, w); raises naming it."""
         if cur[0] != self.in_channels:
             raise GraphError(f"graph expects {self.in_channels} input channels, "
                              f"got {cur[0]}")
@@ -260,7 +259,15 @@ class NetworkGraph:
         seen: dict[str, tuple] = {}
         plan = []
         for i, ly in enumerate(self.layers):
+            _, ints, arrays = LAYER_KINDS[ly.kind]
             try:
+                for key in ints:
+                    if type(ly.attrs[key]) is not int:
+                        raise GraphError(f"{key} must be an integer, got "
+                                         f"{ly.attrs[key]!r}")
+                if ly.arrays.keys() != set(arrays):
+                    raise GraphError(f"holds arrays {sorted(ly.arrays)}, "
+                                     f"expected {list(arrays)}")
                 step = self._infer(ly, cur, seen, backend)
             except (ValueError, KeyError, TypeError) as e:
                 why = f"missing {e}" if isinstance(e, KeyError) else e
@@ -289,8 +296,7 @@ class NetworkGraph:
         if ly.kind in ("conv2d", "conv_transpose2d"):
             k, p = a["k"], a["pad"]
             s = a["stride"] if ly.kind == "conv2d" else a["scale"]
-            _check(all(isinstance(v, int) for v in (k, s, p))
-                   and k >= 1 and s >= 1 and p >= 0,
+            _check(k >= 1 and s >= 1 and p >= 0,
                    f"invalid geometry k={k!r} stride/scale={s!r} pad={p!r}")
             if a["c_in"] != c:
                 raise ShapeError(f"expects {a['c_in']} input channels, gets {c}")
@@ -345,8 +351,7 @@ class NetworkGraph:
                 x, s)
         if ly.kind == "pixel_shuffle":
             r = a["r"]
-            _check(isinstance(r, int) and r >= 1,
-                   f"factor r must be an integer >= 1, got {r!r}")
+            _check(r >= 1, f"factor r must be >= 1, got {r!r}")
             if c % (r * r):
                 raise ShapeError(f"{c} channels not divisible by r^2={r * r}")
             if sized:
@@ -385,12 +390,8 @@ class NetworkGraph:
         plan = self._plan(x.shape[1:], backend)
         wanted = self.referenced_sources()
         saved: dict[str, np.ndarray] = {}
-        for i, (ly, (_, _, _, run)) in enumerate(zip(self.layers, plan)):
-            try:
-                x = run(x, saved)
-            except (ShapeError, GraphError, ValueError) as e:
-                raise GraphError(
-                    f"layer {i} ({ly.name!r}, {ly.kind}): {e}") from e
+        for ly, (_, _, _, run) in zip(self.layers, plan):
+            x = run(x, saved)
             if ly.name in wanted:
                 saved[ly.name] = x
         return x

@@ -8,8 +8,8 @@ Layout (all integers little-endian unsigned 32-bit):
     offset 12  header: UTF-8 JSON describing one or more named graphs
                (per layer: kind id, kind, name, attrs, array shapes)
     offset 12+H  payload: raw 32-bit little-endian floats, graphs in header
-               order, layers in graph order, arrays per layer in a fixed
-               per-kind order (weights before biases; batch-norm stores
+               order, layers in graph order, arrays per layer in the order
+               ``graph.LAYER_KINDS`` gives (weights before biases; batch-norm:
                gamma, beta, mean, variance), each array channel-major
 
 The header is parsed and its structure checked before the payload is
@@ -31,24 +31,8 @@ from .graph import LAYER_KINDS, Layer, NetworkGraph
 MAGIC = b"EGVS"
 VERSION = 1
 
-# deterministic array serialization order per layer kind
-ARRAY_ORDER = {
-    "conv2d": ("weight", "bias"),
-    "conv_transpose2d": ("weight", "bias"),
-    "batch_norm": ("gamma", "beta", "mean", "var"),
-}
-
-
 class ModelFormatError(ValueError):
     """Malformed model file; messages carry the byte offset of the fault."""
-
-
-def _layer_arrays(layer: Layer) -> list:
-    order = ARRAY_ORDER.get(layer.kind, ())
-    missing = [k for k in order if k not in layer.arrays]
-    if missing:
-        raise ModelFormatError(f"layer {layer.name!r} lacks arrays {missing}")
-    return [(k, layer.arrays[k]) for k in order]
 
 
 def save_model(model, path) -> None:
@@ -70,11 +54,12 @@ def save_model(model, path) -> None:
         layer_entries = []
         for layer in graph.layers:
             shapes = {}
-            for aname, arr in _layer_arrays(layer):
+            for aname in LAYER_KINDS[layer.kind][2]:
+                arr = layer.arrays[aname]
                 shapes[aname] = list(arr.shape)
                 chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
             layer_entries.append({
-                "kind_id": LAYER_KINDS[layer.kind],
+                "kind_id": LAYER_KINDS[layer.kind][0],
                 "kind": layer.kind,
                 "name": layer.name,
                 "attrs": layer.attrs,
@@ -126,6 +111,13 @@ def _payload_elements(header: dict) -> int:
                     isinstance(ly.get(k), str) for k in ("kind", "name")):
                 raise ModelFormatError(f"{where}: not an object with string "
                                        f"'kind' and 'name'")
+            kind = ly["kind"]
+            if kind not in LAYER_KINDS:
+                raise ModelFormatError(f"{where}: unknown kind {kind!r}")
+            kind_id, _, want = LAYER_KINDS[kind]
+            if ly.get("kind_id") != kind_id:
+                raise ModelFormatError(f"{where}: kind id {ly.get('kind_id')} "
+                                       f"does not match {kind!r} ({kind_id})")
             if not isinstance(ly.get("attrs"), dict):
                 raise ModelFormatError(f"{where}: 'attrs' is not an object")
             shapes = ly.get("shapes")
@@ -133,6 +125,10 @@ def _payload_elements(header: dict) -> int:
                     isinstance(s, list) for s in shapes.values()):
                 raise ModelFormatError(f"{where}: 'shapes' is not an object "
                                        f"of lists")
+            if sorted(shapes) != sorted(want):
+                raise ModelFormatError(f"{where} ({kind}): declares arrays "
+                                       f"{sorted(shapes)}, expected "
+                                       f"{sorted(want)}")
             for aname, shape in shapes.items():
                 if not all(type(d) is int and d >= 1 for d in shape):
                     raise ModelFormatError(
@@ -174,30 +170,16 @@ def _parse_header(fh):
 def _rebuild_graph(gname: str, gdesc: dict, payload: memoryview,
                    cursor: int) -> tuple:
     layers = []
-    for i, ly in enumerate(gdesc["layers"]):
-        kind = ly.get("kind")
-        if kind not in LAYER_KINDS:
-            raise ModelFormatError(f"graph {gname!r} layer {i}: unknown kind "
-                                   f"{kind!r}")
-        if ly.get("kind_id") != LAYER_KINDS[kind]:
-            raise ModelFormatError(f"graph {gname!r} layer {i}: kind id "
-                                   f"{ly.get('kind_id')} does not match "
-                                   f"{kind!r} ({LAYER_KINDS[kind]})")
-        want = ARRAY_ORDER.get(kind, ())
-        got = tuple(ly["shapes"].keys())
-        if sorted(got) != sorted(want):
-            raise ModelFormatError(f"graph {gname!r} layer {i} ({kind}): "
-                                   f"declares arrays {sorted(got)}, expected "
-                                   f"{sorted(want)}")
+    for ly in gdesc["layers"]:
         arrays = {}
-        for aname in want:
+        for aname in LAYER_KINDS[ly["kind"]][2]:
             shape = tuple(ly["shapes"][aname])
             count = math.prod(shape)
             arr = np.frombuffer(payload, dtype="<f4", count=count,
                                 offset=cursor).reshape(shape)
             arrays[aname] = arr.copy()
             cursor += count * 4
-        layers.append(Layer(kind, ly["name"], dict(ly["attrs"]), arrays))
+        layers.append(Layer(ly["kind"], ly["name"], dict(ly["attrs"]), arrays))
     try:
         graph = NetworkGraph(layers, gdesc["in_channels"],
                              dict(gdesc.get("meta", {})))

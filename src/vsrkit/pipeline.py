@@ -222,21 +222,6 @@ def vsr_step(generator: dict, lr: np.ndarray,
     return hr, flow, RecurrentState(prev_lr=lr, prev_hr=hr)
 
 
-def _graph_cost(bundle: dict, shape: tuple) -> tuple:
-    """(macs, flops) per frame over the bundle's graphs, at the input
-    shapes :func:`vsr_step` feeds them; pipeline glue (warping, flow
-    resize, packing) is excluded and documented as such."""
-    n, c, h, w = shape
-    pair = _pair(bundle)
-    if pair is None:
-        reps = [g.count_flops(shape) for g in bundle.values()]
-    else:
-        scale, _ = model_geometry(bundle)
-        reps = [pair[0].count_flops((n, 2 * c, h, w)),
-                pair[1].count_flops((n, c * (1 + scale * scale), h, w))]
-    return sum(r.mac_total for r in reps), sum(r.flops for r in reps)
-
-
 def upscale_steps(bundle: dict, frames: np.ndarray, backend: str = "gemm"):
     """Yield the upscaled (c, h*s, w*s) frames of a (t, c, h, w) sequence,
     one per input frame, for either bundle kind.

@@ -478,6 +478,20 @@ def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
     assert not (tmp_path / "f.vsm").exists()
 
 
+@pytest.mark.parametrize("key, value", [("c_in", 3.0), ("c_out", 3.0),
+                                        ("stride", True)])
+def test_inspect_rejects_integer_attributes_of_another_type(
+        tmp_path, capsys, edit_vsm_header, key, value):
+    model = tmp_path / "c.vsm"
+    save_model(NetworkGraph([conv2d_layer("c", 3, 3, 3)], in_channels=3),
+               model)
+    edit_vsm_header(model, _set_attr("conv2d", key, value))
+    code = main(["inspect", "--model", str(model), "--size", "8x8"])
+    _assert_clean_error(code, capsys, f"graph 'net' fails validation: layer 0 "
+                                      f"('c', conv2d): {key} must be an "
+                                      f"integer, got {value!r}")
+
+
 def _first_conv(header):
     return next(ly for ly in header["graphs"][0]["layers"]
                 if ly["kind"] == "conv2d")

@@ -118,6 +118,16 @@ def test_im2col_rejects_undersized_input():
         im2col(x, 3)
 
 
+def test_im2col_geometry_must_be_integers():
+    x = np.zeros((1, 1, 5, 5), dtype=np.float32)
+    with pytest.raises(ShapeError, match="k must be an integer, got 2.9"):
+        im2col(x, 2.9)
+    with pytest.raises(ShapeError, match="stride must be an integer"):
+        im2col(x, 3, stride=1.5)
+    assert np.array_equal(im2col(x, np.int64(3), stride=np.int32(2)),
+                          im2col(x, 3, stride=2))
+
+
 def test_gemm_against_loop_reference():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((7, 5)).astype(np.float32)
@@ -381,6 +391,13 @@ def test_conv_kernel_validates_geometry():
                    np.zeros(2, dtype=np.float32))
     with pytest.raises(ValueError):
         ConvKernel(np.zeros((1, 1, 3, 3), dtype=np.float32), stride=0)
+    w = np.zeros((1, 1, 3, 3), dtype=np.float32)
+    with pytest.raises(ShapeError, match="stride must be an integer, got 1.5"):
+        ConvKernel(w, stride=1.5)
+    with pytest.raises(ShapeError, match="pad must be an integer, got 0.5"):
+        ConvKernel(w, pad=0.5)
+    kern = ConvKernel(w, stride=np.int64(2), pad=np.int32(1))
+    assert (kern.stride, kern.pad) == (2, 1)
 
 
 def test_conv_transpose_shapes_scale_output():

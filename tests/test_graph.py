@@ -121,19 +121,23 @@ def _bad_attr_cases():
     rng = np.random.default_rng(20)
     conv = lambda: conv2d_layer("l", 2, 2, 3)
     deconv = lambda: conv_transpose2d_layer("l", 2, 2, 4, scale=2, pad=1)
+    bn = lambda: batch_norm_layer("l", 2, _bn(2, rng))
     return [
         (conv, "k", 0), (conv, "k", 3.0), (conv, "stride", 0),
         (conv, "stride", 1.5), (conv, "pad", -1),
-        (deconv, "scale", 0), (deconv, "k", 0),
+        # counts must be integers, even when equal to the true count
+        (conv, "c_in", 2.0), (conv, "c_out", 2.0), (conv, "c_in", 3.0),
+        (conv, "c_out", 3.0), (bn, "c", 2.0), (bn, "c", 3.0),
+        (conv, "k", True), (conv, "stride", True), (conv, "pad", True),
+        (deconv, "scale", 0), (deconv, "k", 0), (deconv, "scale", True),
         (lambda: pixel_shuffle_layer("l", 2), "r", 0),
         (lambda: pixel_shuffle_layer("l", 2), "r", 2.0),
+        (lambda: pixel_shuffle_layer("l", 2), "r", True),
         (lambda: bilinear_up_layer("l", 2.0), "scale", 0.0),
         (lambda: bilinear_up_layer("l", 2.0), "scale", float("nan")),
         (lambda: bilinear_up_layer("l", 2.0), "scale", "2"),
         (lambda: activation_layer("l", "relu"), "fn", "gelu"),
-        (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", 0.0),
-        (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", None),
-        (lambda: batch_norm_layer("l", 2, _bn(2, rng)), "eps", float("nan")),
+        (bn, "eps", 0.0), (bn, "eps", None), (bn, "eps", float("nan")),
         (lambda: activation_layer("l", "leaky_relu"), "alpha", "abc"),
         (lambda: activation_layer("l", "leaky_relu"), "alpha", float("nan")),
         (lambda: activation_layer("l", "tanh"), "scale", float("inf")),
@@ -164,7 +168,19 @@ def _bad_array_cases():
         "short var": (bn, "var", np.ones(1)),
         "negative var": (bn, "var", negative_var),
         "short conv bias": (conv, "bias", np.zeros(1)),
+        # the arrays a layer holds must be exactly its kind's (None: drop)
+        "extra conv array": (conv, "scale", np.ones(2)),
+        "missing conv bias": (conv, "bias", None),
+        "activation weight": (lambda: activation_layer("l", "relu"),
+                              "weight", np.ones(1)),
     }
+
+
+def _put(arrays, key, value):
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value
 
 
 @pytest.mark.parametrize("case", sorted(_bad_array_cases()))
@@ -172,14 +188,14 @@ def test_graph_rejects_bad_parameter_arrays_before_any_layer_runs(
         case, monkeypatch):
     make, key, value = _bad_array_cases()[case]
     bad = make()
-    bad.arrays[key] = value
+    _put(bad.arrays, key, value)
     with pytest.raises(GraphError, match=r"layer 0 \('l', "):
         NetworkGraph([bad], in_channels=2)
     # the same fault put in after construction stops forward before the
     # layer ahead of it runs
     good = make()
     g = NetworkGraph([conv2d_layer("head", 2, 2, 1), good], in_channels=2)
-    good.arrays[key] = value
+    _put(good.arrays, key, value)
     counts = {}
     _counting(monkeypatch, conv_module, "conv2d", counts)
     with pytest.raises(GraphError, match=r"layer 1 \('l', "):

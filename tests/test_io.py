@@ -189,6 +189,18 @@ def test_load_rejects_retired_kinds(tmp_path, edit_vsm_header, kind, kind_id):
         load_model(path)
 
 
+def test_load_checks_the_whole_header_before_the_payload(tmp_path,
+                                                          edit_vsm_header):
+    path = tmp_path / "unknown.vsm"
+    save_model(_skip_graph(), path)
+    edit_vsm_header(path, lambda h: h["graphs"][0]["layers"][1].update(
+        kind="gelu"))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ModelFormatError,
+                       match="graph 'net' layer 1: unknown kind 'gelu'"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # ppm frames
 
