@@ -81,7 +81,7 @@ from .bench import (
     theoretical_fps,
     time_pipeline,
 )
-from .model_io import ModelFormatError, load_bundle, load_model, save_model
+from .model_io import ModelFormatError, load_bundle, save_model
 from .frame_io import (
     FrameFormatError,
     read_f32,

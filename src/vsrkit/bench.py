@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import metrics as qmetrics
-from .graph import NetworkGraph, fuse_conv_bn
+from .graph import fuse_conv_bn
 from .pipeline import model_geometry, upscale_steps
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
@@ -114,22 +114,20 @@ class BenchResult:
     flops_per_frame: int
 
 
-def time_pipeline(models, input_shape, frames: int, backend: str = "gemm",
+def time_pipeline(bundle, input_shape, frames: int, backend: str = "gemm",
                   fused: bool = False, warmup: int = 5,
                   seed: int = 0) -> BenchResult:
     """Steady-state FPS on a seeded synthetic sequence.
 
-    ``models`` is a single graph, or any bundle :func:`vsr_run` accepts
-    (a single net or a recurrent pair). Warm-up frames run first and are
-    not timed; each frame's time is the monotonic gap between consecutive
-    frames of :func:`upscale_steps`.
+    ``bundle`` is any name -> graph dict :func:`vsr_run` accepts (a single
+    net or a recurrent pair). Warm-up frames run first and are not timed;
+    each frame's time is the monotonic gap between consecutive frames of
+    :func:`upscale_steps`.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    bundle = {"net": models} if isinstance(models, NetworkGraph) \
-        else dict(models)
     if fused:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
     scale, _ = model_geometry(bundle)

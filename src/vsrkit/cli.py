@@ -148,18 +148,12 @@ def cmd_fuse_bn(args) -> None:
 
 
 def cmd_build_model(args) -> None:
-    if args.arch == "egvsr":
-        model = build_generator()
-        if args.init == "random-seeded":
-            model = {"fnet": init_random(model["fnet"], args.seed),
-                     "srnet": init_random(model["srnet"], args.seed + 1)}
-        total = sum(g.count_params() for g in model.values())
-    else:
-        graph = build_control_srnet(args.arch)
-        if args.init == "random-seeded":
-            graph = init_random(graph, args.seed)
-        model = graph
-        total = graph.count_params()
+    model = (build_generator() if args.arch == "egvsr"
+             else {"net": build_control_srnet(args.arch)})
+    if args.init == "random-seeded":
+        model = {k: init_random(g, args.seed + i)
+                 for i, (k, g) in enumerate(model.items())}
+    total = sum(g.count_params() for g in model.values())
     save_model(model, args.out)
     print(f"{args.arch} ({args.init}, seed {args.seed}): "
           f"{total} parameters -> {args.out}")

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import functools
 import logging
-import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import DTYPE, ShapeError, check_tensor, pad_zero
+from .tensor import DTYPE, ShapeError, check_int, check_tensor, pad_zero
 
 log = logging.getLogger(__name__)
 
@@ -59,14 +58,6 @@ WINOGRAD_AT = np.array(
      [0, 1, -1, -1]], dtype=DTYPE)
 
 
-def _int(name: str, v) -> int:
-    """``v`` as an int; anything else, even 2.0, raises ShapeError."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ShapeError(f"{name} must be an integer, got {v!r}") from None
-
-
 @dataclass
 class ConvKernel:
     """Weights and geometry of one 2-D convolution.
@@ -80,8 +71,8 @@ class ConvKernel:
     pad: int = 0
 
     def __post_init__(self):
-        self.stride = _int("stride", self.stride)
-        self.pad = _int("pad", self.pad)
+        self.stride = check_int(self.stride, "stride")
+        self.pad = check_int(self.pad, "pad")
         self.weights = np.asarray(self.weights, dtype=DTYPE)
         if self.weights.ndim != 4 or self.weights.shape[2] != self.weights.shape[3]:
             raise ShapeError(
@@ -187,7 +178,8 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     x = check_tensor(x, "im2col input")
     if x.shape[0] != 1:
         raise ShapeError(f"im2col expects a single image (n=1), got n={x.shape[0]}")
-    k, stride, pad = _int("k", k), _int("stride", stride), _int("pad", pad)
+    k, stride, pad = (check_int(k, "k"), check_int(stride, "stride"),
+                      check_int(pad, "pad"))
     if k < 1 or stride < 1 or pad < 0:
         raise ShapeError(f"invalid geometry k={k} stride={stride} pad={pad}")
     _, c, h, w = x.shape
@@ -366,7 +358,7 @@ def conv_transpose2d(x: np.ndarray, kern: ConvKernel, output_scale: int) -> np.n
     0 <= s - k + 2*pad < s so the output lands on exactly (h*s, w*s).
     """
     x = _check_conv_input(x, kern)
-    s = _int("output_scale", output_scale)
+    s = check_int(output_scale, "output_scale")
     k, p = kern.k, kern.pad
     opad = s - k + 2 * p
     if not 0 <= opad < s:

@@ -51,6 +51,11 @@ def write_ppm(path, frame: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(pixels.transpose(1, 2, 0)).tobytes())
 
 
+def _left(fh) -> int:
+    """Bytes left in ``fh``; caps each read a header sizes to the file."""
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_ppm_token(fh, path) -> bytes:
     """Next whitespace-delimited header token, skipping # comments."""
     token = b""
@@ -87,7 +92,7 @@ def read_ppm(path) -> np.ndarray:
         if maxval != 255:
             raise FrameFormatError(f"{path}: unsupported maxval {maxval}, "
                                    f"only 255 is accepted")
-        data = fh.read(3 * h * w)
+        data = fh.read(min(3 * h * w, _left(fh)))
     if len(data) != 3 * h * w:
         raise FrameFormatError(f"{path}: pixel data truncated, expected "
                                f"{3 * h * w} bytes, found {len(data)}")
@@ -123,7 +128,7 @@ def read_f32(path) -> np.ndarray:
         if n != 1 or min(c, h, w) < 1:
             raise FrameFormatError(f"{path}: bad frame shape "
                                    f"({n}, {c}, {h}, {w})")
-        data = fh.read(4 * c * h * w)
+        data = fh.read(min(4 * c * h * w, _left(fh)))
     if len(data) != 4 * c * h * w:
         raise FrameFormatError(f"{path}: payload truncated, expected "
                                f"{4 * c * h * w} bytes, found {len(data)}")

@@ -24,7 +24,7 @@ import numpy as np
 from . import conv as convops
 from . import tensor as tops
 from .conv import ConvKernel
-from .tensor import DTYPE, ShapeError
+from .tensor import DTYPE, ShapeError, check_int
 
 log = logging.getLogger(__name__)
 
@@ -124,48 +124,46 @@ def _check(ok: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 # layer constructors
 
+def _conv_layer(kind, name, ints: dict, weights, bias) -> Layer:
+    a = {key: check_int(v, key) for key, v in ints.items()}
+    if weights is None:
+        weights = np.zeros((a["c_out"], a["c_in"], a["k"], a["k"]), DTYPE)
+    if bias is None:
+        bias = np.zeros(a["c_out"], dtype=DTYPE)
+    return Layer(kind, name, a, {"weight": weights, "bias": bias})
+
+
 def conv2d_layer(name, c_in, c_out, k, stride=1, pad=None,
                  weights=None, bias=None) -> Layer:
     """3x3-style convolution layer; ``pad`` defaults to k//2 ("same")."""
     if pad is None:
-        pad = k // 2
-    if weights is None:
-        weights = np.zeros((c_out, c_in, k, k), dtype=DTYPE)
-    if bias is None:
-        bias = np.zeros(c_out, dtype=DTYPE)
-    return Layer("conv2d", name,
-                 {"c_in": int(c_in), "c_out": int(c_out), "k": int(k),
-                  "stride": int(stride), "pad": int(pad)},
-                 {"weight": weights, "bias": bias})
+        pad = check_int(k, "k") // 2
+    return _conv_layer("conv2d", name, dict(c_in=c_in, c_out=c_out, k=k,
+                                            stride=stride, pad=pad),
+                       weights, bias)
 
 
 def conv_transpose2d_layer(name, c_in, c_out, k, scale, pad,
                            weights=None, bias=None) -> Layer:
-    if weights is None:
-        weights = np.zeros((c_out, c_in, k, k), dtype=DTYPE)
-    if bias is None:
-        bias = np.zeros(c_out, dtype=DTYPE)
-    return Layer("conv_transpose2d", name,
-                 {"c_in": int(c_in), "c_out": int(c_out), "k": int(k),
-                  "scale": int(scale), "pad": int(pad)},
-                 {"weight": weights, "bias": bias})
+    return _conv_layer("conv_transpose2d", name,
+                       dict(c_in=c_in, c_out=c_out, k=k, scale=scale, pad=pad),
+                       weights, bias)
 
 
 def batch_norm_layer(name, c, params: BatchNormParams | None = None,
                      eps: float = 1e-5, frozen: bool = True) -> Layer:
+    c = check_int(c, "c")
     if params is None:
         params = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c),
                                  np.ones(c), eps=eps, frozen=frozen)
     return Layer("batch_norm", name,
-                 {"c": int(c), "eps": float(params.eps),
+                 {"c": c, "eps": float(params.eps),
                   "frozen": bool(params.frozen)},
                  {"gamma": params.gamma, "beta": params.beta,
                   "mean": params.mean, "var": params.var})
 
 
 def activation_layer(name, kind, alpha: float = 0.2, scale: float = 1.0) -> Layer:
-    if kind not in convops.ACTIVATIONS:
-        raise GraphError(f"unknown activation {kind!r}")
     return Layer("activation", name,
                  {"fn": kind, "alpha": float(alpha), "scale": float(scale)})
 
@@ -179,7 +177,7 @@ def bilinear_up_layer(name, scale: float = 2.0) -> Layer:
 
 
 def pixel_shuffle_layer(name, r: int) -> Layer:
-    return Layer("pixel_shuffle", name, {"r": int(r)})
+    return Layer("pixel_shuffle", name, {"r": check_int(r, "r")})
 
 
 def concat_layer(name, source: str) -> Layer:
@@ -237,7 +235,7 @@ class NetworkGraph:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.in_channels = int(self.in_channels)
+        self.in_channels = check_int(self.in_channels, "in_channels")
         if self.in_channels < 1:
             raise GraphError(f"in_channels must be >= 1, got {self.in_channels}")
         names = [ly.name for ly in self.layers]

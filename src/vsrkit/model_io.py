@@ -35,14 +35,13 @@ class ModelFormatError(ValueError):
     """Malformed model file; messages carry the byte offset of the fault."""
 
 
-def save_model(model, path) -> None:
-    """Serialize one graph, or a named bundle of graphs, to ``path``.
+def save_model(bundle, path) -> None:
+    """Serialize a bundle, a dict of name -> graph, to ``path``.
 
-    ``model`` is a :class:`NetworkGraph` (stored under the name "net") or a
-    dict of name -> graph. load_model(save_model(g)) rebuilds graphs whose
-    forward outputs are bit-identical.
+    load_bundle(save_model(bundle)) rebuilds graphs whose forward outputs
+    are bit-identical.
     """
-    graphs = {"net": model} if isinstance(model, NetworkGraph) else dict(model)
+    graphs = dict(bundle)
     if not graphs:
         raise ValueError("no graphs to save")
     header = {"graphs": []}
@@ -115,7 +114,7 @@ def _payload_elements(header: dict) -> int:
             if kind not in LAYER_KINDS:
                 raise ModelFormatError(f"{where}: unknown kind {kind!r}")
             kind_id, _, want = LAYER_KINDS[kind]
-            if ly.get("kind_id") != kind_id:
+            if type(ly.get("kind_id")) is not int or ly["kind_id"] != kind_id:
                 raise ModelFormatError(f"{where}: kind id {ly.get('kind_id')} "
                                        f"does not match {kind!r} ({kind_id})")
             if not isinstance(ly.get("attrs"), dict):
@@ -188,12 +187,9 @@ def _rebuild_graph(gname: str, gdesc: dict, payload: memoryview,
     return graph, cursor
 
 
-def load_model(path):
-    """Load a model file; returns a single graph, or a dict for bundles.
-
-    Files written by :func:`save_model` from one NetworkGraph come back as
-    one NetworkGraph; multi-graph bundles come back as name -> graph dicts.
-    """
+def load_bundle(path) -> dict:
+    """Load a model file written by :func:`save_model` as a dict of
+    name -> graph."""
     with open(path, "rb") as fh:
         header, payload_offset = _parse_header(fh)
         expected = _payload_elements(header) * 4
@@ -220,14 +216,4 @@ def load_model(path):
         graphs[gname], cursor = _rebuild_graph(gname, gdesc, view, cursor)
     if not graphs:
         raise ModelFormatError("model file contains no graphs")
-    if set(graphs) == {"net"}:
-        return graphs["net"]
     return graphs
-
-
-def load_bundle(path) -> dict:
-    """Like load_model but always returns a name -> graph dict."""
-    model = load_model(path)
-    if isinstance(model, NetworkGraph):
-        return {"net": model}
-    return model

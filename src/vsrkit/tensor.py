@@ -6,6 +6,8 @@ their inputs and are safe to call concurrently.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 DTYPE = np.float32
@@ -24,9 +26,17 @@ def _require(cond: bool, msg: str) -> None:
         raise ShapeError(msg)
 
 
+def check_int(v, name: str) -> int:
+    """``v`` as an int; anything else, even 2.0, raises ShapeError."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ShapeError(f"{name} must be an integer, got {v!r}") from None
+
+
 def tensor_new(shape, fill: float = 0.0) -> np.ndarray:
     """Create an NCHW tensor of the given shape, every element ``fill``."""
-    shape = tuple(int(d) for d in shape)
+    shape = tuple(check_int(d, "dim") for d in shape)
     _require(len(shape) == 4, f"expected 4 dims (n,c,h,w), got {shape}")
     _require(all(d >= 1 for d in shape), f"all dims must be >= 1, got {shape}")
     return np.full(shape, fill, dtype=DTYPE)
@@ -71,7 +81,7 @@ def space_to_depth(t: np.ndarray, block: int) -> np.ndarray:
     (dy, dx) lands in output channel c*block^2 + dy*block + dx.
     """
     t = check_tensor(t)
-    block = int(block)
+    block = check_int(block, "block")
     _require(block >= 1, f"block must be >= 1, got {block}")
     n, c, h, w = t.shape
     _require(
@@ -90,7 +100,7 @@ def pixel_shuffle(t: np.ndarray, r: int) -> np.ndarray:
     (n, c'*r^2 + dy*r + dx, y, x).
     """
     t = check_tensor(t)
-    r = int(r)
+    r = check_int(r, "upscale factor")
     _require(r >= 1, f"upscale factor must be >= 1, got {r}")
     n, c, h, w = t.shape
     _require(c % (r * r) == 0, f"channels {c} not divisible by r^2={r * r}")
@@ -103,10 +113,8 @@ def pixel_shuffle(t: np.ndarray, r: int) -> np.ndarray:
 def pad_zero(t: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two spatial axes by ``pad`` on every side."""
     t = check_tensor(t)
-    pad = int(pad)
+    pad = check_int(pad, "pad")
     _require(pad >= 0, f"pad must be >= 0, got {pad}")
-    if pad == 0:
-        return t.copy()
     return np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
@@ -119,7 +127,8 @@ def bilinear_resize(t: np.ndarray, scale: float) -> np.ndarray:
     """
     t = check_tensor(t)
     scale = float(scale)
-    _require(scale > 0, f"scale must be positive, got {scale}")
+    _require(0 < scale < np.inf,
+             f"scale must be positive and finite, got {scale}")
     n, c, h, w = t.shape
     oh = int(round(h * scale))
     ow = int(round(w * scale))

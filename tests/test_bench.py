@@ -108,7 +108,7 @@ def test_theoretical_fps_projections():
 
 def test_time_pipeline_single_graph():
     g = init_random(build_control_srnet("control-a"), 0)
-    res = time_pipeline(g, (1, 1, 12, 12), frames=3, warmup=1, seed=0)
+    res = time_pipeline({"net": g}, (1, 1, 12, 12), frames=3, warmup=1, seed=0)
     assert isinstance(res, BenchResult)
     assert res.frames == 3 and res.warmup == 1
     assert res.scale == 3
@@ -139,8 +139,8 @@ def test_time_pipeline_recurrent_bundle():
 
 def test_time_pipeline_cost_fields_are_run_independent():
     g = init_random(build_control_srnet("control-b"), 3)
-    a = time_pipeline(g, (1, 1, 10, 10), frames=2, warmup=0, seed=5)
-    b = time_pipeline(g, (1, 1, 10, 10), frames=2, warmup=0, seed=5)
+    a = time_pipeline({"net": g}, (1, 1, 10, 10), frames=2, warmup=0, seed=5)
+    b = time_pipeline({"net": g}, (1, 1, 10, 10), frames=2, warmup=0, seed=5)
     for field in ("arch", "height", "width", "scale", "backend", "fused",
                   "frames", "warmup", "macs_per_frame", "flops_per_frame"):
         assert getattr(a, field) == getattr(b, field), field
@@ -149,9 +149,9 @@ def test_time_pipeline_cost_fields_are_run_independent():
 def test_time_pipeline_validates_counts():
     g = build_control_srnet("control-a")
     with pytest.raises(ValueError):
-        time_pipeline(g, (1, 1, 8, 8), frames=0)
+        time_pipeline({"net": g}, (1, 1, 8, 8), frames=0)
     with pytest.raises(ValueError):
-        time_pipeline(g, (1, 1, 8, 8), frames=1, warmup=-1)
+        time_pipeline({"net": g}, (1, 1, 8, 8), frames=1, warmup=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from vsrkit import (
     conv2d_layer,
     evaluate_sequence,
     load_bundle,
-    load_model,
     luma,
     read_sequence,
     save_model,
@@ -59,9 +58,9 @@ def test_build_model_seeds_are_reproducible(tmp_path):
     main(["build-model", "--arch", "control-a", "--seed", "9", "--out", str(a)])
     main(["build-model", "--arch", "control-a", "--seed", "9", "--out", str(b)])
     main(["build-model", "--arch", "control-a", "--seed", "8", "--out", str(c)])
-    wa = load_model(a).layers[0].arrays["weight"]
-    wb = load_model(b).layers[0].arrays["weight"]
-    wc = load_model(c).layers[0].arrays["weight"]
+    wa = load_bundle(a)["net"].layers[0].arrays["weight"]
+    wb = load_bundle(b)["net"].layers[0].arrays["weight"]
+    wc = load_bundle(c)["net"].layers[0].arrays["weight"]
     assert np.array_equal(wa, wb)
     assert not np.array_equal(wa, wc)
 
@@ -70,7 +69,7 @@ def test_build_model_egvsr_bundle(tmp_path, capsys):
     out = tmp_path / "g.vsm"
     assert main(["build-model", "--arch", "egvsr", "--out", str(out)]) == 0
     assert "2546662 parameters" in capsys.readouterr().out
-    bundle = load_model(out)
+    bundle = load_bundle(out)
     assert set(bundle) == {"fnet", "srnet"}
 
 
@@ -138,7 +137,7 @@ def test_upscale_takes_the_luma_of_rgb_frames_for_a_1_channel_model(
     assert main(["upscale", "--model", str(control_model),
                  "--in", str(lr_dir), "--out", str(out_dir)]) == 0
     gray = luma(read_sequence(lr_dir))[:, None].astype(np.float32)
-    want = np.clip(vsr_run({"net": load_model(control_model)}, gray), 0, 1)
+    want = np.clip(vsr_run(load_bundle(control_model), gray), 0, 1)
     assert np.array_equal(read_sequence(out_dir), want)
 
 
@@ -264,8 +263,8 @@ def test_fuse_bn_preserves_outputs(tmp_path):
     fused_path = tmp_path / "fused.vsm"
     assert main(["fuse-bn", "--in", str(model),
                  "--out", str(fused_path)]) == 0
-    orig = load_model(model)
-    fused = load_model(fused_path)
+    orig = load_bundle(model)
+    fused = load_bundle(fused_path)
     assert len(fused["fnet"].layers) < len(orig["fnet"].layers)
     x = np.random.default_rng(1).random((1, 6, 16, 16), dtype=np.float32)
     a = orig["fnet"].forward(x)
@@ -429,8 +428,9 @@ def test_inspect_rejects_zero_conv_stride(tmp_path, capsys, edit_vsm_header):
 def test_fuse_bn_rejects_batch_norm_without_eps(tmp_path, capsys,
                                                 edit_vsm_header):
     model = tmp_path / "bn.vsm"
-    save_model(NetworkGraph([conv2d_layer("c", 2, 3, 3),
-                             batch_norm_layer("bn", 3)], in_channels=2), model)
+    save_model({"net": NetworkGraph([conv2d_layer("c", 2, 3, 3),
+                                     batch_norm_layer("bn", 3)],
+                                    in_channels=2)}, model)
     edit_vsm_header(model, _set_attr("batch_norm", "eps", None))
     assert main(["fuse-bn", "--in", str(model),
                  "--out", str(tmp_path / "f.vsm")]) == 1
@@ -468,7 +468,7 @@ def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
                       activation_layer("act", "leaky_relu")], in_channels=2)
     edit(next(ly for ly in g.layers if ly.name == name))
     model = tmp_path / "bad.vsm"
-    save_model(g, model)
+    save_model({"net": g}, model)
     argv = (["inspect", "--model", str(model)] if command == "inspect" else
             ["fuse-bn", "--in", str(model), "--out", str(tmp_path / "f.vsm")])
     assert main(argv) == 1
@@ -483,8 +483,8 @@ def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
 def test_inspect_rejects_integer_attributes_of_another_type(
         tmp_path, capsys, edit_vsm_header, key, value):
     model = tmp_path / "c.vsm"
-    save_model(NetworkGraph([conv2d_layer("c", 3, 3, 3)], in_channels=3),
-               model)
+    save_model({"net": NetworkGraph([conv2d_layer("c", 3, 3, 3)],
+                                    in_channels=3)}, model)
     edit_vsm_header(model, _set_attr("conv2d", key, value))
     code = main(["inspect", "--model", str(model), "--size", "8x8"])
     _assert_clean_error(code, capsys, f"graph 'net' fails validation: layer 0 "

@@ -157,6 +157,40 @@ def test_graph_rejects_bad_attributes_at_construction(make, key, value):
         NetworkGraph([layer], in_channels=c)
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: conv2d_layer("c", 3, 4, 3, stride=v), "stride", 1.7),
+    (lambda v: conv2d_layer("c", 3, 4, 3, pad=v), "pad", 0.9),
+    (lambda v: conv2d_layer("c", v, 4, 3), "c_in", 3.0),
+    (lambda v: conv2d_layer("c", 3, 4, v), "k", 2.5),
+    (lambda v: conv_transpose2d_layer("t", 2, 2, 4, v, 1), "scale", 2.5),
+    (lambda v: batch_norm_layer("bn", v), "c", 2.5),
+    (lambda v: pixel_shuffle_layer("p", v), "r", 2.6),
+    (lambda v: NetworkGraph([], in_channels=v), "in_channels", 2.5),
+])
+def test_constructors_reject_non_integer_counts(make, name, value):
+    # int() would store stride=1.7 as 1 and pad=0.9 as 0
+    with pytest.raises(ShapeError, match=f"{name} must be an integer, "
+                                         f"got {value!r}"):
+        make(value)
+
+
+def test_constructors_store_numpy_integers_as_ints():
+    three = np.int64(3)
+    conv = conv2d_layer("c", three, three, three, stride=np.int32(1))
+    g = NetworkGraph([conv, pixel_shuffle_layer("p", np.int64(1))],
+                     in_channels=three)
+    assert all(type(v) is int for v in conv.attrs.values())
+    assert conv.attrs["pad"] == 1 and conv.arrays["weight"].shape == (3,) * 4
+    assert type(g.in_channels) is int and type(g.layers[1].attrs["r"]) is int
+
+
+def test_unknown_activation_is_named_by_the_graph():
+    layer = activation_layer("act", "gelu")
+    with pytest.raises(GraphError, match=r"layer 0 \('act', activation\): "
+                                         r"unknown activation 'gelu'"):
+        NetworkGraph([layer], in_channels=1)
+
+
 def _bad_array_cases():
     rng = np.random.default_rng(26)
     bn = lambda: batch_norm_layer("l", 2, _bn(2, rng))

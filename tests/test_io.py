@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -17,9 +18,9 @@ from vsrkit import (
     build_generator,
     concat_layer,
     conv2d_layer,
+    conv_transpose2d_layer,
     init_random,
     load_bundle,
-    load_model,
     read_f32,
     read_ppm,
     read_sequence,
@@ -37,8 +38,8 @@ from vsrkit import (
 def test_model_roundtrip_single_graph(tmp_path):
     g = init_random(build_control_srnet("control-a"), 7)
     path = tmp_path / "net.vsm"
-    save_model(g, path)
-    loaded = load_model(path)
+    save_model({"net": g}, path)
+    loaded = load_bundle(path)["net"]
     assert [l.name for l in loaded.layers] == [l.name for l in g.layers]
     assert loaded.meta == g.meta
     for la, lb in zip(loaded.layers, g.layers):
@@ -56,7 +57,7 @@ def test_model_roundtrip_bundle(tmp_path):
     gen = {k: init_random(g, i) for i, (k, g) in enumerate(gen.items())}
     path = tmp_path / "gen.vsm"
     save_model(gen, path)
-    loaded = load_model(path)
+    loaded = load_bundle(path)
     assert set(loaded) == {"fnet", "srnet"}
     for name in gen:
         for la, lb in zip(loaded[name].layers, gen[name].layers):
@@ -67,7 +68,7 @@ def test_model_roundtrip_bundle(tmp_path):
 def test_load_bundle_always_returns_mapping(tmp_path):
     g = build_control_srnet("control-b")
     path = tmp_path / "one.vsm"
-    save_model(g, path)
+    save_model({"net": g}, path)
     bundle = load_bundle(path)
     assert isinstance(bundle, dict)
     assert len(bundle) == 1
@@ -77,18 +78,18 @@ def test_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.vsm"
     path.write_bytes(b"XXXX" + b"\x00" * 64)
     with pytest.raises(ModelFormatError, match="offset 0"):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_load_rejects_unsupported_version(tmp_path):
     g = build_control_srnet("control-a")
     path = tmp_path / "net.vsm"
-    save_model(g, path)
+    save_model({"net": g}, path)
     raw = bytearray(path.read_bytes())
     raw[4:8] = struct.pack("<I", 99)
     path.write_bytes(bytes(raw))
     with pytest.raises(ModelFormatError, match="version"):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_load_rejects_truncated_header(tmp_path):
@@ -96,17 +97,17 @@ def test_load_rejects_truncated_header(tmp_path):
     path.write_bytes(b"EGVS" + struct.pack("<I", 1) + struct.pack("<I", 500)
                      + b"{}")
     with pytest.raises(ModelFormatError):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_load_rejects_truncated_payload(tmp_path):
     g = init_random(build_control_srnet("control-a"), 1)
     path = tmp_path / "net.vsm"
-    save_model(g, path)
+    save_model({"net": g}, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-40])
     with pytest.raises(ModelFormatError, match="bytes"):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_load_checks_declared_payload_against_file_size(tmp_path,
@@ -114,7 +115,7 @@ def test_load_checks_declared_payload_against_file_size(tmp_path,
     # 4 TiB declared: reading it would raise MemoryError, not a format error
     g = init_random(build_control_srnet("control-a"), 3)
     path = tmp_path / "net.vsm"
-    save_model(g, path)
+    save_model({"net": g}, path)
     payload = sum(a.size for ly in g.layers for a in ly.arrays.values()) * 4
 
     def grow(header):
@@ -124,7 +125,7 @@ def test_load_checks_declared_payload_against_file_size(tmp_path,
     offset = path.stat().st_size - payload
     declared = payload + (2 ** 40 - 64 * 25) * 4
     with pytest.raises(ModelFormatError) as err:
-        load_model(path)
+        load_bundle(path)
     assert str(err.value) == (
         f"payload truncated at offset {offset + payload}: header declares "
         f"{declared} payload bytes from offset {offset}, file holds {payload}")
@@ -133,10 +134,10 @@ def test_load_checks_declared_payload_against_file_size(tmp_path,
 def test_load_rejects_trailing_bytes(tmp_path):
     g = init_random(build_control_srnet("control-a"), 2)
     path = tmp_path / "net.vsm"
-    save_model(g, path)
+    save_model({"net": g}, path)
     path.write_bytes(path.read_bytes() + b"\x00" * 8)
     with pytest.raises(ModelFormatError):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_load_rejects_corrupted_json(tmp_path):
@@ -145,7 +146,7 @@ def test_load_rejects_corrupted_json(tmp_path):
     path.write_bytes(b"EGVS" + struct.pack("<I", 1)
                      + struct.pack("<I", len(header)) + header)
     with pytest.raises(ModelFormatError):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_save_rejects_unknown_objects(tmp_path):
@@ -164,21 +165,21 @@ def test_saved_kind_ids_are_pinned(tmp_path):
     # the ids are part of the file format: retiring kinds 7 and 10 must not
     # renumber the kinds after them
     path = tmp_path / "skip.vsm"
-    save_model(_skip_graph(), path)
+    save_model({"net": _skip_graph()}, path)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12:12 + hlen])
     ids = {ly["kind"]: ly["kind_id"] for ly in header["graphs"][0]["layers"]}
     assert ids == {"conv2d": 0, "activation": 3, "residual_add": 9,
                    "concat": 8}
-    assert load_model(path).layers[3].kind == "concat"
+    assert load_bundle(path)["net"].layers[3].kind == "concat"
 
 
 @pytest.mark.parametrize("kind,kind_id", [("space_to_depth", 7),
                                           ("interpolation_resize", 10)])
 def test_load_rejects_retired_kinds(tmp_path, edit_vsm_header, kind, kind_id):
     path = tmp_path / "retired.vsm"
-    save_model(_skip_graph(), path)
+    save_model({"net": _skip_graph()}, path)
 
     def retire(header):
         layer = header["graphs"][0]["layers"][1]
@@ -186,19 +187,37 @@ def test_load_rejects_retired_kinds(tmp_path, edit_vsm_header, kind, kind_id):
 
     edit_vsm_header(path, retire)
     with pytest.raises(ModelFormatError, match=f"unknown kind '{kind}'"):
-        load_model(path)
+        load_bundle(path)
 
 
 def test_load_checks_the_whole_header_before_the_payload(tmp_path,
                                                           edit_vsm_header):
     path = tmp_path / "unknown.vsm"
-    save_model(_skip_graph(), path)
+    save_model({"net": _skip_graph()}, path)
     edit_vsm_header(path, lambda h: h["graphs"][0]["layers"][1].update(
         kind="gelu"))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ModelFormatError,
                        match="graph 'net' layer 1: unknown kind 'gelu'"):
-        load_model(path)
+        load_bundle(path)
+
+
+@pytest.mark.parametrize("layer, kind_id", [(0, 0.0), (0, False),
+                                            (1, True), (1, 1.0)])
+def test_load_requires_an_integer_kind_id(tmp_path, edit_vsm_header, layer,
+                                          kind_id):
+    # each value compares equal to the true id (conv2d 0, transposed 1)
+    path = tmp_path / "ids.vsm"
+    g = NetworkGraph([conv2d_layer("c", 2, 2, 3),
+                      conv_transpose2d_layer("t", 2, 2, 4, 2, 1)],
+                     in_channels=2)
+    save_model({"net": g}, path)
+    edit_vsm_header(path, lambda h: h["graphs"][0]["layers"][layer].update(
+        kind_id=kind_id))
+    with pytest.raises(ModelFormatError,
+                       match=rf"graph 'net' layer {layer}: kind id "
+                             rf"{kind_id} does not match"):
+        load_bundle(path)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +268,24 @@ def test_ppm_reader_rejects_bad_files(tmp_path):
     p3.write_bytes(b"P6\n2 2\n255\n" + bytes(5))
     with pytest.raises(FrameFormatError):
         read_ppm(p3)
+
+
+@pytest.mark.parametrize("name, header", [
+    ("0000.ppm", b"P6\n99999 99999\n255\n"),
+    ("0000.f32", struct.pack("<IIII", 1, 3, 60000, 60000)),
+])
+def test_frame_readers_size_the_read_from_the_file(tmp_path, name, header):
+    # a 30-byte file declaring a 30 GB frame: a read sized by the header
+    # would raise MemoryError, so it is capped at the bytes the file holds
+    path = tmp_path / name
+    path.write_bytes(header + bytes(8))
+    reader = read_ppm if name.endswith("ppm") else read_f32
+    with pytest.raises(FrameFormatError,
+                       match=rf"^{re.escape(str(path))}: .*truncated, "
+                             rf"expected \d+ bytes, found 8$"):
+        reader(path)
+    with pytest.raises(FrameFormatError, match=re.escape(str(path))):
+        read_sequence(tmp_path)
 
 
 # ---------------------------------------------------------------------------

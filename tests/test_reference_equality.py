@@ -389,7 +389,7 @@ def test_time_pipeline_times_the_gaps_between_frames(kind, monkeypatch):
     if kind == "recurrent":
         models, shape, arch = _egvsr(False), (1, 3, 16, 16), "srnet+fnet"
     else:
-        models, shape, arch = (build_control_srnet("control-a"),
+        models, shape, arch = ({"net": build_control_srnet("control-a")},
                                (1, 1, 12, 12), "control-a")
     res = time_pipeline(models, shape, frames=3, warmup=2)
     assert (res.arch, res.frames, res.warmup) == (arch, 3, 2)

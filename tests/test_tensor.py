@@ -104,6 +104,31 @@ def test_pad_zero_geometry_and_content():
     assert np.array_equal(out[:, :, 2:5, 2:5], t)
     assert float(out.sum()) == float(t.sum())
     assert np.array_equal(pad_zero(t, 0), t)
+    assert not np.shares_memory(pad_zero(t, 0), t)
+
+
+@pytest.mark.parametrize("op, name, value", [
+    (pixel_shuffle, "upscale factor", 2.6),
+    (pixel_shuffle, "upscale factor", 2.0),
+    (space_to_depth, "block", 2.5),
+    (pad_zero, "pad", 1.5),
+    (lambda t, v: tensor_new((1, 1, v, 2)), "dim", 2.5),
+])
+def test_counts_and_factors_must_be_integers(op, name, value):
+    # int() would truncate: pixel_shuffle(t, 2.6) would run with r=2
+    t = np.zeros((1, 4, 4, 4), dtype=np.float32)
+    with pytest.raises(ShapeError, match=f"{name} must be an integer, "
+                                         f"got {value!r}"):
+        op(t, value)
+
+
+def test_counts_and_factors_accept_numpy_integers():
+    t = np.arange(64, dtype=np.float32).reshape(1, 4, 4, 4)
+    two = np.int64(2)
+    assert np.array_equal(pixel_shuffle(t, two), pixel_shuffle(t, 2))
+    assert np.array_equal(space_to_depth(t, two), space_to_depth(t, 2))
+    assert np.array_equal(pad_zero(t, two), pad_zero(t, 2))
+    assert tensor_new((1, two, 2, 2)).shape == (1, 2, 2, 2)
 
 
 def _bilinear_ref(img, scale):
@@ -157,3 +182,7 @@ def test_bilinear_resize_rejects_bad_scale():
     t = np.zeros((1, 1, 4, 4), dtype=np.float32)
     with pytest.raises((ShapeError, ValueError)):
         bilinear_resize(t, 0.0)
+    # an infinite scale must not reach int(round(h * scale))
+    for scale in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ShapeError, match="positive and finite"):
+            bilinear_resize(t, scale)
