@@ -34,7 +34,6 @@ from .graph import (
     batch_norm_layer,
     batchnorm_forward,
     bilinear_up_layer,
-    bn_to_1x1,
     concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,

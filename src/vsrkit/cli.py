@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 
 import numpy as np
@@ -100,10 +101,19 @@ def _read_eval_report(path) -> tuple:
     except (TypeError, KeyError) as e:
         raise ValueError(f"{path}: not an eval report "
                          f"(missing sections/metrics)") from e
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: sections/metrics is not a list of rows")
     stem = path.rstrip("/").split("/")[-1].rsplit(".", 1)[0]
     values = {}
     label = stem
-    for row in rows:
+    for i, row in enumerate(rows):
+        if not (isinstance(row, dict) and isinstance(row.get("metric"), str)
+                and isinstance(row.get("value"), numbers.Real)
+                and not isinstance(row["value"], bool)
+                and isinstance(row.get("method", stem), str)):
+            raise ValueError(f"{path}: metrics row {i} is not an object with "
+                             f"a string 'metric', a number 'value' and an "
+                             f"optional string 'method'")
         label = row.get("method", stem)
         values[row["metric"]] = float(row["value"])
     if not values:

@@ -72,6 +72,9 @@ def _read_ppm_token(fh, path) -> bytes:
                 return token
             continue
         token += ch
+        if len(token) > 10:     # 10 digits hold any u32
+            raise FrameFormatError(f"{path}: header token {token!r}... is "
+                                   f"longer than 10 bytes")
 
 
 def read_ppm(path) -> np.ndarray:

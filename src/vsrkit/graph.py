@@ -76,18 +76,13 @@ class Layer:
 
 @dataclass
 class BatchNormParams:
-    """Inference-mode batch-norm parameters for one channel axis.
-
-    ``frozen`` marks the statistics as fixed running estimates; fusion is
-    only valid in that regime.
-    """
+    """Inference-mode batch-norm parameters for one channel axis."""
 
     gamma: np.ndarray
     beta: np.ndarray
     mean: np.ndarray
     var: np.ndarray
     eps: float = 1e-5
-    frozen: bool = True
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=DTYPE).ravel()
@@ -151,14 +146,12 @@ def conv_transpose2d_layer(name, c_in, c_out, k, scale, pad,
 
 
 def batch_norm_layer(name, c, params: BatchNormParams | None = None,
-                     eps: float = 1e-5, frozen: bool = True) -> Layer:
+                     eps: float = 1e-5) -> Layer:
     c = check_int(c, "c")
     if params is None:
         params = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c),
-                                 np.ones(c), eps=eps, frozen=frozen)
-    return Layer("batch_norm", name,
-                 {"c": c, "eps": float(params.eps),
-                  "frozen": bool(params.frozen)},
+                                 np.ones(c), eps=eps)
+    return Layer("batch_norm", name, {"c": c, "eps": float(params.eps)},
                  {"gamma": params.gamma, "beta": params.beta,
                   "mean": params.mean, "var": params.var})
 
@@ -203,24 +196,10 @@ def batchnorm_forward(x: np.ndarray, p: BatchNormParams) -> np.ndarray:
     return out
 
 
-def bn_to_1x1(p: BatchNormParams) -> ConvKernel:
-    """Express a frozen batch-norm as a diagonal 1x1 convolution.
-
-    Channel c gets weight gamma_c/sqrt(var_c + eps) on the diagonal and
-    bias beta_c - gamma_c*mean_c/sqrt(var_c + eps).
-    """
-    c = p.channels
-    scale, shift = p.affine()
-    weights = np.zeros((c, c, 1, 1), dtype=DTYPE)
-    weights[np.arange(c), np.arange(c), 0, 0] = scale.astype(DTYPE)
-    return ConvKernel(weights, shift.astype(DTYPE), stride=1, pad=0)
-
-
 def _bn_params_of(layer: Layer) -> BatchNormParams:
     return BatchNormParams(layer.arrays["gamma"], layer.arrays["beta"],
                            layer.arrays["mean"], layer.arrays["var"],
-                           eps=layer.attrs["eps"],
-                           frozen=bool(layer.attrs.get("frozen", True)))
+                           eps=layer.attrs["eps"])
 
 
 # ---------------------------------------------------------------------------
@@ -447,59 +426,39 @@ class CostReport:
 # fusion pass
 
 def fuse_conv_bn(graph: NetworkGraph) -> NetworkGraph:
-    """Fold every (conv2d -> batch_norm) pair into a single convolution.
+    """Fold each batch-norm into the conv2d emitted just before it.
 
-    With the batch-norm's per-channel (scale, shift) from
-    :meth:`BatchNormParams.affine`, output channel o of the fused conv gets
-    weights scaled by scale_o and bias b_o*scale_o + shift_o.
-
-    A batch-norm that does not directly follow a conv, or whose conv output
-    is referenced by a skip connection, is rewritten as an explicit
-    diagonal 1x1 conv instead. The input graph is never mutated; applying
-    the pass twice equals applying it once.
-
-    Raises :class:`GraphError` if any batch-norm carries non-frozen
-    statistics, since folding is only valid with fixed running estimates.
+    A batch-norm folds when the last layer emitted is a conv2d and no skip
+    reads the output of the layer before it in ``graph``, so a conv -> bn
+    -> bn run folds into one conv. With the batch-norm's per-channel
+    (scale, shift) from :meth:`BatchNormParams.affine`, output channel o of
+    the conv gets weights scaled by scale_o and bias b_o*scale_o + shift_o,
+    and skips that read the batch-norm read the conv. Every other layer,
+    including a batch-norm that cannot fold, is copied as it is. The input
+    graph is never mutated; applying the pass twice equals applying it once.
     """
     referenced = graph.referenced_sources()
     out_layers: list[Layer] = []
     renames: dict[str, str] = {}
     for i, ly in enumerate(graph.layers):
-        if ly.kind != "batch_norm":
-            out_layers.append(ly.copy())
-            continue
-        if not ly.attrs.get("frozen", True):
-            raise GraphError(
-                f"layer {i} ({ly.name!r}): batch-norm statistics are not "
-                f"frozen; fusion requires inference-mode running estimates")
-        p = _bn_params_of(ly)
-        prev = graph.layers[i - 1] if i else None
-        if (prev is not None and prev.kind == "conv2d"
-                and prev.name not in referenced):
-            # scale the copy of that conv appended one step ago, in place
-            conv = out_layers[-1].arrays
-            w, b = conv["weight"], conv["bias"]
-            scale, shift = p.affine()
+        last = out_layers[-1] if out_layers else None
+        if (ly.kind == "batch_norm" and last is not None
+                and last.kind == "conv2d"
+                and graph.layers[i - 1].name not in referenced):
+            # scale that conv's copy in place
+            w, b = last.arrays["weight"], last.arrays["bias"]
+            scale, shift = _bn_params_of(ly).affine()
             w[...] = w.astype(np.float64) * scale[:, None, None, None]
             b[...] = b.astype(np.float64) * scale + shift
-            # downstream skips that watched the BN output now watch the conv
-            renames[ly.name] = prev.name
-        else:
-            kern = bn_to_1x1(p)
-            out_layers.append(conv2d_layer(ly.name, p.channels, p.channels, 1,
-                                           stride=1, pad=0,
-                                           weights=kern.weights, bias=kern.bias))
-
+            renames[ly.name] = last.name
+            continue
+        ly = ly.copy()
+        if ly.attrs.get("source") in renames:
+            ly.attrs["source"] = renames[ly.attrs["source"]]
+        out_layers.append(ly)
     if renames:
-        for ly in out_layers:
-            src = ly.attrs.get("source")
-            if src in renames:
-                ly.attrs["source"] = renames[src]
-    fused_graph = NetworkGraph(out_layers, graph.in_channels, dict(graph.meta))
-    if len(fused_graph.layers) < len(graph.layers):
-        log.debug("fused %d batch-norm layers away",
-                  len(graph.layers) - len(fused_graph.layers))
-    return fused_graph
+        log.debug("fused %d batch-norm layers away", len(renames))
+    return NetworkGraph(out_layers, graph.in_channels, dict(graph.meta))
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,29 @@ def test_eval_report_keeps_per_frame_values_and_score_reads_the_metrics(
         score_table(table)
 
 
+@pytest.mark.parametrize("metrics", [
+    [{"value": 1.0}],
+    [{"metric": "psnr", "value": None}],
+    [{"metric": "psnr", "value": True}],
+    [{"metric": "psnr", "value": "30"}],
+    [{"metric": 3, "value": 1.0}],
+    [{"metric": "psnr", "value": 1.0, "method": 7}],
+    [{"metric": "psnr", "value": 1.0}, ["tof", 0.5]],
+    {"metric": "psnr", "value": 1.0},
+    "psnr",
+    [["psnr", 1.0]],
+], ids=["no metric", "null value", "bool value", "text value", "int metric",
+        "int method", "list row", "object", "string", "list of lists"])
+def test_score_names_a_malformed_report(tmp_path, capsys, metrics):
+    report = tmp_path / "bad.json"
+    report.write_text(json.dumps({"sections": {"metrics": metrics}}))
+    assert main(["score", "--reports", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(report) in err
+    if isinstance(metrics, list):
+        assert f"row {len(metrics) - 1}" in err
+
+
 # ---------------------------------------------------------------------------
 # fuse-bn
 

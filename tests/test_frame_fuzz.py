@@ -25,7 +25,8 @@ HUGE = (60000, 99999, 2 ** 32 - 1)
 
 # one message per reader branch; the loop must reach each of them
 BRANCHES = ("not a binary P6", "header ended prematurely", "non-numeric",
-            "empty image", "unsupported maxval", "pixel data truncated",
+            "empty image", "unsupported maxval", "longer than 10 bytes",
+            "pixel data truncated",
             "truncated shape header", "bad frame shape", "payload truncated",
             "non-finite")
 
@@ -99,3 +100,19 @@ def test_frame_mutations_end_in_named_errors(tmp_path):
     assert peak < 4 * 2 ** 20, peak
     missing = [b for b in BRANCHES if not any(b in m for m in messages)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("width", [b"9" * 5000, b"0" * 11, b"12345678901"],
+                         ids=["5000 digits", "11 zeros", "11 digits"])
+def test_ppm_header_tokens_longer_than_a_u32_are_named(tmp_path, width):
+    # the reader stops at byte 11, before int() sees the token
+    path = tmp_path / "long.ppm"
+    path.write_bytes(b"P6\n" + width + b" 4\n255\n" + bytes(3 * 4))
+    with pytest.raises(FrameFormatError, match="longer than 10 bytes") as e:
+        read_ppm(path)
+    assert str(e.value).startswith(str(path))
+    # ten digits still parse: the largest u32 is a truncated file, not a
+    # token fault
+    path.write_bytes(b"P6\n4294967295 1\n255\n" + bytes(3))
+    with pytest.raises(FrameFormatError, match="pixel data truncated"):
+        read_ppm(path)

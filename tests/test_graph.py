@@ -13,7 +13,6 @@ from vsrkit import (
     batch_norm_layer,
     batchnorm_forward,
     bilinear_up_layer,
-    bn_to_1x1,
     concat_layer,
     conv2d,
     conv2d_layer,
@@ -28,12 +27,11 @@ from vsrkit import conv as conv_module, graph as graph_module
 from vsrkit.graph import LAYER_KINDS
 
 
-def _bn(c, rng, frozen=True):
+def _bn(c, rng):
     return BatchNormParams(gamma=rng.uniform(0.5, 1.5, c),
                            beta=rng.normal(0, 0.3, c),
                            mean=rng.normal(0, 0.3, c),
-                           var=rng.uniform(0.2, 2.0, c),
-                           frozen=frozen)
+                           var=rng.uniform(0.2, 2.0, c))
 
 
 # ---------------------------------------------------------------------------
@@ -70,28 +68,14 @@ def test_batchnorm_params_validation():
         BatchNormParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[-1.0])
 
 
-def test_bn_to_1x1_closed_form():
-    # gamma 2, beta 3, zero mean, unit variance: weight -> 2, bias -> 3
+def test_batchnorm_affine_closed_form():
+    # gamma 2, beta 3, zero mean, unit variance: scale -> 2, shift -> 3
     p = BatchNormParams(gamma=[2.0], beta=[3.0], mean=[0.0], var=[1.0],
                         eps=1e-12)
-    kern = bn_to_1x1(p)
-    assert kern.weights.shape == (1, 1, 1, 1)
-    assert abs(float(kern.weights[0, 0, 0, 0]) - 2.0) < 1e-6
-    assert abs(float(kern.bias[0]) - 3.0) < 1e-6
-
-
-def test_bn_to_1x1_matches_batchnorm_forward():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        c = int(rng.integers(1, 6))
-        p = _bn(c, rng)
-        x = rng.random((2, c, 4, 5), dtype=np.float32)
-        via_conv = conv2d(x, bn_to_1x1(p))
-        direct = batchnorm_forward(x, p)
-        assert np.max(np.abs(via_conv - direct)) < 1e-6
-        # off-diagonal taps are zero: channels stay independent
-        w = bn_to_1x1(p).weights[:, :, 0, 0]
-        assert np.count_nonzero(w - np.diag(np.diag(w))) == 0
+    scale, shift = p.affine()
+    assert scale.shape == shift.shape == (1,)
+    assert abs(float(scale[0]) - 2.0) < 1e-6
+    assert abs(float(shift[0]) - 3.0) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -422,26 +406,15 @@ def test_fusion_is_idempotent_and_pure():
             assert np.array_equal(la.arrays[key], lb.arrays[key])
 
 
-def test_fusion_refuses_unfrozen_statistics():
-    rng = np.random.default_rng(9)
-    g = NetworkGraph([conv2d_layer("c", 2, 2, 3),
-                      batch_norm_layer("b", 2, _bn(2, rng, frozen=False))],
-                     in_channels=2)
-    with pytest.raises(GraphError, match="frozen"):
-        fuse_conv_bn(g)
-
-
 def test_fusion_keeps_skip_referenced_conv_output():
     # the concat reads the conv's pre-BN output, so folding the BN into the
-    # conv would change it; the BN becomes a 1x1 conv instead
+    # conv would change it; the BN stays a BN
     rng = np.random.default_rng(10)
     g = _conv_bn_graph(rng, with_skip=True)
     fused = fuse_conv_bn(g)
+    assert [l.kind for l in fused.layers] == [l.kind for l in g.layers]
     x = rng.random((1, 3, 8, 8), dtype=np.float32)
-    ref = g.forward(x)
-    dev = np.max(np.abs(fused.forward(x) - ref))
-    assert dev / max(float(np.max(np.abs(ref))), 1e-6) <= 1e-5
-    assert "batch_norm" not in [l.kind for l in fused.layers]
+    assert np.array_equal(fused.forward(x), g.forward(x))
 
 
 def test_fusion_converts_standalone_bn():
@@ -449,9 +422,9 @@ def test_fusion_converts_standalone_bn():
     g = NetworkGraph([batch_norm_layer("b", 3, _bn(3, rng)),
                       activation_layer("a", "relu")], in_channels=3)
     fused = fuse_conv_bn(g)
-    assert [l.kind for l in fused.layers] == ["conv2d", "activation"]
+    assert [l.kind for l in fused.layers] == ["batch_norm", "activation"]
     x = rng.random((1, 3, 4, 4), dtype=np.float32)
-    assert np.max(np.abs(fused.forward(x) - g.forward(x))) < 1e-5
+    assert np.array_equal(fused.forward(x), g.forward(x))
 
 
 def test_fusion_rewires_downstream_skip_names():

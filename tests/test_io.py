@@ -14,11 +14,13 @@ from vsrkit import (
     NetworkGraph,
     ShapeError,
     activation_layer,
+    batch_norm_layer,
     build_control_srnet,
     build_generator,
     concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,
+    fuse_conv_bn,
     init_random,
     load_bundle,
     read_f32,
@@ -218,6 +220,25 @@ def test_load_requires_an_integer_kind_id(tmp_path, edit_vsm_header, layer,
                        match=rf"graph 'net' layer {layer}: kind id "
                              rf"{kind_id} does not match"):
         load_bundle(path)
+
+
+def test_load_carries_a_legacy_frozen_key(tmp_path, edit_vsm_header):
+    # older files wrote "frozen" into every batch-norm; it is ignored
+    path = tmp_path / "legacy.vsm"
+    g = init_random(NetworkGraph([conv2d_layer("c", 2, 3, 3),
+                                  batch_norm_layer("b", 3)], in_channels=2), 4)
+    save_model({"net": g}, path)
+    edit_vsm_header(path, lambda h: h["graphs"][0]["layers"][1]["attrs"]
+                    .update(frozen=False))
+    loaded = load_bundle(path)["net"]
+    assert loaded.layers[1].attrs["frozen"] is False
+    fused = fuse_conv_bn(loaded)
+    assert [l.kind for l in fused.layers] == ["conv2d"]
+    x = np.random.default_rng(1).random((1, 2, 6, 7), dtype=np.float32)
+    ref = g.forward(x)
+    assert np.array_equal(loaded.forward(x), ref)
+    dev = np.max(np.abs(fused.forward(x) - ref))
+    assert dev / max(float(np.max(np.abs(ref))), 1e-6) <= 1e-5
 
 
 # ---------------------------------------------------------------------------

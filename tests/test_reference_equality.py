@@ -505,35 +505,31 @@ def test_count_flops_equals_reference(arch):
 # batch-norm fusion
 
 def _reference_fuse(g):
-    """The two-index fusion loop: a conv and the batch-norm right after it
-    are consumed together, any other batch-norm becomes a 1x1 conv."""
+    """The two-index fusion loop: a conv consumes the run of batch-norms
+    right after it while no skip reads the conv or an earlier member of the
+    run; every other layer is copied."""
     referenced = g.referenced_sources()
     out, renames, i = [], {}, 0
     while i < len(g.layers):
         ly = g.layers[i]
-        nxt = g.layers[i + 1] if i + 1 < len(g.layers) else None
-        if (ly.kind == "conv2d" and nxt is not None
-                and nxt.kind == "batch_norm" and ly.name not in referenced):
-            scale, shift = graph._bn_params_of(nxt).affine()
-            w = ly.arrays["weight"].astype(np.float64) * scale[:, None, None, None]
-            b = ly.arrays["bias"].astype(np.float64) * scale + shift
-            out.append(graph.conv2d_layer(
-                ly.name, ly.attrs["c_in"], ly.attrs["c_out"], ly.attrs["k"],
-                stride=ly.attrs["stride"], pad=ly.attrs["pad"],
-                weights=w.astype(DTYPE), bias=b.astype(DTYPE)))
-            renames[nxt.name] = ly.name
-            i += 2
-            continue
-        if ly.kind == "batch_norm":
-            p = graph._bn_params_of(ly)
-            kern = graph.bn_to_1x1(p)
-            out.append(graph.conv2d_layer(ly.name, p.channels, p.channels, 1,
-                                          stride=1, pad=0,
-                                          weights=kern.weights,
-                                          bias=kern.bias))
-        else:
+        j = i + 1
+        if ly.kind != "conv2d":
             out.append(ly.copy())
-        i += 1
+            i = j
+            continue
+        w, b = ly.arrays["weight"], ly.arrays["bias"]
+        while (j < len(g.layers) and g.layers[j].kind == "batch_norm"
+               and g.layers[j - 1].name not in referenced):
+            scale, shift = graph._bn_params_of(g.layers[j]).affine()
+            w = (w.astype(np.float64) * scale[:, None, None, None]).astype(DTYPE)
+            b = (b.astype(np.float64) * scale + shift).astype(DTYPE)
+            renames[g.layers[j].name] = ly.name
+            j += 1
+        out.append(graph.conv2d_layer(
+            ly.name, ly.attrs["c_in"], ly.attrs["c_out"], ly.attrs["k"],
+            stride=ly.attrs["stride"], pad=ly.attrs["pad"],
+            weights=w, bias=b))
+        i = j
     for ly in out:
         if ly.attrs.get("source") in renames:
             ly.attrs["source"] = renames[ly.attrs["source"]]
@@ -553,6 +549,9 @@ def _fusion_cases():
                                   bn("b1", 4)],
         "conv-bn-bn": [conv2d("c1", 3, 4, 3), bn("b1", 4), bn("b2", 4),
                        graph.concat_layer("cat", source="b2")],
+        "conv-bn-bn-bn read mid-run": [conv2d("c1", 3, 4, 3), bn("b1", 4),
+                                       bn("b2", 4), bn("b3", 4),
+                                       graph.concat_layer("cat", source="b1")],
     }
     cases = {name: init_random(graph.NetworkGraph(layers, in_channels=3), 30)
              for name, layers in small.items()}
