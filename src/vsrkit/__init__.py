@@ -44,8 +44,6 @@ from .graph import (
     residual_add_layer,
 )
 from .models import (
-    FNetConfig,
-    SRNetConfig,
     build_control_srnet,
     build_fnet,
     build_generator,

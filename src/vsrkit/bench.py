@@ -25,6 +25,7 @@ import numpy as np
 from . import metrics as qmetrics
 from .graph import fuse_conv_bn
 from .pipeline import model_geometry, upscale_steps
+from .tensor import check_int
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
 # 300 MHz clock; the per-row peaks it implies are pinned in tests.
@@ -43,10 +44,10 @@ DEFAULT_PROFILE_ROWS = (
 
 def conv_flops(ci: int, hi: int, wi: int, k: int, co: int) -> int:
     """Multiply count ci*hi*wi*k^2*co of a dense conv over an hi x wi input."""
-    vals = (ci, hi, wi, k, co)
-    if any(int(v) < 1 for v in vals):
+    vals = tuple(check_int(v, "factor") for v in (ci, hi, wi, k, co))
+    if any(v < 1 for v in vals):
         raise ValueError(f"all factors must be positive, got {vals}")
-    ci, hi, wi, k, co = (int(v) for v in vals)
+    ci, hi, wi, k, co = vals
     return ci * hi * wi * k * k * co
 
 
@@ -67,8 +68,9 @@ class FpgaProfile:
                 raise ValueError(f"profile row {row} has non-positive entries")
 
     def row(self, input_size: int):
+        n = check_int(input_size, "input_size")
         for r in self.rows:
-            if r[0] == int(input_size):
+            if r[0] == n:
                 return r
         sizes = [r[0] for r in self.rows]
         raise ValueError(f"no profile row for input size {input_size}, "
@@ -114,15 +116,16 @@ class BenchResult:
     flops_per_frame: int
 
 
-def time_pipeline(bundle, input_shape, frames: int, backend: str = "gemm",
+def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
                   fused: bool = False, warmup: int = 5,
                   seed: int = 0) -> BenchResult:
-    """Steady-state FPS on a seeded synthetic sequence.
+    """Steady-state FPS on a seeded synthetic sequence of ``size`` =
+    (height, width) frames.
 
     ``bundle`` is any name -> graph dict :func:`vsr_run` accepts (a single
-    net or a recurrent pair). Warm-up frames run first and are not timed;
-    each frame's time is the monotonic gap between consecutive frames of
-    :func:`upscale_steps`.
+    net or a recurrent pair); it fixes the frames' channel count. Warm-up
+    frames run first and are not timed; each frame's time is the monotonic
+    gap between consecutive frames of :func:`upscale_steps`.
     """
     if frames < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
@@ -130,11 +133,11 @@ def time_pipeline(bundle, input_shape, frames: int, backend: str = "gemm",
         raise ValueError(f"warmup must be >= 0, got {warmup}")
     if fused:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
-    scale, _ = model_geometry(bundle)
+    scale, c = model_geometry(bundle)
     # graph names in reverse order: a recurrent pair reads <srnet>+<fnet>
     arch = "+".join(str(bundle[k].meta.get("arch", k))
                     for k in sorted(bundle, reverse=True))
-    n, c, h, w = (int(v) for v in input_shape)
+    h, w = (check_int(v, "size") for v in size)
     rng = np.random.default_rng(seed)
     seq = rng.random((frames + warmup, c, h, w), dtype=np.float32)
 
@@ -147,7 +150,7 @@ def time_pipeline(bundle, input_shape, frames: int, backend: str = "gemm",
     times = times[warmup:]
 
     wall = float(sum(times))
-    # model_geometry checked that each graph takes (n, in_channels, h, w)
+    # model_geometry checked that each graph takes (1, in_channels, h, w)
     reps = [g.count_flops((1, g.in_channels, h, w)) for g in bundle.values()]
     macs, flops = sum(r.mac_total for r in reps), sum(r.flops for r in reps)
     return BenchResult(arch=arch, height=h, width=w, scale=scale,

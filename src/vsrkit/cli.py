@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 
@@ -62,8 +63,7 @@ def cmd_upscale(args) -> None:
 def cmd_bench(args) -> dict:
     bundle = load_bundle(args.model)
     w, h = _parse_size(args.size)
-    _, c = model_geometry(bundle)
-    result = benchmod.time_pipeline(bundle, (1, c, h, w), args.frames,
+    result = benchmod.time_pipeline(bundle, (h, w), args.frames,
                                     backend=args.conv, fused=args.fuse_bn,
                                     warmup=args.warmup, seed=args.seed)
     print(f"{result.arch} {w}x{h} backend={result.backend} "
@@ -95,7 +95,10 @@ def cmd_eval(args) -> dict:
 
 def _read_eval_report(path) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise ValueError(f"{path}: not a JSON report: {e}") from e
     try:
         rows = doc["sections"]["metrics"]
     except (TypeError, KeyError) as e:
@@ -110,10 +113,11 @@ def _read_eval_report(path) -> tuple:
         if not (isinstance(row, dict) and isinstance(row.get("metric"), str)
                 and isinstance(row.get("value"), numbers.Real)
                 and not isinstance(row["value"], bool)
+                and math.isfinite(row["value"])
                 and isinstance(row.get("method", stem), str)):
             raise ValueError(f"{path}: metrics row {i} is not an object with "
-                             f"a string 'metric', a number 'value' and an "
-                             f"optional string 'method'")
+                             f"a string 'metric', a finite number 'value' "
+                             f"and an optional string 'method'")
         label = row.get("method", stem)
         values[row["metric"]] = float(row["value"])
     if not values:

@@ -348,8 +348,8 @@ def conv2d(x: np.ndarray, kern: ConvKernel, backend: str = "gemm") -> np.ndarray
     return fn(x, kern)
 
 
-def conv_transpose2d(x: np.ndarray, kern: ConvKernel, output_scale: int) -> np.ndarray:
-    """Transposed convolution producing an exactly ``output_scale``-times
+def conv_transpose2d(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
+    """Transposed convolution producing an exactly ``kern.stride``-times
     larger output.
 
     This is the adjoint of the corresponding strided convolution: input
@@ -358,8 +358,7 @@ def conv_transpose2d(x: np.ndarray, kern: ConvKernel, output_scale: int) -> np.n
     0 <= s - k + 2*pad < s so the output lands on exactly (h*s, w*s).
     """
     x = _check_conv_input(x, kern)
-    s = check_int(output_scale, "output_scale")
-    k, p = kern.k, kern.pad
+    k, s, p = kern.k, kern.stride, kern.pad
     opad = s - k + 2 * p
     if not 0 <= opad < s:
         raise ShapeError(

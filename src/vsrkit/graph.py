@@ -145,12 +145,11 @@ def conv_transpose2d_layer(name, c_in, c_out, k, scale, pad,
                        weights, bias)
 
 
-def batch_norm_layer(name, c, params: BatchNormParams | None = None,
-                     eps: float = 1e-5) -> Layer:
+def batch_norm_layer(name, c, params: BatchNormParams | None = None) -> Layer:
     c = check_int(c, "c")
     if params is None:
         params = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c),
-                                 np.ones(c), eps=eps)
+                                 np.ones(c))
     return Layer("batch_norm", name, {"c": c, "eps": float(params.eps)},
                  {"gamma": params.gamma, "beta": params.beta,
                   "mean": params.mean, "var": params.var})
@@ -281,8 +280,7 @@ class NetworkGraph:
             want = (a["c_out"], a["c_in"], k, k)
             if tuple(wt.shape) != want:
                 raise ShapeError(f"weight shape {wt.shape} != declared {want}")
-            kern = ConvKernel(wt, ly.arrays["bias"],
-                              stride=s if ly.kind == "conv2d" else 1, pad=p)
+            kern = ConvKernel(wt, ly.arrays["bias"], stride=s, pad=p)
             # conv2d costs per output pixel, conv_transpose2d per input pixel
             macs = a["c_in"] * k ** 2 * a["c_out"]
             if ly.kind == "conv2d":
@@ -295,7 +293,7 @@ class NetworkGraph:
             else:
                 if sized:
                     h, w = h * s, w * s
-                run = lambda x, saved: convops.conv_transpose2d(x, kern, s)
+                run = lambda x, saved: convops.conv_transpose2d(x, kern)
             return (a["c_out"], h, w), macs * hw, 0, run
         if ly.kind == "batch_norm":
             bn = _bn_params_of(ly)
@@ -381,7 +379,7 @@ class NetworkGraph:
 
     def infer_shapes(self, input_shape) -> list:
         """Per-layer output shapes (c, h, w) for a given input shape."""
-        n, c, h, w = (int(v) for v in input_shape)
+        n, c, h, w = (check_int(v, "input_shape") for v in input_shape)
         return [step[0] for step in self._plan((c, h, w))]
 
     def count_flops(self, input_shape):
@@ -392,7 +390,7 @@ class NetworkGraph:
         element; activations, pooling, resizing and residual adds count one
         op per output element; pure data movement costs nothing.
         """
-        n, c, h, w = (int(v) for v in input_shape)
+        n, c, h, w = (check_int(v, "input_shape") for v in input_shape)
         per_layer = [{"name": ly.name, "kind": ly.kind, "out_shape": (n, *shape),
                       "params": ly.param_count(),
                       "macs": n * m, "pointwise_ops": n * e}

@@ -332,10 +332,12 @@ class RandomFeatureDistance:
     """
 
     WIDTHS = (8, 16, 24)
+    SEED = 2024
 
-    def __init__(self, seed: int = 2024):
-        rng = np.random.default_rng(seed)
-        self.name = f"random-conv-{'x'.join(map(str, self.WIDTHS))}-seed{seed}"
+    def __init__(self):
+        rng = np.random.default_rng(self.SEED)
+        self.name = (f"random-conv-{'x'.join(map(str, self.WIDTHS))}"
+                     f"-seed{self.SEED}")
         self.kernels = []
         c_in = 3
         for c_out in self.WIDTHS:
@@ -439,14 +441,15 @@ def normalize_metric(rec: MetricRecord) -> float:
 
 @dataclass
 class ScoreWeights:
-    """Per-metric combination weights; non-negative, summing to 1."""
+    """Per-metric combination weights; finite, non-negative, summing to 1."""
 
     weights: dict
 
     def __post_init__(self):
         self.weights = {k: float(v) for k, v in self.weights.items()}
-        if any(v < 0 for v in self.weights.values()):
-            raise ValueError("weights must be non-negative")
+        if not all(0 <= v < math.inf for v in self.weights.values()):
+            raise ValueError(f"weights must be finite and non-negative, "
+                             f"got {self.weights}")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total!r}")

@@ -47,6 +47,8 @@ def save_model(bundle, path) -> None:
     header = {"graphs": []}
     chunks = []
     for gname, graph in graphs.items():
+        if not isinstance(gname, str):
+            raise ModelFormatError(f"graph name {gname!r} is not a string")
         if not isinstance(graph, NetworkGraph):
             raise TypeError(f"graph {gname!r} is {type(graph).__name__}, "
                             f"expected NetworkGraph")
@@ -80,10 +82,6 @@ def save_model(bundle, path) -> None:
             fh.write(chunk)
 
 
-def _graph_name(gdesc: dict, index: int) -> str:
-    return str(gdesc.get("name", f"graph{index}"))
-
-
 def _payload_elements(header: dict) -> int:
     """Check the structure of a parsed header and return the number of
     float32 values its arrays declare. Every fault names its graph and
@@ -94,7 +92,10 @@ def _payload_elements(header: dict) -> int:
         raise ModelFormatError("header 'graphs' must be a list of objects")
     total = 0
     for gi, g in enumerate(graphs):
-        gname = _graph_name(g, gi)
+        gname = g.get("name")
+        if not isinstance(gname, str):
+            raise ModelFormatError(f"graph {gi}: 'name' is missing or not a "
+                                   f"string")
         if type(g.get("in_channels")) is not int:
             raise ModelFormatError(f"graph {gname!r}: 'in_channels' must be "
                                    f"an integer")
@@ -210,7 +211,7 @@ def load_bundle(path) -> dict:
     graphs = {}
     cursor = 0
     for gdesc in header["graphs"]:
-        gname = _graph_name(gdesc, len(graphs))
+        gname = gdesc["name"]
         if gname in graphs:
             raise ModelFormatError(f"duplicate graph name {gname!r}")
         graphs[gname], cursor = _rebuild_graph(gname, gdesc, view, cursor)

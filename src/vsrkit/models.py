@@ -16,8 +16,6 @@ cost and behavior of the three standard upsampling strategies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import (
     NetworkGraph,
     activation_layer,
@@ -33,75 +31,67 @@ from .graph import (
 CONTROL_VARIANTS = ("control-a", "control-b", "control-c")
 ARCH_NAMES = ("egvsr",) + CONTROL_VARIANTS
 
-
-@dataclass(frozen=True)
-class FNetConfig:
-    in_channels: int = 6
-    encoder_widths: tuple = (32, 64, 128)
-    decoder_widths: tuple = (256, 128, 64)
-    head_width: int = 32
-    leaky_alpha: float = 0.2
-    max_flow: float = 24.0
-
-
-@dataclass(frozen=True)
-class SRNetConfig:
-    frame_channels: int = 3
-    width: int = 64
-    num_blocks: int = 10
-    scale: int = 4
-
-    @property
-    def in_channels(self) -> int:
-        # current frame plus the space-to-depth packing of the warped output
-        return self.frame_channels * (1 + self.scale * self.scale)
+# the egvsr generator: frames of FRAME_CHANNELS channels upscaled x SCALE
+FRAME_CHANNELS = 3
+SCALE = 4
+# flow net: encoder and decoder unit widths, head width, leaky-relu slope,
+# and the tanh bound on the flow in pixels
+FNET_ENCODER_WIDTHS = (32, 64, 128)
+FNET_DECODER_WIDTHS = (256, 128, 64)
+FNET_HEAD_WIDTH = 32
+LEAKY_ALPHA = 0.2
+MAX_FLOW = 24.0
+# reconstruction net: trunk width and residual block count
+SRNET_WIDTH = 64
+SRNET_BLOCKS = 10
 
 
-def build_fnet(cfg: FNetConfig = FNetConfig()) -> NetworkGraph:
+def build_fnet() -> NetworkGraph:
     """Flow estimator: 3 pooling encoder units, 3 upsampling decoder units,
-    then a 2-channel head with tanh output scaled to +-max_flow pixels."""
-    alpha = cfg.leaky_alpha
+    then a 2-channel head with tanh output scaled to +-MAX_FLOW pixels."""
     layers = []
-    c = cfg.in_channels
+    c = in_c = 2 * FRAME_CHANNELS
 
     def unit(tag, c_in, width, tail):
         steps = [
             conv2d_layer(f"{tag}_conv1", c_in, width, 3),
             batch_norm_layer(f"{tag}_bn1", width),
-            activation_layer(f"{tag}_act1", "leaky_relu", alpha=alpha),
+            activation_layer(f"{tag}_act1", "leaky_relu", alpha=LEAKY_ALPHA),
             conv2d_layer(f"{tag}_conv2", width, width, 3),
             batch_norm_layer(f"{tag}_bn2", width),
-            activation_layer(f"{tag}_act2", "leaky_relu", alpha=alpha),
+            activation_layer(f"{tag}_act2", "leaky_relu", alpha=LEAKY_ALPHA),
         ]
         steps.append(tail)
         return steps
 
-    for i, width in enumerate(cfg.encoder_widths, start=1):
+    for i, width in enumerate(FNET_ENCODER_WIDTHS, start=1):
         layers += unit(f"enc{i}", c, width, maxpool2_layer(f"enc{i}_pool"))
         c = width
-    for i, width in enumerate(cfg.decoder_widths, start=1):
+    for i, width in enumerate(FNET_DECODER_WIDTHS, start=1):
         layers += unit(f"dec{i}", c, width, bilinear_up_layer(f"dec{i}_up"))
         c = width
     layers += [
-        conv2d_layer("head_conv1", c, cfg.head_width, 3),
-        activation_layer("head_act", "leaky_relu", alpha=alpha),
-        conv2d_layer("head_conv2", cfg.head_width, 2, 3),
-        activation_layer("flow_tanh", "tanh", scale=cfg.max_flow),
+        conv2d_layer("head_conv1", c, FNET_HEAD_WIDTH, 3),
+        activation_layer("head_act", "leaky_relu", alpha=LEAKY_ALPHA),
+        conv2d_layer("head_conv2", FNET_HEAD_WIDTH, 2, 3),
+        activation_layer("flow_tanh", "tanh", scale=MAX_FLOW),
     ]
-    return NetworkGraph(layers, cfg.in_channels,
-                        meta={"arch": "fnet", "max_flow": cfg.max_flow})
+    return NetworkGraph(layers, in_c,
+                        meta={"arch": "fnet", "max_flow": MAX_FLOW})
 
 
-def build_srnet(cfg: SRNetConfig = SRNetConfig()) -> NetworkGraph:
+def build_srnet() -> NetworkGraph:
     """Reconstruction net: entry conv, identity residual blocks, sub-pixel
-    x`scale` upsampling, and a final frame-space conv."""
-    w = cfg.width
+    x SCALE upsampling, and a final frame-space conv."""
+    w = SRNET_WIDTH
+    # current frame plus the space-to-depth packing of the warped output
+    in_c = FRAME_CHANNELS * (1 + SCALE * SCALE)
     layers = [
-        conv2d_layer("in_conv", cfg.in_channels, w, 3),
+        conv2d_layer("in_conv", in_c, w, 3),
         activation_layer("in_act", "relu"),
     ]
     skip = "in_act"
-    for i in range(1, cfg.num_blocks + 1):
+    for i in range(1, SRNET_BLOCKS + 1):
         layers += [
             conv2d_layer(f"b{i}_conv1", w, w, 3),
             activation_layer(f"b{i}_act", "relu"),
@@ -109,16 +99,15 @@ def build_srnet(cfg: SRNetConfig = SRNetConfig()) -> NetworkGraph:
             residual_add_layer(f"b{i}_add", skip),
         ]
         skip = f"b{i}_add"
-    up_c = cfg.frame_channels * cfg.scale * cfg.scale
     layers += [
-        conv2d_layer("up_conv", w, up_c, 3),
-        pixel_shuffle_layer("up_shuffle", cfg.scale),
+        conv2d_layer("up_conv", w, FRAME_CHANNELS * SCALE * SCALE, 3),
+        pixel_shuffle_layer("up_shuffle", SCALE),
         activation_layer("up_act", "relu"),
-        conv2d_layer("out_conv", cfg.frame_channels, cfg.frame_channels, 3),
+        conv2d_layer("out_conv", FRAME_CHANNELS, FRAME_CHANNELS, 3),
     ]
-    return NetworkGraph(layers, cfg.in_channels,
-                        meta={"arch": "srnet", "scale": cfg.scale,
-                              "frame_channels": cfg.frame_channels})
+    return NetworkGraph(layers, in_c,
+                        meta={"arch": "srnet", "scale": SCALE,
+                              "frame_channels": FRAME_CHANNELS})
 
 
 CONTROL_SCALE = 3
@@ -164,7 +153,6 @@ def build_control_srnet(variant: str) -> NetworkGraph:
                                          "frame_channels": 1})
 
 
-def build_generator(fnet_cfg: FNetConfig = FNetConfig(),
-                    srnet_cfg: SRNetConfig = SRNetConfig()) -> dict:
+def build_generator() -> dict:
     """The full recurrent generator as a named pair of graphs."""
-    return {"fnet": build_fnet(fnet_cfg), "srnet": build_srnet(srnet_cfg)}
+    return {"fnet": build_fnet(), "srnet": build_srnet()}

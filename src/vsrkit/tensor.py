@@ -27,19 +27,21 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def check_int(v, name: str) -> int:
-    """``v`` as an int; anything else, even 2.0, raises ShapeError."""
+    """``v`` as an int; anything else, even 2.0 or True, raises ShapeError."""
     try:
-        return operator.index(v)
+        if not isinstance(v, bool):
+            return operator.index(v)
     except TypeError:
-        raise ShapeError(f"{name} must be an integer, got {v!r}") from None
+        pass
+    raise ShapeError(f"{name} must be an integer, got {v!r}")
 
 
-def tensor_new(shape, fill: float = 0.0) -> np.ndarray:
-    """Create an NCHW tensor of the given shape, every element ``fill``."""
+def tensor_new(shape) -> np.ndarray:
+    """Create a zero NCHW tensor of the given shape."""
     shape = tuple(check_int(d, "dim") for d in shape)
     _require(len(shape) == 4, f"expected 4 dims (n,c,h,w), got {shape}")
     _require(all(d >= 1 for d in shape), f"all dims must be >= 1, got {shape}")
-    return np.full(shape, fill, dtype=DTYPE)
+    return np.zeros(shape, dtype=DTYPE)
 
 
 def check_tensor(t: np.ndarray, name: str = "tensor") -> np.ndarray:

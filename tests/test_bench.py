@@ -13,6 +13,7 @@ import pytest
 from vsrkit import (
     BenchResult,
     FpgaProfile,
+    ShapeError,
     build_control_srnet,
     build_fnet,
     build_srnet,
@@ -42,6 +43,24 @@ def test_conv_flops_rejects_nonpositive_dims():
         conv_flops(0, 4, 4, 3, 1)
     with pytest.raises(ValueError):
         conv_flops(1, 4, 4, -3, 1)
+
+
+@pytest.mark.parametrize("args", [(1.5, 4, 4, 3, 1), (1, 4, 4.0, 3, 1),
+                                  (1, 4, 4, 3, True)])
+def test_conv_flops_rejects_non_integer_factors(args):
+    # int() would return 144 for conv_flops(1.5, 4, 4, 3, 1)
+    with pytest.raises(ShapeError, match="factor must be an integer"):
+        conv_flops(*args)
+
+
+@pytest.mark.parametrize("size", [4.9, 4.0, True])
+def test_fpga_rows_are_looked_up_by_integer_size(size):
+    # int() would read the n=4 row for 4.9
+    profile = FpgaProfile()
+    with pytest.raises(ShapeError, match="input_size must be an integer"):
+        profile.row(size)
+    with pytest.raises(ShapeError, match="input_size must be an integer"):
+        fpga_max_flops(profile, size)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +127,7 @@ def test_theoretical_fps_projections():
 
 def test_time_pipeline_single_graph():
     g = init_random(build_control_srnet("control-a"), 0)
-    res = time_pipeline({"net": g}, (1, 1, 12, 12), frames=3, warmup=1, seed=0)
+    res = time_pipeline({"net": g}, (12, 12), frames=3, warmup=1, seed=0)
     assert isinstance(res, BenchResult)
     assert res.frames == 3 and res.warmup == 1
     assert res.scale == 3
@@ -124,7 +143,7 @@ def test_time_pipeline_single_graph():
 def test_time_pipeline_recurrent_bundle():
     gen = {"fnet": init_random(build_fnet(), 1),
            "srnet": init_random(build_srnet(), 2)}
-    res = time_pipeline(gen, (1, 3, 16, 16), frames=2, warmup=0, seed=1)
+    res = time_pipeline(gen, (16, 16), frames=2, warmup=0, seed=1)
     assert res.scale == 4
     assert "fnet" in res.arch
     # analytic per-frame cost covers both nets
@@ -139,8 +158,8 @@ def test_time_pipeline_recurrent_bundle():
 
 def test_time_pipeline_cost_fields_are_run_independent():
     g = init_random(build_control_srnet("control-b"), 3)
-    a = time_pipeline({"net": g}, (1, 1, 10, 10), frames=2, warmup=0, seed=5)
-    b = time_pipeline({"net": g}, (1, 1, 10, 10), frames=2, warmup=0, seed=5)
+    a = time_pipeline({"net": g}, (10, 10), frames=2, warmup=0, seed=5)
+    b = time_pipeline({"net": g}, (10, 10), frames=2, warmup=0, seed=5)
     for field in ("arch", "height", "width", "scale", "backend", "fused",
                   "frames", "warmup", "macs_per_frame", "flops_per_frame"):
         assert getattr(a, field) == getattr(b, field), field
@@ -149,9 +168,17 @@ def test_time_pipeline_cost_fields_are_run_independent():
 def test_time_pipeline_validates_counts():
     g = build_control_srnet("control-a")
     with pytest.raises(ValueError):
-        time_pipeline({"net": g}, (1, 1, 8, 8), frames=0)
+        time_pipeline({"net": g}, (8, 8), frames=0)
     with pytest.raises(ValueError):
-        time_pipeline({"net": g}, (1, 1, 8, 8), frames=1, warmup=-1)
+        time_pipeline({"net": g}, (8, 8), frames=1, warmup=-1)
+
+
+def test_time_pipeline_takes_an_integer_height_and_width():
+    g = build_control_srnet("control-a")
+    with pytest.raises(ValueError, match="too many values"):
+        time_pipeline({"net": g}, (1, 1, 8, 8), frames=1, warmup=0)
+    with pytest.raises(ShapeError, match="size must be an integer, got 8.5"):
+        time_pipeline({"net": g}, (8.5, 8), frames=1, warmup=0)
 
 
 # ---------------------------------------------------------------------------

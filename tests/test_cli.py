@@ -1,6 +1,7 @@
 """Command-line interface: subcommand workflows, reports, error paths."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from vsrkit import (
     activation_layer,
     batch_norm_layer,
     conv2d_layer,
+    conventions,
     evaluate_sequence,
     load_bundle,
     luma,
@@ -84,6 +86,21 @@ def test_inspect_lists_layers_and_ops(control_model, capsys):
     assert "macs=" in out and "mac_total=" in out
     # conv1 on a 16x12 grid: 25 taps, 64 filters
     assert re.search(r"conv1 .*macs=" + str(25 * 64 * 16 * 12), out)
+    # one graph: no model total
+    assert "model total" not in out
+
+
+def test_inspect_totals_the_params_of_a_two_graph_model(tmp_path, capsys):
+    model = tmp_path / "g.vsm"
+    assert main(["build-model", "--arch", "egvsr", "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(model)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    totals = [ln for ln in lines if "total params=" in ln]
+    assert totals == ["graph fnet total params=1750882",
+                      "graph srnet total params=795780",
+                      "model total params=2546662"]
+    assert lines[-1] == totals[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +238,14 @@ def test_score_accepts_weights(tmp_path, capsys):
                  "--weights", "0.7,0.3"]) == 0
     assert main(["score", "--reports", str(r1),
                  "--weights", "0.7,0.7"]) == 1
+    capsys.readouterr()
+    # NaN passed both the sign and the sum check, and scored nan
+    for weights in ("nan,0", "inf,0", "1,nan"):
+        assert main(["score", "--reports", str(r1),
+                     "--weights", weights]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: weights must be finite")
 
 
 def test_eval_report_keeps_per_frame_values_and_score_reads_the_metrics(
@@ -258,13 +283,17 @@ def test_eval_report_keeps_per_frame_values_and_score_reads_the_metrics(
     [{"metric": "psnr", "value": None}],
     [{"metric": "psnr", "value": True}],
     [{"metric": "psnr", "value": "30"}],
+    [{"metric": "psnr", "value": 1.0}, {"metric": "tof", "value": math.nan}],
+    [{"metric": "psnr", "value": math.inf}],
+    [{"metric": "psnr", "value": -math.inf}],
     [{"metric": 3, "value": 1.0}],
     [{"metric": "psnr", "value": 1.0, "method": 7}],
     [{"metric": "psnr", "value": 1.0}, ["tof", 0.5]],
     {"metric": "psnr", "value": 1.0},
     "psnr",
     [["psnr", 1.0]],
-], ids=["no metric", "null value", "bool value", "text value", "int metric",
+], ids=["no metric", "null value", "bool value", "text value", "nan value",
+         "infinite value", "negative infinite value", "int metric",
         "int method", "list row", "object", "string", "list of lists"])
 def test_score_names_a_malformed_report(tmp_path, capsys, metrics):
     report = tmp_path / "bad.json"
@@ -274,6 +303,38 @@ def test_score_names_a_malformed_report(tmp_path, capsys, metrics):
     assert err.startswith("error:") and str(report) in err
     if isinstance(metrics, list):
         assert f"row {len(metrics) - 1}" in err
+
+
+def test_score_writes_a_csv_report(tmp_path, capsys):
+    paths = []
+    for name, psnr_db, tof_err in (("close", 30.0, 0.1), ("far", 25.0, 0.5)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"sections": {"metrics": [
+            {"method": name, "metric": "psnr", "value": psnr_db},
+            {"method": name, "metric": "tof", "value": tof_err}]}}))
+        paths.append(str(path))
+    report = tmp_path / "scores.csv"
+    assert main(["score", "--reports", ",".join(paths), "--report",
+                 str(report), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (f"close\t1.000000\nfar\t0.000000\n"
+                                       f"report written to {report}\n")
+    lines = report.read_text().splitlines()
+    assert lines[0] == "# conventions: " + json.dumps(conventions(),
+                                                      sort_keys=True)
+    assert lines[1:] == ["# section: scores", "key,value", "close,1.0",
+                         "far,0.0"]
+
+
+@pytest.mark.parametrize("text", ['{"sections": {"metr', "", "\x00"])
+def test_score_names_a_report_that_is_not_json(tmp_path, capsys, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"sections": {"metrics": [
+        {"metric": "psnr", "value": 30.0, "method": "good"}]}}))
+    report = tmp_path / "bad.json"
+    report.write_text(text)
+    assert main(["score", "--reports", f"{good},{report}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {report}: not a JSON report")
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +597,10 @@ def _set_graphs(header):
     header["graphs"] = 5
 
 
-def _drop_layers(header):
-    del header["graphs"][0]["layers"]
+def _drop_graph_field(key):
+    def edit(header):
+        del header["graphs"][0][key]
+    return edit
 
 
 def _set_graph_field(key, value):
@@ -549,7 +612,8 @@ def _set_graph_field(key, value):
 @pytest.mark.parametrize("edit, message", [
     (_set_conv_field("attrs", 5), "layer 0: 'attrs' is not an object"),
     (_set_graphs, "'graphs' must be a list of objects"),
-    (_drop_layers, "graph 'net': 'layers' is missing or not a list"),
+    (_drop_graph_field("layers"),
+     "graph 'net': 'layers' is missing or not a list"),
     (_set_conv_field("shapes", {"weight": 5, "bias": [64]}),
      "layer 0: 'shapes' is not an object of lists"),
     (_set_weight_shape([64, 1, 5.5, 5]),
@@ -561,10 +625,14 @@ def _set_graph_field(key, value):
     (_set_conv_field("kind", ["conv2d"]), "layer 0: not an object with string"),
     (_set_graph_field("in_channels", None), "'in_channels' must be an integer"),
     (_set_graph_field("meta", 5), "graph 'net': 'meta' is not an object"),
+    (_set_graph_field("name", None), "graph 0: 'name' is missing or not a"),
+    (_set_graph_field("name", 5), "graph 0: 'name' is missing or not a"),
+    (_drop_graph_field("name"), "graph 0: 'name' is missing or not a"),
 ], ids=["attrs-not-object", "graphs-not-list", "layers-missing",
         "shapes-not-lists", "fractional-dim", "negative-dim", "huge-shape",
         "name-not-string", "kind-not-string", "in-channels-not-int",
-        "meta-not-object"])
+        "meta-not-object", "graph-name-null", "graph-name-number",
+        "graph-name-missing"])
 def test_inspect_rejects_malformed_header_structure(tmp_path, capsys,
                                                    edit_vsm_header, edit,
                                                    message):

@@ -29,7 +29,6 @@ from vsrkit import (
 )
 from vsrkit import conv
 from vsrkit.conv import WINOGRAD_AT, WINOGRAD_BT, _at_passes, _bt_passes
-from vsrkit.models import FNetConfig, SRNetConfig
 
 
 def _conv_ref(x, w, b, stride, pad):
@@ -278,12 +277,8 @@ def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing):
 
 
 def test_vsr_run_bits_do_not_depend_on_the_thread():
-    bundle = {
-        "fnet": init_random(build_fnet(FNetConfig(
-            encoder_widths=(8, 16, 16), decoder_widths=(16, 16, 8),
-            head_width=8)), 33),
-        "srnet": init_random(build_srnet(SRNetConfig(width=16, num_blocks=2)),
-                             34)}
+    bundle = {"fnet": init_random(build_fnet(), 33),
+              "srnet": init_random(build_srnet(), 34)}
     frames = np.random.default_rng(35).random((3, 3, 24, 16), dtype=np.float32)
     main = vsr_run(bundle, frames)
     assert np.array_equal(main, _on_worker(vsr_run, bundle, frames))
@@ -406,7 +401,7 @@ def test_conv_transpose_shapes_scale_output():
     kern = ConvKernel(rng.standard_normal((1, 32, 5, 5)).astype(np.float32) * 0.1,
                       stride=3, pad=1)
     x = rng.random((1, 32, 8, 8), dtype=np.float32)
-    out = conv_transpose2d(x, kern, output_scale=3)
+    out = conv_transpose2d(x, kern)
     assert out.shape == (1, 1, 24, 24)
 
 
@@ -423,7 +418,7 @@ def test_conv_transpose_is_adjoint_of_strided_conv():
         h, w = int(rng.integers(3, 7)), int(rng.integers(3, 7))
         taps = rng.standard_normal((co, ci, k, k)).astype(np.float32)
         x = rng.random((1, ci, h, w), dtype=np.float32)
-        tx = conv_transpose2d(x, ConvKernel(taps, pad=pad), output_scale=s)
+        tx = conv_transpose2d(x, ConvKernel(taps, stride=s, pad=pad))
         assert tx.shape == (1, co, h * s, w * s)
         y = rng.random(tx.shape, dtype=np.float32)
         down = ConvKernel(np.ascontiguousarray(taps.transpose(1, 0, 2, 3)),
@@ -440,7 +435,7 @@ def test_conv_transpose_rejects_incompatible_geometry():
     x = np.zeros((1, 4, 5, 5), dtype=np.float32)
     # implied output padding 2*2 - 3 + 2*2 = 5 is not inside [0, stride)
     with pytest.raises(ShapeError):
-        conv_transpose2d(x, kern, output_scale=2)
+        conv_transpose2d(x, kern)
 
 
 def test_maxpool2_window_oracle():

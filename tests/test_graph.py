@@ -143,6 +143,7 @@ def test_graph_rejects_bad_attributes_at_construction(make, key, value):
 
 @pytest.mark.parametrize("make, name, value", [
     (lambda v: conv2d_layer("c", 3, 4, 3, stride=v), "stride", 1.7),
+    (lambda v: conv2d_layer("c", 3, 4, 3, stride=v), "stride", True),
     (lambda v: conv2d_layer("c", 3, 4, 3, pad=v), "pad", 0.9),
     (lambda v: conv2d_layer("c", v, 4, 3), "c_in", 3.0),
     (lambda v: conv2d_layer("c", 3, 4, v), "k", 2.5),
@@ -471,6 +472,16 @@ def test_count_flops_conv_example():
     rep = g.count_flops((1, 1, 800, 800))
     assert rep.macs == 1 * 25 * 64 * 800 * 800  # 1_024_000_000
     assert rep.macs == 1_024_000_000
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 16.7, 16), (1, 2, 16, True),
+                                   (1.0, 2, 16, 16)])
+def test_count_flops_and_infer_shapes_reject_non_integer_sizes(shape):
+    # int() would count (1, 2, 16.7, 16) as 16x16
+    g = NetworkGraph([conv2d_layer("c", 2, 3, 3)], in_channels=2)
+    for fn in (g.count_flops, g.infer_shapes):
+        with pytest.raises(ShapeError, match="input_shape must be an integer"):
+            fn(shape)
 
 
 def test_count_flops_scales_with_area():

@@ -156,6 +156,15 @@ def test_save_rejects_unknown_objects(tmp_path):
         save_model({"net": object()}, tmp_path / "x.vsm")
 
 
+@pytest.mark.parametrize("name", [5, None, ("net",)])
+def test_save_rejects_graph_names_that_are_not_strings(tmp_path, name):
+    g = NetworkGraph([conv2d_layer("c", 1, 1, 3)], in_channels=1)
+    path = tmp_path / "x.vsm"
+    with pytest.raises(ModelFormatError, match="is not a string"):
+        save_model({name: g}, path)
+    assert not path.exists()
+
+
 def _skip_graph():
     return NetworkGraph([conv2d_layer("c", 2, 2, 3),
                          activation_layer("a", "relu"),

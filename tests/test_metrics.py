@@ -210,18 +210,10 @@ def test_perceptual_distance_axioms():
     assert pd.distance(a, a.copy()) == 0.0
     assert pd.distance(a, b) == pd.distance(b, a)
     assert pd.distance(a, b) > 0.0
-    # a fresh instance with the default seed reproduces the same value
+    # a fresh instance reproduces the same value
     fresh = RandomFeatureDistance()
     assert fresh.distance(a, b) == pd.distance(a, b)
     assert fresh.name == pd.name
-
-
-def test_perceptual_distance_depends_on_seed():
-    rng = np.random.default_rng(13)
-    a = rng.random((3, 24, 24), dtype=np.float32)
-    b = rng.random((3, 24, 24), dtype=np.float32)
-    assert (RandomFeatureDistance(seed=1).distance(a, b)
-            != RandomFeatureDistance(seed=2).distance(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -117,3 +117,25 @@ def test_header_mutations_end_in_named_errors(tmp_path, seed0_models):
                         f"{type(e).__name__}: {e}")
     # both outcomes occur, so the loop exercises loading and rejecting
     assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.parametrize("value", SWAPS + ("drop",))
+def test_graph_name_swaps_end_in_named_errors(tmp_path, seed0_models, value):
+    # a graph name is a string; anything else used to load as str(value)
+    path = tmp_path / "m.vsm"
+    for arch, hbytes, payload in seed0_models:
+        header = json.loads(hbytes)
+        gi = len(header["graphs"]) - 1
+        if value == "drop":
+            del header["graphs"][gi]["name"]
+        else:
+            header["graphs"][gi]["name"] = value
+        hbytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(b"EGVS" + struct.pack("<II", 1, len(hbytes))
+                         + hbytes + payload)
+        if isinstance(value, str) and value != "drop":
+            assert value in load_bundle(path)
+            continue
+        with pytest.raises(ModelFormatError, match=f"graph {gi}: 'name' is "
+                                                   f"missing or not a string"):
+            load_bundle(path)

@@ -387,11 +387,11 @@ def test_time_pipeline_times_the_gaps_between_frames(kind, monkeypatch):
     monkeypatch.setattr(bench, "time",
                         SimpleNamespace(perf_counter=lambda: next(ticks)))
     if kind == "recurrent":
-        models, shape, arch = _egvsr(False), (1, 3, 16, 16), "srnet+fnet"
+        models, size, arch = _egvsr(False), (16, 16), "srnet+fnet"
     else:
-        models, shape, arch = ({"net": build_control_srnet("control-a")},
-                               (1, 1, 12, 12), "control-a")
-    res = time_pipeline(models, shape, frames=3, warmup=2)
+        models, size, arch = ({"net": build_control_srnet("control-a")},
+                              (12, 12), "control-a")
+    res = time_pipeline(models, size, frames=3, warmup=2)
     assert (res.arch, res.frames, res.warmup) == (arch, 3, 2)
     assert res.wall_time_s == 3.0 and res.fps == 1.0
     assert res.mean_frame_s == res.median_frame_s == 1.0
@@ -415,7 +415,7 @@ def _reference_forward(g, x, backend):
         elif ly.kind == "conv_transpose2d":
             x = conv.conv_transpose2d(
                 x, ConvKernel(ly.arrays["weight"], ly.arrays["bias"],
-                              stride=1, pad=a["pad"]), a["scale"])
+                              stride=a["scale"], pad=a["pad"]))
         elif ly.kind == "batch_norm":
             x = graph.batchnorm_forward(x, graph._bn_params_of(ly))
         elif ly.kind == "activation":

@@ -22,11 +22,6 @@ def test_tensor_new_zero_fill():
     assert np.all(t == 0.0)
 
 
-def test_tensor_new_scalar_fill():
-    t = tensor_new((1, 1, 2, 2), fill=0.25)
-    assert np.all(t == 0.25)
-
-
 def test_tensor_new_rejects_bad_rank():
     with pytest.raises(ShapeError):
         tensor_new((3, 4))
@@ -113,6 +108,9 @@ def test_pad_zero_geometry_and_content():
     (space_to_depth, "block", 2.5),
     (pad_zero, "pad", 1.5),
     (lambda t, v: tensor_new((1, 1, v, 2)), "dim", 2.5),
+    (lambda t, v: tensor_new((1, v, 2, 2)), "dim", True),
+    (pixel_shuffle, "upscale factor", True),
+    (pad_zero, "pad", False),
 ])
 def test_counts_and_factors_must_be_integers(op, name, value):
     # int() would truncate: pixel_shuffle(t, 2.6) would run with r=2
