@@ -10,7 +10,6 @@ from .tensor import (
     pad_zero,
     pixel_shuffle,
     space_to_depth,
-    tensor_new,
 )
 from .conv import (
     BACKENDS,
@@ -34,7 +33,6 @@ from .graph import (
     batch_norm_layer,
     batchnorm_forward,
     bilinear_up_layer,
-    concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,
     fuse_conv_bn,

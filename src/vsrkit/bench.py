@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics as qmetrics
 from .graph import fuse_conv_bn
 from .pipeline import model_geometry, upscale_steps
-from .tensor import check_int
+from .tensor import ShapeError, check_int
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
 # 300 MHz clock; the per-row peaks it implies are pinned in tests.
@@ -60,10 +60,12 @@ class FpgaProfile:
     rows: tuple = DEFAULT_PROFILE_ROWS
 
     def __post_init__(self):
-        if not (1 <= self.lut_total < math.inf and 0 < self.frequency < math.inf):
+        if not (check_int(self.lut_total, "lut_total") >= 1
+                and 0 < self.frequency < math.inf):
             raise ValueError("lut_total and frequency must be positive and finite")
         for row in self.rows:
-            n, luts, lat = row
+            n, luts, lat = (check_int(v, f"profile row {row} entry")
+                            for v in row)
             if n < 1 or luts < 1 or lat < 1:
                 raise ValueError(f"profile row {row} has non-positive entries")
 
@@ -138,6 +140,8 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
     arch = "+".join(str(bundle[k].meta.get("arch", k))
                     for k in sorted(bundle, reverse=True))
     h, w = (check_int(v, "size") for v in size)
+    if h < 1 or w < 1:
+        raise ShapeError(f"size must be >= 1, got {(h, w)}")
     rng = np.random.default_rng(seed)
     seq = rng.random((frames + warmup, c, h, w), dtype=np.float32)
 

@@ -122,28 +122,31 @@ def _check_conv_input(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
 def conv2d_naive(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """Direct sliding-window cross-correlation plus bias.
 
-    The textbook loop nest over (c_out, c_in, ky, kx) with one scalar weight
-    applied per iteration; accumulation runs in float64 in fixed
-    channel-major order, making this the reference oracle for the gemm and
-    winograd backends. Slow by design; use those for real workloads.
+    The loop nest over (ky, kx, c_out): each tap's strided input window is
+    copied once into a contiguous float64 array, and each output channel
+    adds the dot product over c_in of that window with its weights for the
+    tap. Every output accumulates in float64 with the taps in fixed
+    row-major order; within a tap, the order of summation over c_in is
+    BLAS's. This is the reference oracle for the gemm and winograd
+    backends. Slow by design; use those for real workloads.
     """
     x = _check_conv_input(x, kern)
-    n, _, h, w = x.shape
+    n, c_in, h, w = x.shape
     k, s, p = kern.k, kern.stride, kern.pad
     oh, ow = out_dims(h, w, k, s, p)
     xp = pad_zero(x, p).astype(np.float64)
     wts = kern.weights.astype(np.float64)
     ye = (oh - 1) * s + 1
     xe = (ow - 1) * s + 1
-    out = np.zeros((n, kern.c_out, oh, ow), dtype=np.float64)
-    for co in range(kern.c_out):
-        for ky in range(k):
-            for kx in range(k):
-                window = xp[:, :, ky:ky + ye:s, kx:kx + xe:s]
-                out[:, co] += np.einsum("nihw,i->nhw", window,
-                                        wts[co, :, ky, kx])
-    out += kern.bias.astype(np.float64)[None, :, None, None]
-    return out.astype(DTYPE)
+    out = np.zeros((n, kern.c_out, oh * ow), dtype=np.float64)
+    for ky in range(k):
+        for kx in range(k):
+            window = xp[:, :, ky:ky + ye:s, kx:kx + xe:s].reshape(
+                n, c_in, oh * ow)
+            for co in range(kern.c_out):
+                out[:, co] += wts[co, :, ky, kx] @ window
+    out += kern.bias.astype(np.float64)[None, :, None]
+    return out.reshape(n, kern.c_out, oh, ow).astype(DTYPE)
 
 
 def _lower(xp: np.ndarray, k: int, stride: int, oh: int, ow: int,

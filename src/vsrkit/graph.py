@@ -2,8 +2,8 @@
 parameter/MAC accounting.
 
 A :class:`NetworkGraph` is an ordered list of layers executed sequentially.
-Skip connections are expressed by ``residual_add`` / ``concat`` layers that
-reference an earlier layer's output by name. Channel compatibility, weight
+Skip connections are expressed by ``residual_add`` layers that reference an
+earlier layer's output by name. Channel compatibility, weight
 shapes, parameter arrays and layer attributes are validated eagerly at
 construction; spatial constraints are checked when an actual input size is
 known (forward or cost analysis). Each layer kind is described once: its
@@ -30,8 +30,8 @@ log = logging.getLogger(__name__)
 
 # kind -> (id written into .vsm headers, integer attributes, parameter
 # arrays in file order). The ids are part of the file format: retired kinds
-# keep theirs (7 space_to_depth, 10 interpolation_resize), and those ids are
-# never reused.
+# keep theirs (7 space_to_depth, 8 concat, 10 interpolation_resize), and
+# those ids are never reused.
 LAYER_KINDS = {
     "conv2d": (0, ("c_in", "c_out", "k", "stride", "pad"), ("weight", "bias")),
     "conv_transpose2d": (1, ("c_in", "c_out", "k", "scale", "pad"),
@@ -41,7 +41,6 @@ LAYER_KINDS = {
     "maxpool2": (4, (), ()),
     "bilinear_up": (5, (), ()),
     "pixel_shuffle": (6, ("r",), ()),
-    "concat": (8, (), ()),
     "residual_add": (9, (), ()),
 }
 
@@ -170,10 +169,6 @@ def bilinear_up_layer(name, scale: float = 2.0) -> Layer:
 
 def pixel_shuffle_layer(name, r: int) -> Layer:
     return Layer("pixel_shuffle", name, {"r": check_int(r, "r")})
-
-
-def concat_layer(name, source: str) -> Layer:
-    return Layer("concat", name, {"source": source})
 
 
 def residual_add_layer(name, source: str) -> Layer:
@@ -333,24 +328,21 @@ class NetworkGraph:
                 h, w = h * r, w * r
             return (c // (r * r), h, w), 0, 0, lambda x, saved: (
                 tops.pixel_shuffle(x, r))
-        # concat, residual_add
+        # residual_add
         src = seen.get(a["source"])
         if src is None:
             raise GraphError(f"source {a['source']!r} not defined earlier")
-        if ly.kind == "residual_add" and src[0] != c:
+        if src[0] != c:
             raise ShapeError(f"residual source has {src[0]} channels, "
                              f"current stream has {c}")
         if src[1:] != (h, w):
             raise ShapeError(f"source {a['source']!r} is {src[1]}x{src[2]}, "
                              f"stream is {h}x{w}")
-        if ly.kind == "concat":
-            return (c + src[0], h, w), 0, 0, lambda x, saved: (
-                tops.concat_channels(x, saved[a["source"]]))
         return cur, 0, c * hw, lambda x, saved: x + saved[a["source"]]
 
     def referenced_sources(self) -> set:
         return {ly.attrs["source"] for ly in self.layers
-                if ly.kind in ("concat", "residual_add")}
+                if ly.kind == "residual_add"}
 
     def copy(self) -> "NetworkGraph":
         return NetworkGraph([ly.copy() for ly in self.layers],
@@ -376,11 +368,6 @@ class NetworkGraph:
     def count_params(self) -> int:
         """Total stored parameter elements across all layers."""
         return sum(ly.param_count() for ly in self.layers)
-
-    def infer_shapes(self, input_shape) -> list:
-        """Per-layer output shapes (c, h, w) for a given input shape."""
-        n, c, h, w = (check_int(v, "input_shape") for v in input_shape)
-        return [step[0] for step in self._plan((c, h, w))]
 
     def count_flops(self, input_shape):
         """MAC/elementwise-op accounting for one forward pass.

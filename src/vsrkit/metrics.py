@@ -398,25 +398,19 @@ def tlp(gen: np.ndarray, ref: np.ndarray, pd=None) -> float:
 class MetricRecord:
     """One raw metric value together with its dataset-wide value range.
 
-    ``higher_better`` defaults from the metric name for the four built-in
-    metrics; custom metrics must state their orientation explicitly.
-    ``degenerate`` is set by :func:`normalize_metric` when the range is flat.
+    ``metric`` must be one of ``HIGHER_IS_BETTER``'s keys, which fix its
+    orientation.
     """
 
     metric: str
     value: float
     m_min: float
     m_max: float
-    higher_better: bool | None = None
-    method: str = ""
-    degenerate: bool = False
 
     def __post_init__(self):
-        if self.higher_better is None:
-            if self.metric not in HIGHER_IS_BETTER:
-                raise ValueError(f"metric {self.metric!r} has no known "
-                                 f"orientation; pass higher_better explicitly")
-            self.higher_better = HIGHER_IS_BETTER[self.metric]
+        if self.metric not in HIGHER_IS_BETTER:
+            raise ValueError(f"unknown metric {self.metric!r}, expected one "
+                             f"of {sorted(HIGHER_IS_BETTER)}")
         if not self.m_min <= self.value <= self.m_max:
             raise ValueError(f"{self.metric}: value {self.value} outside "
                              f"range [{self.m_min}, {self.m_max}]")
@@ -427,14 +421,12 @@ def normalize_metric(rec: MetricRecord) -> float:
 
     Lower-is-better metrics map as (v - min)/(max - min); higher-is-better
     metrics are negated first, giving (max - v)/(max - min), so 0 is always
-    the best method. A flat range normalizes to 0.0 and flags the record as
-    degenerate instead of raising.
+    the best method. A flat range normalizes to 0.0 instead of raising.
     """
     span = rec.m_max - rec.m_min
     if span <= 0:
-        rec.degenerate = True
         return 0.0
-    if rec.higher_better:
+    if HIGHER_IS_BETTER[rec.metric]:
         return (rec.m_max - rec.value) / span
     return (rec.value - rec.m_min) / span
 
@@ -500,8 +492,8 @@ def score_table(table: dict, weights: ScoreWeights | None = None) -> dict:
                   max(table[m][k] for m in methods)) for k in metrics}
     scores = {}
     for m in methods:
-        recs = [MetricRecord(k, table[m][k], ranges[k][0], ranges[k][1],
-                             method=m) for k in metrics]
+        recs = [MetricRecord(k, table[m][k], ranges[k][0], ranges[k][1])
+                for k in metrics]
         scores[m] = quality_score(recs, weights)
     return scores
 

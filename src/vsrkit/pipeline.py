@@ -209,7 +209,7 @@ def vsr_step(generator: dict, lr: np.ndarray,
     if state is None:
         state = RecurrentState(
             prev_lr=lr,
-            prev_hr=tops.tensor_new((n, c, h * scale, w * scale)))
+            prev_hr=np.zeros((n, c, h * scale, w * scale), DTYPE))
     if state.prev_lr.shape != lr.shape:
         raise ShapeError(f"state frame shape {state.prev_lr.shape} does not "
                          f"match input {lr.shape}")

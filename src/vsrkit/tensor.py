@@ -36,14 +36,6 @@ def check_int(v, name: str) -> int:
     raise ShapeError(f"{name} must be an integer, got {v!r}")
 
 
-def tensor_new(shape) -> np.ndarray:
-    """Create a zero NCHW tensor of the given shape."""
-    shape = tuple(check_int(d, "dim") for d in shape)
-    _require(len(shape) == 4, f"expected 4 dims (n,c,h,w), got {shape}")
-    _require(all(d >= 1 for d in shape), f"all dims must be >= 1, got {shape}")
-    return np.zeros(shape, dtype=DTYPE)
-
-
 def check_tensor(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Validate that ``t`` is a well-formed NCHW tensor and return it."""
     t = np.asarray(t)

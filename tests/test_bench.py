@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,20 @@ def test_fpga_profile_rejects_non_finite_lut_total():
         FpgaProfile(lut_total=float("inf"))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(lut_total=1000.5), r"lut_total must be an integer, got 1000.5"),
+    (dict(rows=((4.5, 827, 6),)),
+     r"profile row \(4.5, 827, 6\) entry must be an integer, got 4.5"),
+    (dict(rows=((4, 827.5, 6),)),
+     r"profile row \(4, 827.5, 6\) entry must be an integer, got 827.5"),
+    (dict(rows=((4, 827, True),)),
+     r"profile row \(4, 827, True\) entry must be an integer, got True"),
+], ids=["lut_total", "row size", "row luts", "row latency"])
+def test_fpga_profile_counts_must_be_integers(kwargs, match):
+    with pytest.raises(ShapeError, match=match):
+        FpgaProfile(**kwargs)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 0.0])
 def test_theoretical_fps_rejects_non_finite_frame_cost(bad):
     with pytest.raises(ValueError, match="flops_per_frame"):
@@ -179,6 +194,14 @@ def test_time_pipeline_takes_an_integer_height_and_width():
         time_pipeline({"net": g}, (1, 1, 8, 8), frames=1, warmup=0)
     with pytest.raises(ShapeError, match="size must be an integer, got 8.5"):
         time_pipeline({"net": g}, (8.5, 8), frames=1, warmup=0)
+
+
+@pytest.mark.parametrize("size", [(-2, 8), (8, 0)])
+def test_time_pipeline_rejects_a_size_below_one(size):
+    g = build_control_srnet("control-a")
+    with pytest.raises(ShapeError, match=re.escape(f"size must be >= 1, "
+                                                   f"got {size}")):
+        time_pipeline({"net": g}, size, frames=1, warmup=0)
 
 
 # ---------------------------------------------------------------------------

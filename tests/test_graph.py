@@ -13,7 +13,6 @@ from vsrkit import (
     batch_norm_layer,
     batchnorm_forward,
     bilinear_up_layer,
-    concat_layer,
     conv2d,
     conv2d_layer,
     conv_transpose2d_layer,
@@ -262,17 +261,16 @@ def test_forward_backends_agree_and_are_deterministic():
         assert dev / max(float(np.max(np.abs(out_g))), 1e-6) < 1e-4
 
 
-def test_residual_add_and_concat_sources():
+def test_residual_add_source():
     rng = np.random.default_rng(5)
     g = init_random(NetworkGraph([
         conv2d_layer("c1", 2, 2, 3),
         conv2d_layer("c2", 2, 2, 3),
         residual_add_layer("add", source="c1"),
-        concat_layer("cat", source="c1"),
     ], in_channels=2), seed=6)
     x = rng.random((1, 2, 6, 6), dtype=np.float32)
     out = g.forward(x)
-    assert out.shape == (1, 4, 6, 6)
+    assert out.shape == (1, 2, 6, 6)
     # replay by hand through the public ops
     y1 = g.layers[0]
     from vsrkit import ConvKernel
@@ -281,8 +279,7 @@ def test_residual_add_and_concat_sources():
                     pad=1)
     a = conv2d(x, k1)
     b = conv2d(a, k2) + a
-    assert np.allclose(out[:, :2], b, atol=1e-6)
-    assert np.allclose(out[:, 2:], a, atol=1e-6)
+    assert np.allclose(out, b, atol=1e-6)
 
 
 def _kind_cases():
@@ -298,7 +295,6 @@ def _kind_cases():
         "maxpool2": ([maxpool2_layer("l")], 3),
         "bilinear_up": ([bilinear_up_layer("l", 1.5)], 3),
         "pixel_shuffle": ([pixel_shuffle_layer("l", 2)], 8),
-        "concat": (stem() + [concat_layer("l", source="a")], 3),
         "residual_add": (stem() + [residual_add_layer("l", source="a")], 3),
     }
 
@@ -313,10 +309,9 @@ def test_shape_rule_matches_execution_for_every_kind(kind):
     assert layers[-1].kind == kind
     g = init_random(NetworkGraph(layers, in_channels=c), seed=22)
     x = np.random.default_rng(23).random((2, c, 7, 9), dtype=np.float32)
-    want = g.infer_shapes(x.shape)[-1]
+    want = g.count_flops(x.shape).per_layer[-1]["out_shape"]
     for backend in BACKENDS:
-        assert g.forward(x, backend).shape[1:] == want, backend
-    assert g.count_flops(x.shape).per_layer[-1]["out_shape"] == (2, *want)
+        assert g.forward(x, backend).shape == want, backend
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -330,15 +325,15 @@ def _counting(monkeypatch, module, name, counts):
 
 
 def test_forward_checks_every_shape_rule_before_running_a_layer(monkeypatch):
-    # 7x9 -> 4x5 -> 8x10: only the concat can see the mismatch, and it is
+    # 7x9 -> 4x5 -> 8x10: only the add can see the mismatch, and it is
     # found before the conv runs
     g = NetworkGraph([conv2d_layer("down", 3, 3, 3, stride=2),
                       bilinear_up_layer("up", 2.0),
-                      concat_layer("cat", source="down")], in_channels=3)
+                      residual_add_layer("add", source="down")], in_channels=3)
     counts = {}
     _counting(monkeypatch, conv_module, "conv2d", counts)
     x = np.zeros((1, 3, 7, 9), dtype=np.float32)
-    with pytest.raises(GraphError, match=r"layer 2 \('cat', concat\): "
+    with pytest.raises(GraphError, match=r"layer 2 \('add', residual_add\): "
                                          r"source 'down' is 4x5, stream is "
                                          r"8x10"):
         g.forward(x)
@@ -376,7 +371,7 @@ def _conv_bn_graph(rng, with_skip=False):
               batch_norm_layer("b1", 5, _bn(5, rng)),
               activation_layer("a1", "relu")]
     if with_skip:
-        layers.append(concat_layer("skip", source="c1"))
+        layers.append(residual_add_layer("skip", source="c1"))
     return NetworkGraph(layers, in_channels=3)
 
 
@@ -408,7 +403,7 @@ def test_fusion_is_idempotent_and_pure():
 
 
 def test_fusion_keeps_skip_referenced_conv_output():
-    # the concat reads the conv's pre-BN output, so folding the BN into the
+    # the add reads the conv's pre-BN output, so folding the BN into the
     # conv would change it; the BN stays a BN
     rng = np.random.default_rng(10)
     g = _conv_bn_graph(rng, with_skip=True)
@@ -476,12 +471,11 @@ def test_count_flops_conv_example():
 
 @pytest.mark.parametrize("shape", [(1, 2, 16.7, 16), (1, 2, 16, True),
                                    (1.0, 2, 16, 16)])
-def test_count_flops_and_infer_shapes_reject_non_integer_sizes(shape):
+def test_count_flops_rejects_non_integer_sizes(shape):
     # int() would count (1, 2, 16.7, 16) as 16x16
     g = NetworkGraph([conv2d_layer("c", 2, 3, 3)], in_channels=2)
-    for fn in (g.count_flops, g.infer_shapes):
-        with pytest.raises(ShapeError, match="input_shape must be an integer"):
-            fn(shape)
+    with pytest.raises(ShapeError, match="input_shape must be an integer"):
+        g.count_flops(shape)
 
 
 def test_count_flops_scales_with_area():

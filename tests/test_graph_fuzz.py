@@ -7,7 +7,6 @@ from vsrkit import (
     NetworkGraph,
     activation_layer,
     batch_norm_layer,
-    concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,
     fuse_conv_bn,
@@ -25,8 +24,9 @@ FEATURES = ("bn first", "bn after activation", "bn after conv_transpose2d",
 
 def _random_graph(rng):
     """A valid graph of conv -> bn runs (length 0-3), standalone batch-norms,
-    activations, up to two x2 conv_transpose2d and concat/residual_add
-    skips whose sources are conv and batch-norm outputs at several depths."""
+    activations, up to two x2 conv_transpose2d and residual_add skips whose
+    sources are conv and batch-norm outputs at several depths; a 1x1 conv
+    matches the stream to a source of another width."""
     c = in_c = int(rng.integers(1, 4))
     layers, sources = [], []      # sources: (name, channels) at this size
     ups = 0
@@ -62,10 +62,10 @@ def _random_graph(rng):
             bn_run(0, 2)
         elif op == "skip" and sources:
             name, sc = sources[int(rng.integers(len(sources)))]
-            if sc == c and rng.random() < 0.5:
-                add(residual_add_layer(f"r{len(layers)}", name), c)
-            elif c + sc <= 12:
-                add(concat_layer(f"k{len(layers)}", name), c + sc)
+            if sc != c:
+                add(conv2d_layer(f"c{len(layers)}", c, sc, 1), sc,
+                    source=True)
+            add(residual_add_layer(f"r{len(layers)}", name), c)
     g = NetworkGraph(layers, in_channels=in_c)
     return init_random(g, int(rng.integers(2 ** 31)))
 

@@ -17,7 +17,6 @@ from vsrkit import (
     batch_norm_layer,
     build_control_srnet,
     build_generator,
-    concat_layer,
     conv2d_layer,
     conv_transpose2d_layer,
     fuse_conv_bn,
@@ -168,25 +167,24 @@ def test_save_rejects_graph_names_that_are_not_strings(tmp_path, name):
 def _skip_graph():
     return NetworkGraph([conv2d_layer("c", 2, 2, 3),
                          activation_layer("a", "relu"),
-                         residual_add_layer("add", source="c"),
-                         concat_layer("cat", source="c")], in_channels=2)
+                         residual_add_layer("add", source="c")], in_channels=2)
 
 
 def test_saved_kind_ids_are_pinned(tmp_path):
-    # the ids are part of the file format: retiring kinds 7 and 10 must not
-    # renumber the kinds after them
+    # the ids are part of the file format: retiring kinds 7, 8 and 10 must
+    # not renumber the kinds after them
     path = tmp_path / "skip.vsm"
     save_model({"net": _skip_graph()}, path)
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12:12 + hlen])
     ids = {ly["kind"]: ly["kind_id"] for ly in header["graphs"][0]["layers"]}
-    assert ids == {"conv2d": 0, "activation": 3, "residual_add": 9,
-                   "concat": 8}
-    assert load_bundle(path)["net"].layers[3].kind == "concat"
+    assert ids == {"conv2d": 0, "activation": 3, "residual_add": 9}
+    assert load_bundle(path)["net"].layers[2].kind == "residual_add"
 
 
 @pytest.mark.parametrize("kind,kind_id", [("space_to_depth", 7),
+                                          ("concat", 8),
                                           ("interpolation_resize", 10)])
 def test_load_rejects_retired_kinds(tmp_path, edit_vsm_header, kind, kind_id):
     path = tmp_path / "retired.vsm"

@@ -220,12 +220,13 @@ def test_perceptual_distance_axioms():
 # records, normalization, scoring
 
 def test_metric_record_orientation_lookup():
-    assert MetricRecord("psnr", 25.0, 20.0, 30.0).higher_better is True
-    assert MetricRecord("tof", 0.5, 0.1, 0.9).higher_better is False
-    with pytest.raises(ValueError):
-        MetricRecord("sharpness", 0.5, 0.0, 1.0)  # unknown without a flag
-    rec = MetricRecord("sharpness", 0.5, 0.0, 1.0, higher_better=True)
-    assert rec.higher_better is True
+    # the metric name alone fixes the orientation
+    assert normalize_metric(MetricRecord("ssim", 0.9, 0.5, 0.9)) == 0.0
+    assert normalize_metric(MetricRecord("tlp", 0.9, 0.5, 0.9)) == 1.0
+    with pytest.raises(ValueError, match=r"unknown metric 'sharpness', "
+                                         r"expected one of \['psnr', 'ssim', "
+                                         r"'tlp', 'tof'\]"):
+        MetricRecord("sharpness", 0.5, 0.0, 1.0)
 
 
 def test_metric_record_validates_range():
@@ -247,7 +248,7 @@ def test_normalize_metric_endpoints_and_midpoint():
 def test_normalize_metric_flat_range_is_degenerate():
     rec = MetricRecord("ssim", 0.8, 0.8, 0.8)
     assert normalize_metric(rec) == 0.0
-    assert rec.degenerate is True
+    assert rec == MetricRecord("ssim", 0.8, 0.8, 0.8)
 
 
 def test_score_weights_validation():

@@ -23,7 +23,8 @@ NAMED = (ModelFormatError, GraphError, ShapeError, NonFiniteError)
 
 # every value is small: no mutation can declare more than a few MB
 SWAPS = (None, True, 0, -1, 3.0, 1.5, float("nan"), "x", [], {})
-KINDS = (("gelu", 3), ("space_to_depth", 7), ("interpolation_resize", 10))
+KINDS = (("gelu", 3), ("space_to_depth", 7), ("concat", 8),
+         ("interpolation_resize", 10))
 
 
 def _slots(node, path=()):

@@ -427,8 +427,6 @@ def _reference_forward(g, x, backend):
             x = tensor.bilinear_resize(x, a["scale"])
         elif ly.kind == "pixel_shuffle":
             x = tensor.pixel_shuffle(x, a["r"])
-        elif ly.kind == "concat":
-            x = tensor.concat_channels(x, saved[a["source"]])
         else:
             x = x + saved[a["source"]]
         if ly.name in wanted:
@@ -441,7 +439,8 @@ def _reference_cost(g, input_shape):
     n = input_shape[0]
     rows = []
     prev = tuple(input_shape[1:])
-    for ly, (c, h, w) in zip(g.layers, g.infer_shapes(input_shape)):
+    shapes = [r["out_shape"][1:] for r in g.count_flops(input_shape).per_layer]
+    for ly, (c, h, w) in zip(g.layers, shapes):
         a = ly.attrs
         m = e = 0
         if ly.kind == "conv2d":
@@ -541,17 +540,17 @@ def _fusion_cases():
     bn, conv2d = graph.batch_norm_layer, graph.conv2d_layer
     small = {
         "skip-referenced conv": [conv2d("c1", 3, 4, 3), bn("b1", 4),
-                                 graph.concat_layer("cat", source="c1"),
-                                 conv2d("c2", 8, 4, 3), bn("b2", 4),
+                                 graph.residual_add_layer("r", "c1"),
+                                 conv2d("c2", 4, 4, 3), bn("b2", 4),
                                  graph.residual_add_layer("add", "b2")],
         "standalone batch-norm": [bn("b0", 3), conv2d("c1", 3, 4, 3),
                                   graph.activation_layer("a1", "relu"),
                                   bn("b1", 4)],
         "conv-bn-bn": [conv2d("c1", 3, 4, 3), bn("b1", 4), bn("b2", 4),
-                       graph.concat_layer("cat", source="b2")],
+                       graph.residual_add_layer("r", "b2")],
         "conv-bn-bn-bn read mid-run": [conv2d("c1", 3, 4, 3), bn("b1", 4),
                                        bn("b2", 4), bn("b3", 4),
-                                       graph.concat_layer("cat", source="b1")],
+                                       graph.residual_add_layer("r", "b1")],
     }
     cases = {name: init_random(graph.NetworkGraph(layers, in_channels=3), 30)
              for name, layers in small.items()}

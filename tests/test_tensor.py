@@ -1,32 +1,16 @@
-"""Tensor layout primitives: construction, channel packing, resampling."""
+"""Tensor layout primitives: channel packing, padding, resampling."""
 
 import numpy as np
 import pytest
 
 from vsrkit import (
-    DTYPE,
     ShapeError,
     bilinear_resize,
     concat_channels,
     pad_zero,
     pixel_shuffle,
     space_to_depth,
-    tensor_new,
 )
-
-
-def test_tensor_new_zero_fill():
-    t = tensor_new((2, 3, 4, 5))
-    assert t.shape == (2, 3, 4, 5)
-    assert t.dtype == DTYPE
-    assert np.all(t == 0.0)
-
-
-def test_tensor_new_rejects_bad_rank():
-    with pytest.raises(ShapeError):
-        tensor_new((3, 4))
-    with pytest.raises(ShapeError):
-        tensor_new((1, 0, 4, 4))
 
 
 def test_concat_channels_layout():
@@ -107,8 +91,6 @@ def test_pad_zero_geometry_and_content():
     (pixel_shuffle, "upscale factor", 2.0),
     (space_to_depth, "block", 2.5),
     (pad_zero, "pad", 1.5),
-    (lambda t, v: tensor_new((1, 1, v, 2)), "dim", 2.5),
-    (lambda t, v: tensor_new((1, v, 2, 2)), "dim", True),
     (pixel_shuffle, "upscale factor", True),
     (pad_zero, "pad", False),
 ])
@@ -126,7 +108,6 @@ def test_counts_and_factors_accept_numpy_integers():
     assert np.array_equal(pixel_shuffle(t, two), pixel_shuffle(t, 2))
     assert np.array_equal(space_to_depth(t, two), space_to_depth(t, 2))
     assert np.array_equal(pad_zero(t, two), pad_zero(t, 2))
-    assert tensor_new((1, two, 2, 2)).shape == (1, 2, 2, 2)
 
 
 def _bilinear_ref(img, scale):
