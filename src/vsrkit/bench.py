@@ -129,19 +129,19 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
     frames run first and are not timed; each frame's time is the monotonic
     gap between consecutive frames of :func:`upscale_steps`.
     """
-    if frames < 1:
+    if check_int(frames, "frames") < 1:
         raise ValueError(f"frames must be >= 1, got {frames}")
-    if warmup < 0:
+    if check_int(warmup, "warmup") < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if fused:
-        bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
-    scale, c = model_geometry(bundle)
-    # graph names in reverse order: a recurrent pair reads <srnet>+<fnet>
-    arch = "+".join(str(bundle[k].meta.get("arch", k))
-                    for k in sorted(bundle, reverse=True))
     h, w = (check_int(v, "size") for v in size)
     if h < 1 or w < 1:
         raise ShapeError(f"size must be >= 1, got {(h, w)}")
+    if fused:
+        bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
+    scale, c = model_geometry(bundle, (h, w))
+    # graph names in reverse order: a recurrent pair reads <srnet>+<fnet>
+    arch = "+".join(str(bundle[k].meta.get("arch", k))
+                    for k in sorted(bundle, reverse=True))
     rng = np.random.default_rng(seed)
     seq = rng.random((frames + warmup, c, h, w), dtype=np.float32)
 

@@ -44,11 +44,11 @@ def cmd_upscale(args) -> None:
     bundle = load_bundle(args.model)
     if args.fuse_bn:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
-    scale, want_c = model_geometry(bundle)
+    frames = read_sequence(args.inp)
+    scale, want_c = model_geometry(bundle, frames.shape[2:])
     if args.scale is not None and args.scale != scale:
         raise ValueError(f"model upscales x{scale}, but --scale {args.scale} "
                          f"was requested")
-    frames = read_sequence(args.inp)
     if frames.shape[1] == 3 and want_c == 1:
         frames = metricsmod.luma(frames)[:, None].astype(DTYPE)
     elif frames.shape[1] != want_c:
@@ -118,6 +118,9 @@ def _read_eval_report(path) -> tuple:
             raise ValueError(f"{path}: metrics row {i} is not an object with "
                              f"a string 'metric', a finite number 'value' "
                              f"and an optional string 'method'")
+        if row["metric"] in values or i and row.get("method", stem) != label:
+            raise ValueError(f"{path}: metrics row {i} repeats metric "
+                             f"{row['metric']!r} or is not for {label!r}")
         label = row.get("method", stem)
         values[row["metric"]] = float(row["value"])
     if not values:

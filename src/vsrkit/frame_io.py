@@ -18,7 +18,7 @@ import struct
 
 import numpy as np
 
-from .tensor import DTYPE, NonFiniteError, ShapeError, check_finite
+from .tensor import DTYPE, NonFiniteError, ShapeError, check_finite, check_int
 
 
 class FrameFormatError(ValueError):
@@ -202,8 +202,11 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     ``fmt`` defaults to "ppm" for 3-channel sequences and "f32" otherwise.
     Every frame is checked before anything is written, the directory
     included: a non-finite frame raises :class:`FrameFormatError` naming
-    its path, and a ppm frame without 3 channels raises :class:`ShapeError`.
+    its path, and a ppm frame without 3 channels raises :class:`ShapeError`,
+    as does a ``start`` that is not an integer >= 0.
     """
+    if check_int(start, "start") < 0:
+        raise ShapeError(f"start must be >= 0, got {start}")
     seq = np.asarray(seq, dtype=DTYPE)
     if seq.ndim != 4:
         raise ShapeError(f"expected (t, c, h, w), got {seq.shape}")

@@ -13,6 +13,9 @@ Also included are three small single-channel x3 upsamplers sharing one
 backbone and differing only in the output stage (interpolation + 1x1 conv,
 strided transposed conv, sub-pixel shuffle). They exist to compare the
 cost and behavior of the three standard upsampling strategies.
+
+A graph's ``meta`` holds only its ``arch``: the scale and the frame channels
+are facts of the layers, read by :func:`vsrkit.pipeline.model_geometry`.
 """
 from __future__ import annotations
 
@@ -76,8 +79,7 @@ def build_fnet() -> NetworkGraph:
         conv2d_layer("head_conv2", FNET_HEAD_WIDTH, 2, 3),
         activation_layer("flow_tanh", "tanh", scale=MAX_FLOW),
     ]
-    return NetworkGraph(layers, in_c,
-                        meta={"arch": "fnet", "max_flow": MAX_FLOW})
+    return NetworkGraph(layers, in_c, meta={"arch": "fnet"})
 
 
 def build_srnet() -> NetworkGraph:
@@ -105,9 +107,7 @@ def build_srnet() -> NetworkGraph:
         activation_layer("up_act", "relu"),
         conv2d_layer("out_conv", FRAME_CHANNELS, FRAME_CHANNELS, 3),
     ]
-    return NetworkGraph(layers, in_c,
-                        meta={"arch": "srnet", "scale": SCALE,
-                              "frame_channels": FRAME_CHANNELS})
+    return NetworkGraph(layers, in_c, meta={"arch": "srnet"})
 
 
 CONTROL_SCALE = 3
@@ -148,9 +148,7 @@ def build_control_srnet(variant: str) -> NetworkGraph:
             conv2d_layer("out_conv", 32, CONTROL_SCALE ** 2, 1),
             pixel_shuffle_layer("shuffle", CONTROL_SCALE),
         ]
-    return NetworkGraph(layers, 1, meta={"arch": variant,
-                                         "scale": CONTROL_SCALE,
-                                         "frame_channels": 1})
+    return NetworkGraph(layers, 1, meta={"arch": variant})
 
 
 def build_generator() -> dict:

@@ -5,6 +5,7 @@ low-resolution frames, warps the previous high-resolution output by the
 upscaled flow, packs the warp into the low-resolution grid with
 space-to-depth, and lets the reconstruction net fuse both. Frame 0 uses
 the current frame as its own predecessor and a black previous output.
+The scale and the frame channels are read from the graphs' shape rules.
 """
 from __future__ import annotations
 
@@ -130,40 +131,37 @@ def _pair(bundle: dict):
     return None
 
 
-def _meta_int(graph: NetworkGraph, name: str, key: str, default) -> int:
-    if key not in graph.meta and default is not None:
-        return default
-    v = graph.meta.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-        got = f"{v!r}" if key in graph.meta else "missing"
-        raise GraphError(f"graph {name!r}: meta {key!r} must be an integer "
-                         f">= 1, got {got}")
-    return int(v)
+def model_geometry(bundle: dict, size) -> tuple:
+    """(scale, frame_channels) of a single net or of an fnet+srnet pair,
+    read from the graphs' shape rules at ``size`` = (h, w).
 
-
-def model_geometry(bundle: dict) -> tuple:
-    """(scale, frame_channels) of a single net or of an fnet+srnet pair.
-
-    A pair takes both from the srnet meta: ``scale`` is required and
-    ``frame_channels`` defaults to 3. A single net's meta ``scale``
-    defaults to 1 and it takes frames of its input channel count. A value
-    that is not an integer >= 1 or that does not match the nets' input
-    channels, or a bundle of any other graphs, raises
-    :class:`GraphError` naming the graph and the meta key.
+    The net that makes the frames (a pair's srnet) must output an integer
+    s >= 1 times ``size``; s is the scale. A single net takes frames of its
+    input channel count. A pair takes frames of the srnet's output channel
+    count c, so its fnet must take 2c channels and its srnet c * (1 + s^2).
+    Anything else, a bundle of other graphs included, raises
+    :class:`GraphError` naming the graph before any layer runs.
     """
     pair = _pair(bundle)
+    name = "srnet" if pair else next(iter(bundle))
+    net = bundle[name]
+    h, w = size
+    shape = (1, net.in_channels, h, w)
+    if net.layers:
+        shape = net.count_flops(shape).per_layer[-1]["out_shape"]
+    _, c, oh, ow = shape
+    s = oh // h
+    if s < 1 or (oh, ow) != (h * s, w * s):
+        raise GraphError(f"graph {name!r} maps {h}x{w} frames to {oh}x{ow}, "
+                         f"not an integer multiple >= 1 of them")
     if pair is None:
-        (name, net), = bundle.items()
-        return _meta_int(net, name, "scale", 1), net.in_channels
-    scale = _meta_int(pair[1], "srnet", "scale", None)
-    frame_c = _meta_int(pair[1], "srnet", "frame_channels", 3)
-    for name, key, want in (("fnet", "frame_channels", 2 * frame_c),
-                            ("srnet", "scale", frame_c * (1 + scale * scale))):
-        if bundle[name].in_channels != want:
-            raise GraphError(f"graph 'srnet': meta {key!r} implies {want} "
-                             f"input channels for graph {name!r}, which takes "
-                             f"{bundle[name].in_channels}")
-    return scale, frame_c
+        return s, net.in_channels
+    for gname, want in (("fnet", 2 * c), ("srnet", c * (1 + s * s))):
+        if bundle[gname].in_channels != want:
+            raise GraphError(f"graph {gname!r} takes "
+                             f"{bundle[gname].in_channels} input channels; a "
+                             f"x{s} pair of {c}-channel frames needs {want}")
+    return s, c
 
 
 def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
@@ -190,9 +188,9 @@ def vsr_step(generator: dict, lr: np.ndarray,
              backend: str = "gemm") -> tuple:
     """One recurrent step; returns (hr_frame, flow, next_state).
 
-    A bundle that is not an fnet+srnet pair, or bad srnet meta (see
-    :func:`model_geometry`), raises :class:`GraphError`. A non-finite input
-    frame, or a non-finite flow (from non-finite weights), raises
+    A bundle that is not an fnet+srnet pair, or one whose graphs disagree
+    (see :func:`model_geometry`), raises :class:`GraphError`. A non-finite
+    input frame, or a non-finite flow (from non-finite weights), raises
     :class:`NonFiniteError`.
     """
     pair = _pair(generator)
@@ -200,8 +198,8 @@ def vsr_step(generator: dict, lr: np.ndarray,
         raise GraphError(f"vsr_step needs an fnet+srnet pair, model holds "
                          f"graphs {sorted(generator)}")
     fnet, srnet = pair
-    scale, frame_c = model_geometry(generator)
     lr = tops.check_tensor(lr, "low-resolution frame")
+    scale, frame_c = model_geometry(generator, lr.shape[2:])
     tops.check_finite(lr, "low-resolution frame")
     n, c, h, w = lr.shape
     if c != frame_c:
@@ -231,14 +229,10 @@ def upscale_steps(bundle: dict, frames: np.ndarray, backend: str = "gemm"):
     frame, flow or output raises :class:`NonFiniteError` naming the frame
     (and, for an output, the graph that produced it).
     """
-    model_geometry(bundle)
+    frames = tops.check_tensor(frames, "sequence")
+    model_geometry(bundle, frames.shape[2:])
     recurrent = _pair(bundle) is not None
     name, net = ("srnet", None) if recurrent else next(iter(bundle.items()))
-    frames = np.asarray(frames, dtype=DTYPE)
-    if frames.ndim != 4:
-        raise ShapeError(f"expected (t, c, h, w) sequence, got {frames.shape}")
-    if frames.shape[0] < 1:
-        raise ShapeError("sequence is empty")
     state = None
     for t in range(frames.shape[0]):
         try:

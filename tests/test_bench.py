@@ -194,6 +194,12 @@ def test_time_pipeline_takes_an_integer_height_and_width():
         time_pipeline({"net": g}, (1, 1, 8, 8), frames=1, warmup=0)
     with pytest.raises(ShapeError, match="size must be an integer, got 8.5"):
         time_pipeline({"net": g}, (8.5, 8), frames=1, warmup=0)
+    for counts, match in ((dict(frames=1.5), "frames must be an integer"),
+                          (dict(frames=True), "frames must be an integer"),
+                          (dict(frames=1, warmup=0.5),
+                           "warmup must be an integer")):
+        with pytest.raises(ShapeError, match=match):
+            time_pipeline({"net": g}, (8, 8), **counts)
 
 
 @pytest.mark.parametrize("size", [(-2, 8), (8, 0)])

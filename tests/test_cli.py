@@ -14,6 +14,7 @@ from vsrkit import (
     conv2d_layer,
     conventions,
     evaluate_sequence,
+    init_random,
     load_bundle,
     luma,
     read_sequence,
@@ -292,9 +293,15 @@ def test_eval_report_keeps_per_frame_values_and_score_reads_the_metrics(
     {"metric": "psnr", "value": 1.0},
     "psnr",
     [["psnr", 1.0]],
+    [{"method": "a", "metric": "psnr", "value": 30.0},
+     {"method": "b", "metric": "ssim", "value": 0.9}],
+    [{"method": "a", "metric": "psnr", "value": 30.0},
+     {"method": "a", "metric": "ssim", "value": 0.9},
+     {"method": "a", "metric": "psnr", "value": 10.0}],
 ], ids=["no metric", "null value", "bool value", "text value", "nan value",
          "infinite value", "negative infinite value", "int metric",
-        "int method", "list row", "object", "string", "list of lists"])
+        "int method", "list row", "object", "string", "list of lists",
+        "second method", "repeated metric"])
 def test_score_names_a_malformed_report(tmp_path, capsys, metrics):
     report = tmp_path / "bad.json"
     report.write_text(json.dumps({"sections": {"metrics": metrics}}))
@@ -672,26 +679,88 @@ def _assert_clean_error(code, capsys, message):
     assert "Traceback" not in err
 
 
+def _old_meta(header):
+    """Header edit: the meta keys that older builders wrote."""
+    for g in header["graphs"]:
+        g["meta"].update({"fnet": {"max_flow": 24.0},
+                          "srnet": {"scale": 4, "frame_channels": 3}}
+                         [g["name"]])
+
+
+def _run(command, model, tmp_path, tag):
+    """What ``command`` makes of ``model``: the bench row without its
+    timings, or the bytes of the upscaled frames."""
+    out = tmp_path / tag
+    if command == "bench":
+        assert main(["bench", "--model", str(model), "--size", "16x16",
+                     "--frames", "1", "--warmup", "0",
+                     "--report", str(out)]) == 0
+        row = json.loads(out.read_text())["sections"]["bench"][0]
+        timings = ("wall_time_s", "fps", "mean_frame_s", "median_frame_s")
+        return {k: v for k, v in row.items() if k not in timings}
+    lr_dir, _ = _write_lr_frames(tmp_path, t=2, c=3, h=16, w=16)
+    assert main(["upscale", "--model", str(model), "--in", str(lr_dir),
+                 "--out", str(out)]) == 0
+    return read_sequence(out).tobytes()
+
+
 @pytest.mark.parametrize("command", ["bench", "upscale"])
 @pytest.mark.parametrize("key, value", [
-    ("scale", None), ("scale", "x"), ("scale", 0), ("scale", 4.5),
-    ("frame_channels", [1]), ("frame_channels", 1), ("scale", 2),
-], ids=["scale-missing", "scale-str", "scale-zero", "scale-fractional",
-        "frame-channels-list", "frame-channels-vs-fnet", "scale-vs-srnet"])
-def test_bad_srnet_meta_is_a_clean_error(tmp_path, capsys, edit_vsm_header,
-                                         egvsr_model, command, key, value):
+    ("arch", "srnet"), ("scale", None), ("scale", "x"), ("scale", 0),
+    ("scale", 4.5), ("frame_channels", None), ("frame_channels", [1]),
+    ("frame_channels", 1), ("scale", 2),
+], ids=["as-written", "scale-missing", "scale-str", "scale-zero",
+        "scale-fractional", "frame-channels-missing", "frame-channels-list",
+        "frame-channels-vs-fnet", "scale-vs-srnet"])
+def test_srnet_meta_edits_change_nothing(tmp_path, edit_vsm_header,
+                                        egvsr_model, command, key, value):
+    # an older file's meta keys, edited or dropped, are carried along
+    # unread: the geometry comes from the graphs
     model = tmp_path / "gen.vsm"
     model.write_bytes(egvsr_model.read_bytes())
+    edit_vsm_header(model, _old_meta)
     edit_vsm_header(model, _set_srnet_meta(key, value))
+    got = _run(command, model, tmp_path, "edited")
+    assert got == _run(command, egvsr_model, tmp_path, "plain")
+    save_model(load_bundle(model), tmp_path / "again.vsm")
+    bundle = load_bundle(tmp_path / "again.vsm")
+    assert bundle["srnet"].meta.get(key) == value
+    assert bundle["fnet"].meta == {"arch": "fnet", "max_flow": 24.0}
+
+
+def test_upscale_scale_flag_is_checked_against_the_graph(
+        tmp_path, capsys, edit_vsm_header, control_model):
+    def lie(header):
+        header["graphs"][0]["meta"]["scale"] = 2
+    edit_vsm_header(control_model, lie)
+    lr_dir, _ = _write_lr_frames(tmp_path, h=8, w=8)
+    out_dir = tmp_path / "hr"
+    argv = ["upscale", "--model", str(control_model), "--in", str(lr_dir),
+            "--out", str(out_dir), "--scale"]
+    capsys.readouterr()
+    _assert_clean_error(main(argv + ["2"]), capsys,
+                        "model upscales x3, but --scale 2 was requested")
+    assert not out_dir.exists()
+    assert main(argv + ["3"]) == 0
+    assert read_sequence(out_dir).shape == (3, 1, 24, 24)
+
+
+@pytest.mark.parametrize("command", ["bench", "upscale"])
+def test_single_net_that_downsizes_is_a_clean_error(tmp_path, capsys,
+                                                    command):
+    model = tmp_path / "down.vsm"
+    save_model({"net": init_random(NetworkGraph(
+        [conv2d_layer("down", 1, 1, 3, stride=2)], 1), 0)}, model)
     if command == "bench":
-        argv = ["bench", "--model", str(model), "--size", "16x16",
+        argv = ["bench", "--model", str(model), "--size", "10x10",
                 "--frames", "1", "--warmup", "0"]
     else:
-        lr_dir, _ = _write_lr_frames(tmp_path, t=2, c=3, h=16, w=16)
+        lr_dir, _ = _write_lr_frames(tmp_path)
         argv = ["upscale", "--model", str(model), "--in", str(lr_dir),
                 "--out", str(tmp_path / "hr")]
     capsys.readouterr()
-    _assert_clean_error(main(argv), capsys, f"graph 'srnet': meta '{key}'")
+    _assert_clean_error(main(argv), capsys, "graph 'net' maps 10x10 frames "
+                                            "to 5x5, not an integer multiple")
 
 
 def _save_with_nan_weight(bundle, gname, path):

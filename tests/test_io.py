@@ -456,3 +456,16 @@ def test_write_sequence_start_offset(tmp_path):
     paths = write_sequence(seq, tmp_path, start=5)
     names = sorted(os.path.basename(p) for p in paths)
     assert names == ["0005.f32", "0006.f32"]
+
+
+@pytest.mark.parametrize("start, match", [
+    (-1, "start must be >= 0, got -1"),
+    (1.5, "start must be an integer, got 1.5"),
+    (True, "start must be an integer, got True"),
+])
+def test_write_sequence_rejects_a_bad_start(tmp_path, start, match):
+    out = tmp_path / "out"
+    with pytest.raises(ShapeError, match=match):
+        write_sequence(np.zeros((2, 1, 2, 2), dtype=np.float32), out,
+                       start=start)
+    assert not out.exists()

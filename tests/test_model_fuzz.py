@@ -92,7 +92,7 @@ def _use(path):
     bundle = load_bundle(path)
     for g in bundle.values():
         g.count_flops((1, g.in_channels, 12, 16))
-    _, c = model_geometry(bundle)
+    _, c = model_geometry(bundle, (12, 16))
     frames = np.random.default_rng(0).random((2, c, 12, 16), dtype=np.float32)
     vsr_run(bundle, frames, backend="gemm")
 

@@ -10,6 +10,7 @@ from vsrkit import (
     build_generator,
     build_srnet,
     init_random,
+    model_geometry,
 )
 
 FNET_PARAMS = 1_750_882
@@ -77,8 +78,9 @@ def test_srnet_residual_blocks_pass_identity_when_second_conv_is_zero():
 def test_generator_bundle():
     gen = build_generator()
     assert set(gen) == {"fnet", "srnet"}
-    assert gen["srnet"].meta["scale"] == 4
-    assert gen["srnet"].meta["frame_channels"] == 3
+    assert model_geometry(gen, (12, 16)) == (4, 3)
+    assert [g.meta for g in gen.values()] == [{"arch": "fnet"},
+                                              {"arch": "srnet"}]
     total = sum(g.count_params() for g in gen.values())
     assert total == FNET_PARAMS + SRNET_PARAMS
 
@@ -115,8 +117,8 @@ def test_control_variants_share_backbone_structure():
     for v, g in graphs.items():
         kinds = [l.kind for l in g.layers[:6]]
         assert kinds == ["conv2d", "activation"] * 3, v
-        assert g.meta["scale"] == 3
-        assert g.meta["frame_channels"] == 1
+        assert model_geometry({"net": g}, (12, 16)) == (3, 1), v
+        assert g.meta == {"arch": v}
 
 
 def test_control_rejects_unknown_variant():

@@ -9,12 +9,15 @@ from vsrkit import (
     NonFiniteError,
     RecurrentState,
     ShapeError,
+    bilinear_up_layer,
     build_control_srnet,
     build_fnet,
     build_generator,
     build_srnet,
+    conv2d_layer,
     init_random,
     model_geometry,
+    pixel_shuffle_layer,
     vsr_run,
     vsr_step,
     warp,
@@ -286,25 +289,85 @@ def test_vsr_run_calls_vsr_step_through_the_module_global(generator,
 # bundle geometry
 
 def test_model_geometry_of_both_bundle_kinds(generator):
-    assert model_geometry(generator) == (4, 3)
-    assert model_geometry({"net": build_control_srnet("control-a")}) == (3, 1)
+    assert model_geometry(generator, (16, 16)) == (4, 3)
+    for variant in ("control-a", "control-b", "control-c"):
+        net = build_control_srnet(variant)
+        assert model_geometry({"net": net}, (8, 10)) == (3, 1), variant
+    # a graph with no layers passes its frames through unchanged
+    assert model_geometry({"net": NetworkGraph([], 2)}, (5, 7)) == (1, 2)
 
 
-def test_model_geometry_names_the_graph_and_meta_key(generator):
+def test_model_geometry_ignores_meta(generator):
+    frame = np.random.default_rng(8).random((1, 3, 16, 16), dtype=np.float32)
+    want = vsr_step(generator, frame)[0]
     for key, value in (("scale", None), ("scale", "x"), ("scale", 0),
                        ("scale", 4.5), ("scale", True),
                        ("frame_channels", [1]), ("frame_channels", 1),
                        ("scale", 2)):
         srnet = generator["srnet"].copy()
+        srnet.meta.update(scale=4, frame_channels=3)
         if value is None:
             del srnet.meta[key]
         else:
             srnet.meta[key] = value
         bundle = {"fnet": generator["fnet"], "srnet": srnet}
-        with pytest.raises(GraphError, match=f"graph 'srnet': meta '{key}'"):
-            model_geometry(bundle)
-        with pytest.raises(GraphError, match=f"graph 'srnet': meta '{key}'"):
-            vsr_step(bundle, np.zeros((1, 3, 16, 16), dtype=np.float32))
+        assert model_geometry(bundle, (16, 16)) == (4, 3), (key, value)
+        assert np.array_equal(vsr_step(bundle, frame)[0], want), (key, value)
+    control = build_control_srnet("control-a")
+    control.meta.update(scale=2, frame_channels=3)
+    assert model_geometry({"net": control}, (8, 8)) == (3, 1)
+
+
+def _x2_srnet(srnet):
+    """The x4 srnet with its upsampler swapped for a x2 one, so its input
+    still packs a x4 warp."""
+    layers = [ly for ly in srnet.layers if ly.name not in
+              ("up_conv", "up_shuffle")]
+    at = [ly.name for ly in layers].index("up_act")
+    layers[at:at] = [conv2d_layer("up_conv", 64, 3 * 2 * 2, 3),
+                     pixel_shuffle_layer("up_shuffle", 2)]
+    return init_random(NetworkGraph(layers, srnet.in_channels), 3)
+
+
+def test_pair_that_disagrees_is_a_named_error_before_any_forward(
+        generator, monkeypatch):
+    ran = []
+    forward = NetworkGraph.forward
+
+    def counting(self, *args, **kwargs):
+        ran.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkGraph, "forward", counting)
+    frames = np.zeros((2, 3, 16, 16), dtype=np.float32)
+    x2 = {"fnet": generator["fnet"], "srnet": _x2_srnet(generator["srnet"])}
+    narrow = {"fnet": init_random(NetworkGraph(
+        [conv2d_layer("flow", 4, 2, 3)], 4), 0), "srnet": generator["srnet"]}
+    for bundle, match in (
+            (x2, "graph 'srnet' takes 51 input channels; a x2 pair of "
+                 "3-channel frames needs 15"),
+            (narrow, "graph 'fnet' takes 4 input channels; a x4 pair of "
+                     "3-channel frames needs 6")):
+        with pytest.raises(GraphError, match=match):
+            model_geometry(bundle, (16, 16))
+        with pytest.raises(GraphError, match=match):
+            vsr_step(bundle, frames[:1])
+        with pytest.raises(GraphError, match=match):
+            vsr_run(bundle, frames)
+    assert not ran
+
+
+def test_single_net_that_does_not_upscale_is_a_named_error():
+    down = NetworkGraph([conv2d_layer("down", 1, 1, 3, stride=2)], 1)
+    odd = NetworkGraph([bilinear_up_layer("up", scale=1.5)], 1)
+    for net, size, got in ((down, (8, 8), "4x4"), (odd, (8, 8), "12x12")):
+        with pytest.raises(GraphError, match=f"graph 'net' maps 8x8 frames "
+                                             f"to {got}, not an integer"):
+            model_geometry({"net": net}, size)
+    # a shape rule that fails at this size names the layer
+    with pytest.raises(GraphError, match="layer 0 \\('c', conv2d\\)"):
+        model_geometry({"net": NetworkGraph(
+            [conv2d_layer("c", 1, 1, 3, pad=0)], 1)}, (1, 1))
 
 
 def test_model_geometry_rejects_other_bundles(generator):
@@ -313,4 +376,4 @@ def test_model_geometry_rejects_other_bundles(generator):
                    dict(generator, extra=net)):
         with pytest.raises(GraphError, match="expected either a single net "
                                              "or an fnet\\+srnet pair"):
-            model_geometry(bundle)
+            model_geometry(bundle, (8, 8))
