@@ -24,7 +24,8 @@ import numpy as np
 
 from . import metrics as qmetrics
 from .graph import fuse_conv_bn
-from .pipeline import model_geometry, upscale_steps
+from .pipeline import (fnet_size, graph_cost, model_geometry,
+                       upscale_steps)
 from .tensor import ShapeError, check_int
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
@@ -154,8 +155,11 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
     times = times[warmup:]
 
     wall = float(sum(times))
-    # model_geometry checked that each graph takes (1, in_channels, h, w)
-    reps = [g.count_flops((1, g.in_channels, h, w)) for g in bundle.values()]
+    # each graph at the size it runs at, as model_geometry checked it
+    sizes = {k: (h, w) for k in bundle}
+    if len(bundle) == 2:
+        sizes["fnet"] = fnet_size(bundle["fnet"], (h, w))
+    reps = [graph_cost(bundle, k, sizes[k]) for k in bundle]
     macs, flops = sum(r.mac_total for r in reps), sum(r.flops for r in reps)
     return BenchResult(arch=arch, height=h, width=w, scale=scale,
                        backend=backend, fused=fused, frames=frames,

@@ -22,7 +22,7 @@ from .frame_io import read_sequence, write_sequence
 from .graph import fuse_conv_bn, init_random
 from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
-from .pipeline import model_geometry, vsr_run
+from .pipeline import graph_cost, model_geometry, vsr_run
 from .tensor import DTYPE
 
 
@@ -212,10 +212,7 @@ def cmd_inspect(args) -> None:
         grand += graph.count_params()
         print(f"graph {gname}: in_channels={graph.in_channels} "
               f"layers={len(graph.layers)} meta={json.dumps(graph.meta, sort_keys=True)}")
-        report = None
-        if size is not None:
-            w, h = size
-            report = graph.count_flops((1, graph.in_channels, h, w))
+        report = graph_cost(bundle, gname, size[::-1]) if size else None
         for i, layer in enumerate(graph.layers):
             line = (f"  {i:3d} {layer.name:<16} {layer.kind:<18} "
                     f"params={layer.param_count()}")

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from .conv import ConvKernel, conv2d
 from .pipeline import warp
-from .tensor import DTYPE, ShapeError, check_finite
+from .tensor import DTYPE, ShapeError, bilinear_sample, check_finite
 
 # ITU-R 601 luma weights
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
@@ -223,9 +223,11 @@ def _lk_level(a: np.ndarray, b: np.ndarray, flow: np.ndarray) -> tuple:
 def dense_flow(a: np.ndarray, b: np.ndarray) -> FlowResult:
     """Estimate per-pixel displacement f with a(p) ~ b(p + f(p)).
 
-    Coarse-to-fine Lucas-Kanade over a 3-level pyramid with 7x7 windows.
-    Window systems with a near-singular structure tensor (flat texture)
-    contribute zero update and are reported via ``degenerate_fraction``.
+    Coarse-to-fine Lucas-Kanade over a 3-level pyramid with 7x7 windows;
+    each level's flow is doubled onto the next with the bilinear sampler
+    of the ``bilinear_up`` layer (:func:`tensor.bilinear_sample`). Window
+    systems with a near-singular structure tensor (flat texture) contribute
+    zero update and are reported via ``degenerate_fraction``.
     """
     a, b = _check_pair(a, b, names=("first", "second"))
     pyr_a = [luma(a) if a.ndim == 3 else np.asarray(a, dtype=np.float64)]
@@ -246,30 +248,10 @@ def dense_flow(a: np.ndarray, b: np.ndarray) -> FlowResult:
         flow, degenerate = _lk_level(pyr_a.pop(), pyr_b.pop(), flow)
         if not pyr_a:
             break
-        flow = _resize_flow(flow, pyr_a[-1].shape)
+        flow = bilinear_sample(flow[None], *pyr_a[-1].shape)[0]
         flow *= 2.0
     return FlowResult(flow=flow.astype(DTYPE),
                       degenerate_fraction=float(np.mean(degenerate)))
-
-
-def _resize_flow(flow: np.ndarray, target: tuple) -> np.ndarray:
-    th, tw = target
-    h, w = flow.shape[1:]
-    ys = (np.arange(th) + 0.5) * (h / th) - 0.5
-    xs = (np.arange(tw) + 0.5) * (w / tw) - 0.5
-    ys = np.clip(ys, 0, h - 1)
-    xs = np.clip(xs, 0, w - 1)
-    out = np.empty((2, th, tw))
-    for ch in range(2):
-        y0 = np.floor(ys).astype(int)
-        y1 = np.minimum(y0 + 1, h - 1)
-        fy = (ys - y0)[:, None]
-        rows = flow[ch][y0] * (1 - fy) + flow[ch][y1] * fy
-        x0 = np.floor(xs).astype(int)
-        x1 = np.minimum(x0 + 1, w - 1)
-        fx = xs - x0
-        out[ch] = rows[:, x0] * (1 - fx) + rows[:, x1] * fx
-    return out
 
 
 def _check_sequences(gen, ref, temporal: bool = True):

@@ -116,9 +116,26 @@ class RecurrentState:
     prev_hr: np.ndarray
 
 
-def _pool_factor(fnet: NetworkGraph) -> int:
-    levels = sum(1 for ly in fnet.layers if ly.kind == "maxpool2")
-    return 2 ** levels
+def fnet_size(fnet: NetworkGraph, size) -> tuple:
+    """The (h, w) the fnet runs at: ``size`` padded to its pooling factor."""
+    f = 2 ** sum(ly.kind == "maxpool2" for ly in fnet.layers)
+    return tuple(-(-v // f) * f for v in size)
+
+
+def graph_cost(bundle: dict, name: str, size):
+    """``count_flops`` of graph ``name`` for one frame of ``size`` = (h, w);
+    a shape rule that fails raises a GraphError naming the graph."""
+    net = bundle[name]
+    try:
+        return net.count_flops((1, net.in_channels, *size))
+    except GraphError as e:
+        raise GraphError(f"graph {name!r}: {e}") from e
+
+
+def _out_shape(bundle: dict, name: str, size) -> tuple:
+    rows = graph_cost(bundle, name, size).per_layer
+    return (rows[-1]["out_shape"] if rows
+            else (1, bundle[name].in_channels, *size))
 
 
 def _pair(bundle: dict):
@@ -138,29 +155,32 @@ def model_geometry(bundle: dict, size) -> tuple:
     The net that makes the frames (a pair's srnet) must output an integer
     s >= 1 times ``size``; s is the scale. A single net takes frames of its
     input channel count. A pair takes frames of the srnet's output channel
-    count c, so its fnet must take 2c channels and its srnet c * (1 + s^2).
-    Anything else, a bundle of other graphs included, raises
-    :class:`GraphError` naming the graph before any layer runs.
+    count c, so its fnet must take 2c channels and its srnet c * (1 + s^2),
+    and the fnet must map a frame pair at :func:`fnet_size` to a 2-channel
+    flow of that size. Anything else, a bundle of other graphs or a shape
+    rule that fails at ``size`` included, raises :class:`GraphError`
+    naming the graph before any layer runs.
     """
     pair = _pair(bundle)
     name = "srnet" if pair else next(iter(bundle))
-    net = bundle[name]
     h, w = size
-    shape = (1, net.in_channels, h, w)
-    if net.layers:
-        shape = net.count_flops(shape).per_layer[-1]["out_shape"]
-    _, c, oh, ow = shape
+    _, c, oh, ow = _out_shape(bundle, name, size)
     s = oh // h
     if s < 1 or (oh, ow) != (h * s, w * s):
         raise GraphError(f"graph {name!r} maps {h}x{w} frames to {oh}x{ow}, "
                          f"not an integer multiple >= 1 of them")
     if pair is None:
-        return s, net.in_channels
+        return s, bundle[name].in_channels
     for gname, want in (("fnet", 2 * c), ("srnet", c * (1 + s * s))):
         if bundle[gname].in_channels != want:
             raise GraphError(f"graph {gname!r} takes "
                              f"{bundle[gname].in_channels} input channels; a "
                              f"x{s} pair of {c}-channel frames needs {want}")
+    fh, fw = fnet_size(bundle["fnet"], size)
+    _, fc, foh, fow = _out_shape(bundle, "fnet", (fh, fw))
+    if (fc, foh, fow) != (2, fh, fw):
+        raise GraphError(f"graph 'fnet' maps {fh}x{fw} frame pairs to "
+                         f"{fc}x{foh}x{fow}, not a 2x{fh}x{fw} flow")
     return s, c
 
 
@@ -169,16 +189,15 @@ def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
     """Dense flow from prev to cur on the input grid.
 
     The encoder halves resolution once per pooling level, so the frame pair
-    is edge-padded up to the nearest multiple of the total pooling factor
-    and the flow is cropped back afterwards.
+    is edge-padded to :func:`fnet_size`, a multiple of the total pooling
+    factor, and the flow is cropped back afterwards.
     """
     pair = tops.concat_channels(cur, prev)
-    n, c, h, w = pair.shape
-    f = _pool_factor(fnet)
-    ph = (f - h % f) % f
-    pw = (f - w % f) % f
-    if ph or pw:
-        pair = np.pad(pair, ((0, 0), (0, 0), (0, ph), (0, pw)), mode="edge")
+    h, w = pair.shape[2:]
+    ph, pw = fnet_size(fnet, (h, w))
+    if (ph, pw) != (h, w):
+        pair = np.pad(pair, ((0, 0), (0, 0), (0, ph - h), (0, pw - w)),
+                      mode="edge")
     flow = fnet.forward(pair, backend)
     return np.ascontiguousarray(flow[:, :, :h, :w])
 

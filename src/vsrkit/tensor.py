@@ -113,12 +113,8 @@ def pad_zero(t: np.ndarray, pad: int) -> np.ndarray:
 
 
 def bilinear_resize(t: np.ndarray, scale: float) -> np.ndarray:
-    """Bilinear resampling by an arbitrary positive scale factor.
-
-    Uses the align-corners-false convention: output pixel i samples the
-    source at (i + 0.5)/scale - 0.5, with reads clamped to the border.
-    Output dims are round(h*scale) x round(w*scale).
-    """
+    """Bilinear resampling by an arbitrary positive scale factor to
+    round(h*scale) x round(w*scale), through :func:`bilinear_sample`."""
     t = check_tensor(t)
     scale = float(scale)
     _require(0 < scale < np.inf,
@@ -129,23 +125,25 @@ def bilinear_resize(t: np.ndarray, scale: float) -> np.ndarray:
     _require(oh >= 1 and ow >= 1, f"output dims {oh}x{ow} must be >= 1")
     if oh == h and ow == w and scale == 1.0:
         return t.copy()
+    return bilinear_sample(t, oh, ow)
 
+
+def bilinear_sample(t: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Bilinear resampling of an NCHW array of any float dtype to oh x ow,
+    computed in that dtype; the result is C-contiguous.
+
+    Uses the align-corners-false convention: output pixel i samples the
+    source at (i + 0.5) * h/oh - 0.5, with reads clamped to the border.
+    Rows are interpolated first, then columns, each as v0*(1-f) + v1*f.
+    """
+    h, w = t.shape[2:]
     sy = (np.arange(oh, dtype=np.float64) + 0.5) * (h / oh) - 0.5
     sx = (np.arange(ow, dtype=np.float64) + 0.5) * (w / ow) - 0.5
     y0 = np.floor(sy).astype(np.int64)
     x0 = np.floor(sx).astype(np.int64)
-    wy = (sy - y0).astype(DTYPE)
-    wx = (sx - x0).astype(DTYPE)
-    y0c = np.clip(y0, 0, h - 1)
-    y1c = np.clip(y0 + 1, 0, h - 1)
-    x0c = np.clip(x0, 0, w - 1)
-    x1c = np.clip(x0 + 1, 0, w - 1)
-
-    rows0 = t[:, :, y0c, :]
-    rows1 = t[:, :, y1c, :]
-    rows = rows0 * (1.0 - wy)[None, None, :, None] + rows1 * wy[None, None, :, None]
-    out = (
-        rows[:, :, :, x0c] * (1.0 - wx)[None, None, None, :]
-        + rows[:, :, :, x1c] * wx[None, None, None, :]
-    )
-    return out.astype(DTYPE, copy=False)
+    wy = (sy - y0).astype(t.dtype)[None, None, :, None]
+    wx = (sx - x0).astype(t.dtype)
+    rows = (np.take(t, np.clip(y0, 0, h - 1), axis=2) * (1 - wy)
+            + np.take(t, np.clip(y0 + 1, 0, h - 1), axis=2) * wy)
+    return (np.take(rows, np.clip(x0, 0, w - 1), axis=3) * (1 - wx)
+            + np.take(rows, np.clip(x0 + 1, 0, w - 1), axis=3) * wx)

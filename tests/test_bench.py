@@ -171,6 +171,20 @@ def test_time_pipeline_recurrent_bundle():
     assert res.flops_per_frame == sum(r.flops for r in reps)
 
 
+def test_time_pipeline_costs_the_fnet_at_its_padded_size():
+    gen = {"fnet": build_fnet(), "srnet": build_srnet()}
+    res = time_pipeline(gen, (12, 12), frames=1, warmup=0)
+    # the fnet's three pooling levels pad 12x12 frame pairs to 16x16
+    reps = [gen["fnet"].count_flops((1, 6, 16, 16)),
+            gen["srnet"].count_flops((1, 51, 12, 12))]
+    assert res.macs_per_frame == sum(r.mac_total for r in reps) == 147_334_144
+    assert res.flops_per_frame == sum(r.flops for r in reps)
+    # a single net is never padded, whatever its name
+    net = build_control_srnet("control-a")
+    single = time_pipeline({"fnet": net}, (12, 12), frames=1, warmup=0)
+    assert single.macs_per_frame == net.count_flops((1, 1, 12, 12)).mac_total
+
+
 def test_time_pipeline_cost_fields_are_run_independent():
     g = init_random(build_control_srnet("control-b"), 3)
     a = time_pipeline({"net": g}, (10, 10), frames=2, warmup=0, seed=5)

@@ -11,12 +11,14 @@ from vsrkit import (
     NetworkGraph,
     activation_layer,
     batch_norm_layer,
+    build_generator,
     conv2d_layer,
     conventions,
     evaluate_sequence,
     init_random,
     load_bundle,
     luma,
+    maxpool2_layer,
     read_sequence,
     save_model,
     score_table,
@@ -761,6 +763,39 @@ def test_single_net_that_downsizes_is_a_clean_error(tmp_path, capsys,
     capsys.readouterr()
     _assert_clean_error(main(argv), capsys, "graph 'net' maps 10x10 frames "
                                             "to 5x5, not an integer multiple")
+
+
+@pytest.mark.parametrize("probe", ["three-channel-flow", "pooled-flow",
+                                   "empty-conv-upscale", "empty-conv-inspect"])
+def test_a_graph_that_fails_at_the_frame_size_is_a_clean_error(
+        tmp_path, capsys, probe):
+    model = tmp_path / "m.vsm"
+    if probe.startswith("empty-conv"):
+        save_model({"net": NetworkGraph([conv2d_layer("c", 1, 1, 3, pad=0)],
+                                        1)}, model)
+        lr_dir, _ = _write_lr_frames(tmp_path, c=1, h=1, w=1)
+        message = ("graph 'net': layer 0 ('c', conv2d): conv geometry gives "
+                   "empty output")
+    else:
+        gen = build_generator()
+        layers = gen["fnet"].layers
+        if probe == "three-channel-flow":
+            layers[-2] = conv2d_layer("head_conv2", 32, 3, 3)
+        else:
+            layers.append(maxpool2_layer("extra_pool"))
+        gen["fnet"] = NetworkGraph(layers, gen["fnet"].in_channels)
+        save_model(gen, model)
+        lr_dir, _ = _write_lr_frames(tmp_path, c=3, h=16, w=16)
+        message = ("graph 'fnet' maps 16x16 frame pairs to "
+                   + ("3x16x16" if probe == "three-channel-flow" else "2x8x8")
+                   + ", not a 2x16x16 flow")
+    argv = (["inspect", "--model", str(model), "--size", "1x1"]
+            if probe.endswith("inspect") else
+            ["upscale", "--model", str(model), "--in", str(lr_dir),
+             "--out", str(tmp_path / "hr")])
+    capsys.readouterr()
+    _assert_clean_error(main(argv), capsys, message)
+    assert not (tmp_path / "hr").exists()
 
 
 def _save_with_nan_weight(bundle, gname, path):

@@ -7,6 +7,7 @@ from vsrkit import (
     BACKENDS,
     BatchNormParams,
     GraphError,
+    Layer,
     NetworkGraph,
     ShapeError,
     activation_layer,
@@ -67,6 +68,14 @@ def test_batchnorm_params_validation():
         BatchNormParams(gamma=[1.0], beta=[0.0], mean=[0.0], var=[-1.0])
 
 
+def test_batchnorm_forward_rejects_a_channel_mismatch():
+    p = BatchNormParams(gamma=[1.0, 1.0], beta=[0.0, 0.0], mean=[0.0, 0.0],
+                        var=[1.0, 1.0])
+    with pytest.raises(ShapeError, match="input has 3 channels, batch-norm "
+                                         "params have 2"):
+        batchnorm_forward(np.zeros((1, 3, 2, 2), dtype=np.float32), p)
+
+
 def test_batchnorm_affine_closed_form():
     # gamma 2, beta 3, zero mean, unit variance: scale -> 2, shift -> 3
     p = BatchNormParams(gamma=[2.0], beta=[3.0], mean=[0.0], var=[1.0],
@@ -100,6 +109,21 @@ def test_graph_rejects_unknown_skip_source():
         NetworkGraph(layers, in_channels=1)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Layer("bogus", "l"), "unknown layer kind 'bogus'"),
+    (lambda: NetworkGraph([], in_channels=0), "in_channels must be >= 1, "
+                                              "got 0"),
+    (lambda: NetworkGraph([conv2d_layer("a", 3, 3, 3),
+                           conv2d_layer("b", 3, 4, 3),
+                           residual_add_layer("l", source="a")], 3),
+     r"layer 2 \('l', residual_add\): residual source has 3 channels, "
+     r"current stream has 4"),
+])
+def test_graph_rejects_a_malformed_layer_or_graph(make, match):
+    with pytest.raises(GraphError, match=match):
+        make()
+
+
 def _bad_attr_cases():
     rng = np.random.default_rng(20)
     conv = lambda: conv2d_layer("l", 2, 2, 3)
@@ -113,6 +137,10 @@ def _bad_attr_cases():
         (conv, "c_out", 3.0), (bn, "c", 2.0), (bn, "c", 3.0),
         (conv, "k", True), (conv, "stride", True), (conv, "pad", True),
         (deconv, "scale", 0), (deconv, "k", 0), (deconv, "scale", True),
+        # k=4 pad=0 cannot give a x2 transposed output; 3 channels of a
+        # 2-channel stream; 4 channels cannot shuffle by 3
+        (deconv, "pad", 0), (bn, "c", 3),
+        (lambda: pixel_shuffle_layer("l", 2), "r", 3),
         (lambda: pixel_shuffle_layer("l", 2), "r", 0),
         (lambda: pixel_shuffle_layer("l", 2), "r", 2.0),
         (lambda: pixel_shuffle_layer("l", 2), "r", True),
@@ -337,6 +365,22 @@ def test_forward_checks_every_shape_rule_before_running_a_layer(monkeypatch):
                                          r"source 'down' is 4x5, stream is "
                                          r"8x10"):
         g.forward(x)
+    assert counts == {}
+
+
+@pytest.mark.parametrize("scale, backend, error, match", [
+    (0.05, "gemm", GraphError,
+     r"layer 1 \('up', bilinear_up\): resize to 0x0 is empty"),
+    (2.0, "bogus", ValueError, "unknown backend 'bogus'"),
+])
+def test_forward_rejects_a_size_or_backend_before_running_a_layer(
+        monkeypatch, scale, backend, error, match):
+    g = NetworkGraph([conv2d_layer("c", 3, 3, 3),
+                      bilinear_up_layer("up", scale)], in_channels=3)
+    counts = {}
+    _counting(monkeypatch, conv_module, "conv2d", counts)
+    with pytest.raises(error, match=match):
+        g.forward(np.zeros((1, 3, 7, 9), dtype=np.float32), backend)
     assert counts == {}
 
 

@@ -16,6 +16,7 @@ from vsrkit import (
     build_srnet,
     conv2d_layer,
     init_random,
+    maxpool2_layer,
     model_geometry,
     pixel_shuffle_layer,
     vsr_run,
@@ -166,6 +167,25 @@ def test_vsr_step_validates_generator(generator):
     lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
     with pytest.raises(GraphError, match=r"needs an fnet\+srnet pair"):
         vsr_step({"fnet": generator["fnet"]}, lr)
+
+
+@pytest.mark.parametrize("frame, state_size, match", [
+    ((1, 1, 16, 16), None, "frame has 1 channels, net expects 3"),
+    ((1, 3, 16, 16), (24, 24), r"state frame shape \(1, 3, 24, 24\) does "
+                               r"not match input \(1, 3, 16, 16\)"),
+])
+def test_vsr_step_rejects_a_frame_or_state_of_another_shape(
+        generator, monkeypatch, frame, state_size, match):
+    state = None
+    if state_size is not None:
+        state = vsr_step(generator, np.zeros((1, 3, *state_size),
+                                             dtype=np.float32))[2]
+    ran = []
+    monkeypatch.setattr(pipeline, "estimate_flow",
+                        lambda *args: ran.append(1))
+    with pytest.raises(ShapeError, match=match):
+        vsr_step(generator, np.zeros(frame, dtype=np.float32), state)
+    assert not ran
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +349,17 @@ def _x2_srnet(srnet):
     return init_random(NetworkGraph(layers, srnet.in_channels), 3)
 
 
+def _fnet_with(fnet, flow_channels=2, pool=False):
+    """The fnet with its last conv emitting ``flow_channels``, and with a
+    maxpool after its last layer when ``pool``."""
+    layers = [ly.copy() for ly in fnet.layers]
+    head = layers[-2]
+    layers[-2] = conv2d_layer(head.name, head.attrs["c_in"], flow_channels, 3)
+    if pool:
+        layers.append(maxpool2_layer("extra_pool"))
+    return init_random(NetworkGraph(layers, fnet.in_channels), 4)
+
+
 def test_pair_that_disagrees_is_a_named_error_before_any_forward(
         generator, monkeypatch):
     ran = []
@@ -340,14 +371,24 @@ def test_pair_that_disagrees_is_a_named_error_before_any_forward(
 
     monkeypatch.setattr(NetworkGraph, "forward", counting)
     frames = np.zeros((2, 3, 16, 16), dtype=np.float32)
-    x2 = {"fnet": generator["fnet"], "srnet": _x2_srnet(generator["srnet"])}
+    srnet = generator["srnet"]
+    x2 = {"fnet": generator["fnet"], "srnet": _x2_srnet(srnet)}
     narrow = {"fnet": init_random(NetworkGraph(
-        [conv2d_layer("flow", 4, 2, 3)], 4), 0), "srnet": generator["srnet"]}
+        [conv2d_layer("flow", 4, 2, 3)], 4), 0), "srnet": srnet}
     for bundle, match in (
             (x2, "graph 'srnet' takes 51 input channels; a x2 pair of "
                  "3-channel frames needs 15"),
             (narrow, "graph 'fnet' takes 4 input channels; a x4 pair of "
-                     "3-channel frames needs 6")):
+                     "3-channel frames needs 6"),
+            ({"fnet": _fnet_with(generator["fnet"], flow_channels=3),
+              "srnet": srnet}, "graph 'fnet' maps 16x16 frame pairs to "
+                               "3x16x16, not a 2x16x16 flow"),
+            ({"fnet": _fnet_with(generator["fnet"], pool=True),
+              "srnet": srnet}, "graph 'fnet' maps 16x16 frame pairs to "
+                               "2x8x8, not a 2x16x16 flow"),
+            ({"fnet": NetworkGraph([conv2d_layer("wide", 6, 2, 17, pad=0)],
+                                   6), "srnet": srnet},
+             "graph 'fnet': layer 0 \\('wide', conv2d\\): conv geometry")):
         with pytest.raises(GraphError, match=match):
             model_geometry(bundle, (16, 16))
         with pytest.raises(GraphError, match=match):
@@ -364,8 +405,9 @@ def test_single_net_that_does_not_upscale_is_a_named_error():
         with pytest.raises(GraphError, match=f"graph 'net' maps 8x8 frames "
                                              f"to {got}, not an integer"):
             model_geometry({"net": net}, size)
-    # a shape rule that fails at this size names the layer
-    with pytest.raises(GraphError, match="layer 0 \\('c', conv2d\\)"):
+    # a shape rule that fails at this size names the graph and the layer
+    with pytest.raises(GraphError, match="^graph 'net': layer 0 \\('c', "
+                                         "conv2d\\): conv geometry"):
         model_geometry({"net": NetworkGraph(
             [conv2d_layer("c", 1, 1, 3, pad=0)], 1)}, (1, 1))
 

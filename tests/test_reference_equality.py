@@ -3,7 +3,9 @@ overlapped evaluation, single frame loop, per-kind layer steps and costs,
 and batch-norm fusion against straightforward reference implementations.
 
 ``_reference_warp`` and ``_reference_lk_level`` are the plain formulations
-(meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``).
+(meshgrid coordinates, an NHWC gather, ``np.where`` and ``np.stack``);
+``_reference_resize_flow`` is the tracker's own flow upsample that the
+shared ``tensor.bilinear_sample`` replaced.
 The library versions must reproduce them bit for bit, and must stay inside
 the ``tracemalloc`` peaks measured for them at 384x512.
 """
@@ -100,6 +102,49 @@ def _reference_lk_level(a, b, flow):
     return flow, degenerate
 
 
+def _reference_resize_flow(flow, target):
+    """The flow upsample the tracker used before it shared the tensor
+    sampler: float64, one channel at a time, sample positions clamped to
+    the border before the weights are taken."""
+    th, tw = target
+    h, w = flow.shape[1:]
+    ys = (np.arange(th) + 0.5) * (h / th) - 0.5
+    xs = (np.arange(tw) + 0.5) * (w / tw) - 0.5
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
+    out = np.empty((2, th, tw))
+    for ch in range(2):
+        y0 = np.floor(ys).astype(int)
+        y1 = np.minimum(y0 + 1, h - 1)
+        fy = (ys - y0)[:, None]
+        rows = flow[ch][y0] * (1 - fy) + flow[ch][y1] * fy
+        x0 = np.floor(xs).astype(int)
+        x1 = np.minimum(x0 + 1, w - 1)
+        fx = xs - x0
+        out[ch] = rows[:, x0] * (1 - fx) + rows[:, x1] * fx
+    return out
+
+
+def _reference_bilinear_resize(t, scale):
+    """``bilinear_resize`` as it was written before it called the shared
+    sampler: fancy indexing, float32 weights, a w-major result."""
+    n, c, h, w = t.shape
+    oh, ow = int(round(h * scale)), int(round(w * scale))
+    sy = (np.arange(oh, dtype=np.float64) + 0.5) * (h / oh) - 0.5
+    sx = (np.arange(ow, dtype=np.float64) + 0.5) * (w / ow) - 0.5
+    y0 = np.floor(sy).astype(np.int64)
+    x0 = np.floor(sx).astype(np.int64)
+    wy = (sy - y0).astype(DTYPE)
+    wx = (sx - x0).astype(DTYPE)
+    rows0 = t[:, :, np.clip(y0, 0, h - 1), :]
+    rows1 = t[:, :, np.clip(y0 + 1, 0, h - 1), :]
+    rows = (rows0 * (1.0 - wy)[None, None, :, None]
+            + rows1 * wy[None, None, :, None])
+    out = (rows[:, :, :, np.clip(x0, 0, w - 1)] * (1.0 - wx)[None, None, None, :]
+           + rows[:, :, :, np.clip(x0 + 1, 0, w - 1)] * wx[None, None, None, :])
+    return out.astype(DTYPE, copy=False)
+
+
 def _texture_pair(seed, h, w, dy=1, dx=2):
     tex = ndimage.gaussian_filter(
         np.random.default_rng(seed).random((h + 8, w + 8)), 1.5)
@@ -172,6 +217,8 @@ def test_lk_level_is_bit_identical_to_reference(scale):
 def _reference_dense_flow(monkeypatch, a, b):
     with monkeypatch.context() as m:
         m.setattr(metrics, "_lk_level", _reference_lk_level)
+        m.setattr(metrics, "bilinear_sample", lambda t, oh, ow:
+                  _reference_resize_flow(t[0], (oh, ow))[None])
         return dense_flow(a, b)
 
 
@@ -184,6 +231,10 @@ def _flow_pairs():
         # a faint texture under a large brightness step drives the
         # Lucas-Kanade update into the displacement clamp both ways
         "clamped": (faint, faint + 1.0),
+        # levels that do not halve exactly: 45x61 -> 23x31 (two levels),
+        # 101x67 -> 51x34 -> 26x17
+        "odd-45x61": _texture_pair(18, 45, 61),
+        "odd-101x67": _texture_pair(19, 101, 67),
     }
 
 
@@ -197,6 +248,33 @@ def test_dense_flow_is_bit_identical_to_reference(name, monkeypatch):
     if name == "clamped":
         assert got.flow.max() == metrics.LK_MAX_DISP
         assert got.flow.min() == -metrics.LK_MAX_DISP
+
+
+@pytest.mark.parametrize("shape, target", [((2, 12, 16), (24, 32)),
+                                           ((2, 23, 31), (45, 61)),
+                                           ((2, 26, 17), (51, 34))])
+def test_bilinear_sample_of_a_float64_flow(shape, target):
+    flow = np.random.default_rng(20).standard_normal(shape) * 5
+    got = tensor.bilinear_sample(flow[None], *target)[0]
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    want = _reference_resize_flow(flow, target)
+    # a border sample is clamped by its index here and by its position in
+    # the reference: v*(1-w) + v*w against v. That is the same bits when
+    # the size doubles exactly, else a last-bit difference on the border
+    if target == (24, 32):
+        assert np.array_equal(got, want)
+    assert np.array_equal(got[:, 1:-1, 1:-1], want[:, 1:-1, 1:-1])
+    assert np.abs(got - want).max() <= np.spacing(np.abs(flow).max())
+
+
+@pytest.mark.parametrize("scale", [1.5, 2.0, 3.0, 4.0])
+def test_bilinear_resize_equals_its_previous_expression(scale):
+    x = np.random.default_rng(21).standard_normal((2, 5, 11, 14)).astype(
+        np.float32)
+    got = tensor.bilinear_resize(x, scale)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.tobytes() == np.ascontiguousarray(
+        _reference_bilinear_resize(x, scale)).tobytes()
 
 
 def test_dense_flow_peak_memory_at_384x512():
