@@ -24,8 +24,7 @@ import numpy as np
 
 from . import metrics as qmetrics
 from .graph import fuse_conv_bn
-from .pipeline import (fnet_size, graph_cost, model_geometry,
-                       upscale_steps)
+from .pipeline import graph_cost, model_geometry, upscale_steps
 from .tensor import ShapeError, check_int
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
@@ -69,6 +68,8 @@ class FpgaProfile:
                             for v in row)
             if n < 1 or luts < 1 or lat < 1:
                 raise ValueError(f"profile row {row} has non-positive entries")
+            if [r[0] for r in self.rows].count(n) > 1:
+                raise ValueError(f"profile rows repeat input size {n}")
 
     def row(self, input_size: int):
         n = check_int(input_size, "input_size")
@@ -155,11 +156,7 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
     times = times[warmup:]
 
     wall = float(sum(times))
-    # each graph at the size it runs at, as model_geometry checked it
-    sizes = {k: (h, w) for k in bundle}
-    if len(bundle) == 2:
-        sizes["fnet"] = fnet_size(bundle["fnet"], (h, w))
-    reps = [graph_cost(bundle, k, sizes[k]) for k in bundle]
+    reps = [graph_cost(bundle, k, (h, w)) for k in bundle]
     macs, flops = sum(r.mac_total for r in reps), sum(r.flops for r in reps)
     return BenchResult(arch=arch, height=h, width=w, scale=scale,
                        backend=backend, fused=fused, frames=frames,

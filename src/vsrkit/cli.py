@@ -22,7 +22,7 @@ from .frame_io import read_sequence, write_sequence
 from .graph import fuse_conv_bn, init_random
 from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
-from .pipeline import graph_cost, model_geometry, vsr_run
+from .pipeline import graph_cost, model_geometry, run_size, vsr_run
 from .tensor import DTYPE
 
 
@@ -205,14 +205,14 @@ def cmd_estimate_fpga(args) -> dict:
 
 def cmd_inspect(args) -> None:
     bundle = load_bundle(args.model)
-    size = _parse_size(args.size) if args.size else None
+    size = _parse_size(args.size)[::-1] if args.size else None  # (h, w)
     grand = 0
     for gname in sorted(bundle):
         graph = bundle[gname]
         grand += graph.count_params()
         print(f"graph {gname}: in_channels={graph.in_channels} "
               f"layers={len(graph.layers)} meta={json.dumps(graph.meta, sort_keys=True)}")
-        report = graph_cost(bundle, gname, size[::-1]) if size else None
+        report = graph_cost(bundle, gname, size) if size else None
         for i, layer in enumerate(graph.layers):
             line = (f"  {i:3d} {layer.name:<16} {layer.kind:<18} "
                     f"params={layer.param_count()}")
@@ -224,7 +224,8 @@ def cmd_inspect(args) -> None:
             print(line)
         print(f"graph {gname} total params={graph.count_params()}")
         if report is not None:
-            print(f"graph {gname} ops at {size[0]}x{size[1]}: "
+            h, w = run_size(bundle, gname, size)
+            print(f"graph {gname} ops at {w}x{h}: "
                   f"macs={report.macs} pointwise={report.pointwise_ops} "
                   f"mac_total={report.mac_total} flops={report.flops}")
     if len(bundle) > 1:

@@ -31,12 +31,12 @@ log = logging.getLogger(__name__)
 # kind -> (id written into .vsm headers, integer attributes, parameter
 # arrays in file order). The ids are part of the file format: retired kinds
 # keep theirs (7 space_to_depth, 8 concat, 10 interpolation_resize), and
-# those ids are never reused.
+# those ids are never reused. Channel counts and kernel sizes are the shapes
+# of the arrays; attributes a row does not list are carried through unread.
 LAYER_KINDS = {
-    "conv2d": (0, ("c_in", "c_out", "k", "stride", "pad"), ("weight", "bias")),
-    "conv_transpose2d": (1, ("c_in", "c_out", "k", "scale", "pad"),
-                         ("weight", "bias")),
-    "batch_norm": (2, ("c",), ("gamma", "beta", "mean", "var")),
+    "conv2d": (0, ("stride", "pad"), ("weight", "bias")),
+    "conv_transpose2d": (1, ("scale", "pad"), ("weight", "bias")),
+    "batch_norm": (2, (), ("gamma", "beta", "mean", "var")),
     "activation": (3, (), ()),
     "maxpool2": (4, (), ()),
     "bilinear_up": (5, (), ()),
@@ -118,13 +118,15 @@ def _check(ok: bool, msg: str) -> None:
 # ---------------------------------------------------------------------------
 # layer constructors
 
-def _conv_layer(kind, name, ints: dict, weights, bias) -> Layer:
-    a = {key: check_int(v, key) for key, v in ints.items()}
-    if weights is None:
-        weights = np.zeros((a["c_out"], a["c_in"], a["k"], a["k"]), DTYPE)
-    if bias is None:
-        bias = np.zeros(a["c_out"], dtype=DTYPE)
-    return Layer(kind, name, a, {"weight": weights, "bias": bias})
+def _conv_layer(kind, name, c_in, c_out, k, ints, weights, bias) -> Layer:
+    shape = tuple(check_int(v, key) for key, v in
+                  (("c_out", c_out), ("c_in", c_in), ("k", k), ("k", k)))
+    weights = np.zeros(shape, DTYPE) if weights is None else weights
+    if np.shape(weights) != shape:
+        raise ShapeError(f"weights {np.shape(weights)} != declared {shape}")
+    bias = np.zeros(shape[0], DTYPE) if bias is None else bias
+    return Layer(kind, name, {key: check_int(v, key) for key, v in ints.items()},
+                 {"weight": weights, "bias": bias})
 
 
 def conv2d_layer(name, c_in, c_out, k, stride=1, pad=None,
@@ -132,16 +134,14 @@ def conv2d_layer(name, c_in, c_out, k, stride=1, pad=None,
     """3x3-style convolution layer; ``pad`` defaults to k//2 ("same")."""
     if pad is None:
         pad = check_int(k, "k") // 2
-    return _conv_layer("conv2d", name, dict(c_in=c_in, c_out=c_out, k=k,
-                                            stride=stride, pad=pad),
-                       weights, bias)
+    return _conv_layer("conv2d", name, c_in, c_out, k,
+                       dict(stride=stride, pad=pad), weights, bias)
 
 
 def conv_transpose2d_layer(name, c_in, c_out, k, scale, pad,
                            weights=None, bias=None) -> Layer:
-    return _conv_layer("conv_transpose2d", name,
-                       dict(c_in=c_in, c_out=c_out, k=k, scale=scale, pad=pad),
-                       weights, bias)
+    return _conv_layer("conv_transpose2d", name, c_in, c_out, k,
+                       dict(scale=scale, pad=pad), weights, bias)
 
 
 def batch_norm_layer(name, c, params: BatchNormParams | None = None) -> Layer:
@@ -149,7 +149,9 @@ def batch_norm_layer(name, c, params: BatchNormParams | None = None) -> Layer:
     if params is None:
         params = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c),
                                  np.ones(c))
-    return Layer("batch_norm", name, {"c": c, "eps": float(params.eps)},
+    elif params.channels != c:
+        raise ShapeError(f"{params.channels} batch-norm parameters, {c} channels")
+    return Layer("batch_norm", name, {"eps": float(params.eps)},
                  {"gamma": params.gamma, "beta": params.beta,
                   "mean": params.mean, "var": params.var})
 
@@ -265,19 +267,12 @@ class NetworkGraph:
         sized = h is not None
         hw = h * w if sized else 0      # rules that resize update it
         if ly.kind in ("conv2d", "conv_transpose2d"):
-            k, p = a["k"], a["pad"]
             s = a["stride"] if ly.kind == "conv2d" else a["scale"]
-            _check(k >= 1 and s >= 1 and p >= 0,
-                   f"invalid geometry k={k!r} stride/scale={s!r} pad={p!r}")
-            if a["c_in"] != c:
-                raise ShapeError(f"expects {a['c_in']} input channels, gets {c}")
-            wt = ly.arrays["weight"]
-            want = (a["c_out"], a["c_in"], k, k)
-            if tuple(wt.shape) != want:
-                raise ShapeError(f"weight shape {wt.shape} != declared {want}")
-            kern = ConvKernel(wt, ly.arrays["bias"], stride=s, pad=p)
-            # conv2d costs per output pixel, conv_transpose2d per input pixel
-            macs = a["c_in"] * k ** 2 * a["c_out"]
+            kern = ConvKernel(ly.arrays["weight"], ly.arrays["bias"], stride=s,
+                              pad=a["pad"])
+            k, p = kern.k, kern.pad
+            if kern.c_in != c:
+                raise ShapeError(f"expects {kern.c_in} input channels, gets {c}")
             if ly.kind == "conv2d":
                 if sized:
                     h, w = convops.out_dims(h, w, k, s, p)
@@ -289,12 +284,12 @@ class NetworkGraph:
                 if sized:
                     h, w = h * s, w * s
                 run = lambda x, saved: convops.conv_transpose2d(x, kern)
-            return (a["c_out"], h, w), macs * hw, 0, run
+            # c_in*k^2*c_out MACs per conv2d output, conv_transpose2d input
+            return (kern.c_out, h, w), kern.weights.size * hw, 0, run
         if ly.kind == "batch_norm":
             bn = _bn_params_of(ly)
-            if not a["c"] == c == bn.channels:
-                raise ShapeError(f"normalizes {a['c']} channels with "
-                                 f"{bn.channels} parameters, gets {c}")
+            if bn.channels != c:
+                raise ShapeError(f"normalizes {bn.channels} channels, gets {c}")
             return cur, c * hw, 0, lambda x, saved: batchnorm_forward(x, bn)
         if ly.kind == "activation":
             fn, alpha, scale = a["fn"], a.get("alpha", 0.2), a.get("scale", 1.0)
@@ -462,7 +457,7 @@ def init_random(graph: NetworkGraph, seed: int) -> NetworkGraph:
     g = graph.copy()
     for i, ly in enumerate(g.layers):
         if ly.kind in ("conv2d", "conv_transpose2d"):
-            fan_in = ly.attrs["c_in"] * ly.attrs["k"] ** 2
+            fan_in = ly.arrays["weight"][0].size
             std = math.sqrt(2.0 / fan_in)
             nxt = g.layers[i + 1] if i + 1 < len(g.layers) else None
             if nxt is not None and nxt.kind == "residual_add":
@@ -471,7 +466,7 @@ def init_random(graph: NetworkGraph, seed: int) -> NetworkGraph:
                 0.0, std, ly.arrays["weight"].shape).astype(DTYPE)
             ly.arrays["bias"] = np.zeros_like(ly.arrays["bias"])
         elif ly.kind == "batch_norm":
-            c = ly.attrs["c"]
+            c = ly.arrays["gamma"].size
             ly.arrays["gamma"] = rng.uniform(0.8, 1.2, c).astype(DTYPE)
             ly.arrays["beta"] = rng.normal(0.0, 0.05, c).astype(DTYPE)
             ly.arrays["mean"] = rng.normal(0.0, 0.05, c).astype(DTYPE)

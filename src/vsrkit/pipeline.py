@@ -122,10 +122,17 @@ def fnet_size(fnet: NetworkGraph, size) -> tuple:
     return tuple(-(-v // f) * f for v in size)
 
 
+def run_size(bundle: dict, name: str, size) -> tuple:
+    """(h, w) graph ``name`` runs at: a pair's fnet at :func:`fnet_size`."""
+    if name == "fnet" and set(bundle) == {"fnet", "srnet"}:
+        return fnet_size(bundle[name], size)
+    return tuple(size)
+
+
 def graph_cost(bundle: dict, name: str, size):
-    """``count_flops`` of graph ``name`` for one frame of ``size`` = (h, w);
-    a shape rule that fails raises a GraphError naming the graph."""
-    net = bundle[name]
+    """``count_flops`` of graph ``name`` for a frame of ``size`` at its
+    :func:`run_size`; a failing shape rule raises a GraphError naming it."""
+    net, size = bundle[name], run_size(bundle, name, size)
     try:
         return net.count_flops((1, net.in_channels, *size))
     except GraphError as e:
@@ -177,7 +184,7 @@ def model_geometry(bundle: dict, size) -> tuple:
                              f"{bundle[gname].in_channels} input channels; a "
                              f"x{s} pair of {c}-channel frames needs {want}")
     fh, fw = fnet_size(bundle["fnet"], size)
-    _, fc, foh, fow = _out_shape(bundle, "fnet", (fh, fw))
+    _, fc, foh, fow = _out_shape(bundle, "fnet", size)
     if (fc, foh, fow) != (2, fh, fw):
         raise GraphError(f"graph 'fnet' maps {fh}x{fw} frame pairs to "
                          f"{fc}x{foh}x{fow}, not a 2x{fh}x{fw} flow")

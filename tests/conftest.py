@@ -29,6 +29,25 @@ def edit_vsm_header():
     return _edit_vsm_header
 
 
+def _declare_geometry(header):
+    """Give each conv the ``c_in``, ``c_out`` and ``k`` attributes and each
+    batch-norm the ``c`` attribute that .vsm writers stated beside the
+    arrays before a layer's geometry was read from its arrays alone; with
+    ``sort_keys`` this rebuilds such a file's header byte for byte."""
+    for g in header["graphs"]:
+        for ly in g["layers"]:
+            if ly["kind"] in ("conv2d", "conv_transpose2d"):
+                c_out, c_in, k, _ = ly["shapes"]["weight"]
+                ly["attrs"].update(c_in=c_in, c_out=c_out, k=k)
+            elif ly["kind"] == "batch_norm":
+                ly["attrs"]["c"] = ly["shapes"]["gamma"][0]
+
+
+@pytest.fixture(scope="session")
+def declare_geometry():
+    return _declare_geometry
+
+
 def _write_raw_f32(path, frame):
     """Write a (c, h, w) frame as an .f32 file byte for byte, without the
     writer's checks, so tests can make files that hold non-finite values."""

@@ -128,6 +128,25 @@ def test_fpga_table_peak_values():
     assert peaks == sorted(peaks, reverse=True)
 
 
+@pytest.mark.parametrize("rows, match", [
+    (((4, 827, 6), (5, 0, 10)), r"profile row \(5, 0, 10\) has non-positive"),
+    (((0, 827, 6),), r"profile row \(0, 827, 6\) has non-positive"),
+])
+def test_fpga_profile_rejects_non_positive_rows(rows, match):
+    with pytest.raises(ValueError, match=match):
+        FpgaProfile(rows=rows)
+
+
+def test_fpga_profile_rejects_a_repeated_input_size():
+    # fpga_table looks each row's peak up by size, so a second n=4 row
+    # printed its own LUTs and latency beside the first row's peak
+    with pytest.raises(ValueError, match="profile rows repeat input size 4"):
+        FpgaProfile(rows=((4, 827, 6), (5, 2682, 10), (4, 1000, 8)))
+    rows = fpga_table(FpgaProfile(rows=((5, 2682, 10), (4, 827, 6))))
+    assert [r["max_flops"] for r in rows] == [
+        fpga_max_flops(FpgaProfile(), 5), fpga_max_flops(FpgaProfile(), 4)]
+
+
 def test_theoretical_fps_projections():
     profile = FpgaProfile(lut_total=326_080, frequency=300e6)
     peak = fpga_max_flops(profile, 4)
@@ -245,6 +264,11 @@ def test_emit_report_json_structure():
     assert conv["tensor_layout"].startswith("NCHW")
     assert conv["luma_weights"] == [0.299, 0.587, 0.114]
     assert doc.endswith("\n")
+
+
+def test_emit_report_rejects_a_row_it_cannot_serialize():
+    with pytest.raises(TypeError, match="cannot serialize int into a report"):
+        emit_report({"bench": [5]})
 
 
 def test_emit_report_is_deterministic():

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from vsrkit import (
+    GraphError,
+    ModelFormatError,
     NetworkGraph,
     activation_layer,
     batch_norm_layer,
     build_generator,
     conv2d_layer,
+    conv_transpose2d_layer,
     conventions,
     evaluate_sequence,
     init_random,
@@ -104,6 +107,29 @@ def test_inspect_totals_the_params_of_a_two_graph_model(tmp_path, capsys):
                       "graph srnet total params=795780",
                       "model total params=2546662"]
     assert lines[-1] == totals[-1]
+
+
+def test_inspect_costs_a_pair_at_the_sizes_bench_runs(tmp_path, capsys):
+    model, report = tmp_path / "g.vsm", tmp_path / "b.json"
+    assert main(["build-model", "--arch", "egvsr", "--init", "zeros",
+                 "--out", str(model)]) == 0
+    ops = {}
+    for size in ("12x12", "16x16"):
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(model), "--size", size]) == 0
+        ops[size] = re.findall(r"graph (\w+) ops at (\w+): .* "
+                               r"mac_total=(\d+)", capsys.readouterr().out)
+    # the fnet pads 12x12 frame pairs to 16x16, as it runs and is benched
+    assert ops == {
+        "12x12": [("fnet", "16x16", "32567296"),
+                  ("srnet", "12x12", "114766848")],
+        "16x16": [("fnet", "16x16", "32567296"),
+                  ("srnet", "16x16", "204029952")]}
+    assert main(["bench", "--model", str(model), "--size", "12x12",
+                 "--frames", "1", "--warmup", "0", "--report",
+                 str(report)]) == 0
+    row = json.loads(report.read_text())["sections"]["bench"][0]
+    assert row["macs_per_frame"] == sum(int(m) for *_, m in ops["12x12"])
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +326,20 @@ def test_eval_report_keeps_per_frame_values_and_score_reads_the_metrics(
     [{"method": "a", "metric": "psnr", "value": 30.0},
      {"method": "a", "metric": "ssim", "value": 0.9},
      {"method": "a", "metric": "psnr", "value": 10.0}],
+    [],
 ], ids=["no metric", "null value", "bool value", "text value", "nan value",
          "infinite value", "negative infinite value", "int metric",
         "int method", "list row", "object", "string", "list of lists",
-        "second method", "repeated metric"])
+        "second method", "repeated metric", "no rows"])
 def test_score_names_a_malformed_report(tmp_path, capsys, metrics):
     report = tmp_path / "bad.json"
     report.write_text(json.dumps({"sections": {"metrics": metrics}}))
     assert main(["score", "--reports", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(report) in err
-    if isinstance(metrics, list):
+    if metrics == []:
+        assert err.endswith(": eval report holds no metric rows\n")
+    elif isinstance(metrics, list):
         assert f"row {len(metrics) - 1}" in err
 
 
@@ -446,6 +475,31 @@ def test_estimate_fpga_rejects_non_finite_values(capsys, argv):
 # ---------------------------------------------------------------------------
 # error handling
 
+@pytest.mark.parametrize("argv, message", [
+    (["inspect", "--model", "{model}", "--size", "0x8"],
+     "--size dimensions must be positive, got '0x8'"),
+    (["upscale", "--model", "{model}", "--in", "{d}/lr", "--out", "{d}/hr"],
+     "model expects 1-channel frames, directory holds 2-channel frames"),
+    (["score", "--reports", "{d}/nosec.json"],
+     "nosec.json: not an eval report (missing sections/metrics)"),
+    (["score", "--reports", " , "], "no report paths given"),
+    (["score", "--reports", "{d}/a.json,{d}/a.json"],
+     "duplicate method label 'a'; use distinct --label values in eval"),
+    (["score", "--reports", "{d}/a.json", "--weights", "0.5,0.5"],
+     "2 weights for metrics ['psnr']; counts must match"),
+], ids=["zero-size", "frame-channels", "no-metrics-section", "no-reports",
+        "duplicate-label", "weight-count"])
+def test_argument_faults_are_clean_errors(tmp_path, capsys, control_model,
+                                          argv, message):
+    _write_lr_frames(tmp_path, c=2)
+    (tmp_path / "nosec.json").write_text(json.dumps({"sections": {}}))
+    (tmp_path / "a.json").write_text(json.dumps({"sections": {"metrics": [
+        {"method": "a", "metric": "psnr", "value": 30.0}]}}))
+    argv = [a.format(model=control_model, d=tmp_path) for a in argv]
+    _assert_clean_error(main(argv), capsys, message)
+    assert not (tmp_path / "hr").exists()
+
+
 def test_bench_out_of_memory_is_a_clean_error(capsys, monkeypatch, control_model):
     from vsrkit import bench
 
@@ -515,7 +569,7 @@ def test_inspect_rejects_zero_conv_stride(tmp_path, capsys, edit_vsm_header):
     capsys.readouterr()
     assert main(["inspect", "--model", str(model), "--size", "8x8"]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "stride/scale=0" in err
+    assert "error:" in err and "stride=0" in err
 
 
 def test_fuse_bn_rejects_batch_norm_without_eps(tmp_path, capsys,
@@ -539,6 +593,10 @@ def _faults():
     def attr(key, value):
         return lambda ly: ly.attrs.__setitem__(key, value)
 
+    def short_bn(ly):
+        for key in ("gamma", "beta", "mean", "var"):
+            arr(key, lambda a: a[:-1])(ly)
+
     negative = lambda a: np.concatenate([a[:-1], [-1.0]])
     return {
         "short beta": ("bn", arr("beta", lambda a: a[:-1])),
@@ -550,6 +608,15 @@ def _faults():
         "nan alpha": ("act", attr("alpha", float("nan"))),
         "infinite scale": ("act", attr("scale", float("inf"))),
         "short conv bias": ("c", arr("bias", lambda a: a[:-1])),
+        # a layer's geometry is the shape of its arrays
+        "conv weight of 3 input channels": (
+            "c", arr("weight", lambda a: np.zeros((3, 3, 3, 3)))),
+        "non-square conv weight": ("c", arr("weight", lambda a: a[..., :2])),
+        "3-D conv weight": ("c", arr("weight", lambda a: a.reshape(3, 2, 9))),
+        "zero conv stride": ("c", attr("stride", 0)),
+        "zero transposed scale": ("t", attr("scale", 0)),
+        "transposed pad without an exact x2": ("t", attr("pad", 0)),
+        "short batch-norm": ("bn", short_bn),
     }
 
 
@@ -558,10 +625,17 @@ def _faults():
 def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
     name, edit = _faults()[fault]
     g = NetworkGraph([conv2d_layer("c", 2, 3, 3), batch_norm_layer("bn", 3),
-                      activation_layer("act", "leaky_relu")], in_channels=2)
+                      activation_layer("act", "leaky_relu"),
+                      conv_transpose2d_layer("t", 3, 3, 4, 2, 1)],
+                     in_channels=2)
     edit(next(ly for ly in g.layers if ly.name == name))
     model = tmp_path / "bad.vsm"
     save_model({"net": g}, model)
+    with pytest.raises(ModelFormatError, match=rf"graph 'net' fails "
+                                               rf"validation: layer \d+ "
+                                               rf"\({name!r}, ") as info:
+        load_bundle(model)
+    assert isinstance(info.value.__cause__, GraphError)
     argv = (["inspect", "--model", str(model)] if command == "inspect" else
             ["fuse-bn", "--in", str(model), "--out", str(tmp_path / "f.vsm")])
     assert main(argv) == 1
@@ -571,8 +645,7 @@ def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
     assert not (tmp_path / "f.vsm").exists()
 
 
-@pytest.mark.parametrize("key, value", [("c_in", 3.0), ("c_out", 3.0),
-                                        ("stride", True)])
+@pytest.mark.parametrize("key, value", [("stride", True)])
 def test_inspect_rejects_integer_attributes_of_another_type(
         tmp_path, capsys, edit_vsm_header, key, value):
     model = tmp_path / "c.vsm"

@@ -117,6 +117,22 @@ def test_im2col_rejects_undersized_input():
         im2col(x, 3)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: im2col(np.zeros((2, 1, 5, 5), dtype=np.float32), 3),
+     r"im2col expects a single image \(n=1\), got n=2"),
+    (lambda: im2col(np.zeros((1, 1, 5, 5), dtype=np.float32), 3, stride=0),
+     "invalid geometry k=3 stride=0 pad=0"),
+    (lambda: im2col(np.zeros((1, 1, 5, 5), dtype=np.float32), 3, pad=-1),
+     "invalid geometry k=3 stride=1 pad=-1"),
+    (lambda: conv2d(np.zeros((1, 2, 5, 5), dtype=np.float32),
+                    ConvKernel(np.zeros((4, 3, 3, 3)))),
+     "input has 2 channels, kernel expects 3"),
+], ids=["im2col-batch", "im2col-stride", "im2col-pad", "conv-channels"])
+def test_conv_entry_points_reject_mismatched_input(call, match):
+    with pytest.raises(ShapeError, match=match):
+        call()
+
+
 def test_im2col_geometry_must_be_integers():
     x = np.zeros((1, 1, 5, 5), dtype=np.float32)
     with pytest.raises(ShapeError, match="k must be an integer, got 2.9"):

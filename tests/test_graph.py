@@ -118,10 +118,33 @@ def test_graph_rejects_unknown_skip_source():
                            residual_add_layer("l", source="a")], 3),
      r"layer 2 \('l', residual_add\): residual source has 3 channels, "
      r"current stream has 4"),
+    # a layer's geometry is the shape of its arrays
+    (lambda: NetworkGraph([conv2d_layer("l", 3, 2, 3)], 2),
+     r"layer 0 \('l', conv2d\): expects 3 input channels, gets 2"),
+    (lambda: NetworkGraph([_conv_of((2, 2, 3, 2))], 2),
+     r"layer 0 \('l', conv2d\): weights must be \(c_out, c_in, k, k\), "
+     r"got \(2, 2, 3, 2\)"),
+    (lambda: NetworkGraph([_conv_of((2, 2, 9))], 2),
+     r"weights must be \(c_out, c_in, k, k\), got \(2, 2, 9\)"),
+    (lambda: NetworkGraph([_conv_of((2, 2, 0, 0))], 2),
+     r"invalid geometry k=0 stride=1 pad=1"),
+    (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, bias=np.zeros(3))], 2),
+     r"layer 0 \('l', conv2d\): bias length 3 != c_out 2"),
+    (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, stride=0)], 2),
+     r"layer 0 \('l', conv2d\): invalid geometry k=3 stride=0 pad=1"),
+    (lambda: NetworkGraph([conv_transpose2d_layer("l", 2, 2, 4, 0, 1)], 2),
+     r"layer 0 \('l', conv_transpose2d\): invalid geometry k=4 stride=0"),
+    (lambda: NetworkGraph([batch_norm_layer("l", 3)], 2),
+     r"layer 0 \('l', batch_norm\): normalizes 3 channels, gets 2"),
 ])
 def test_graph_rejects_a_malformed_layer_or_graph(make, match):
     with pytest.raises(GraphError, match=match):
         make()
+
+
+def _conv_of(weight_shape):
+    return Layer("conv2d", "l", {"stride": 1, "pad": 1},
+                 {"weight": np.zeros(weight_shape), "bias": np.zeros(2)})
 
 
 def _bad_attr_cases():
@@ -130,16 +153,12 @@ def _bad_attr_cases():
     deconv = lambda: conv_transpose2d_layer("l", 2, 2, 4, scale=2, pad=1)
     bn = lambda: batch_norm_layer("l", 2, _bn(2, rng))
     return [
-        (conv, "k", 0), (conv, "k", 3.0), (conv, "stride", 0),
-        (conv, "stride", 1.5), (conv, "pad", -1),
-        # counts must be integers, even when equal to the true count
-        (conv, "c_in", 2.0), (conv, "c_out", 2.0), (conv, "c_in", 3.0),
-        (conv, "c_out", 3.0), (bn, "c", 2.0), (bn, "c", 3.0),
-        (conv, "k", True), (conv, "stride", True), (conv, "pad", True),
-        (deconv, "scale", 0), (deconv, "k", 0), (deconv, "scale", True),
-        # k=4 pad=0 cannot give a x2 transposed output; 3 channels of a
-        # 2-channel stream; 4 channels cannot shuffle by 3
-        (deconv, "pad", 0), (bn, "c", 3),
+        (conv, "stride", 0), (conv, "stride", 1.5), (conv, "pad", -1),
+        (conv, "stride", True), (conv, "pad", True),
+        (deconv, "scale", 0), (deconv, "scale", True),
+        # k=4 pad=0 cannot give a x2 transposed output; 4 channels cannot
+        # shuffle by 3
+        (deconv, "pad", 0),
         (lambda: pixel_shuffle_layer("l", 2), "r", 3),
         (lambda: pixel_shuffle_layer("l", 2), "r", 0),
         (lambda: pixel_shuffle_layer("l", 2), "r", 2.0),
@@ -184,6 +203,32 @@ def test_constructors_reject_non_integer_counts(make, name, value):
     with pytest.raises(ShapeError, match=f"{name} must be an integer, "
                                          f"got {value!r}"):
         make(value)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: conv2d_layer("c", 2, 3, 3, weights=np.zeros((3, 2, 1, 1))),
+     r"weights \(3, 2, 1, 1\) != declared \(3, 2, 3, 3\)"),
+    (lambda: conv_transpose2d_layer("t", 2, 3, 4, 2, 1,
+                                    weights=np.zeros((2, 3, 4, 4))),
+     r"weights \(2, 3, 4, 4\) != declared \(3, 2, 4, 4\)"),
+    (lambda: batch_norm_layer("bn", 3, _bn(2, np.random.default_rng(0))),
+     "2 batch-norm parameters, 3 channels"),
+])
+def test_constructors_reject_arrays_of_another_geometry(make, match):
+    with pytest.raises(ShapeError, match=match):
+        make()
+
+
+def test_layers_state_their_geometry_only_in_their_arrays():
+    g = NetworkGraph([conv2d_layer("c", 2, 3, 5, stride=2),
+                      conv_transpose2d_layer("t", 3, 4, 4, 2, 1),
+                      batch_norm_layer("bn", 4)], in_channels=2)
+    assert [ly.attrs for ly in g.layers] == [
+        {"stride": 2, "pad": 2}, {"scale": 2, "pad": 1}, {"eps": 1e-5}]
+    assert [ly.arrays["weight"].shape for ly in g.layers[:2]] == [
+        (3, 2, 5, 5), (4, 3, 4, 4)]
+    assert g.count_flops((1, 2, 8, 8)).per_layer[-1]["out_shape"] == (
+        1, 4, 8, 8)
 
 
 def test_constructors_store_numpy_integers_as_ints():

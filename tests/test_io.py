@@ -150,6 +150,46 @@ def test_load_rejects_corrupted_json(tmp_path):
         load_bundle(path)
 
 
+def _graph_table(edit):
+    """A one-net file whose header table ``edit`` rewrites; the payload is
+    doubled when the edit repeats the graph."""
+    def write(path):
+        save_model({"net": NetworkGraph([conv2d_layer("c", 1, 1, 3)], 1)},
+                   path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        graphs = header.pop("graphs")
+        header.update(edit(graphs))
+        payload = raw[12 + hlen:] * len(header.get("graphs", [None]))
+        hbytes = json.dumps(header).encode("utf-8")
+        path.write_bytes(raw[:8] + struct.pack("<I", len(hbytes)) + hbytes
+                         + payload)
+    return write
+
+
+@pytest.mark.parametrize("write, match", [
+    (_graph_table(lambda graphs: {"nets": graphs}),
+     "header at offset 12 lacks a 'graphs' table"),
+    (_graph_table(lambda graphs: {"graphs": []}),
+     "model file contains no graphs"),
+    (_graph_table(lambda graphs: {"graphs": graphs * 2}),
+     "duplicate graph name 'net'"),
+], ids=["no-graphs-table", "empty-graphs", "duplicate-graph"])
+def test_load_rejects_a_file_without_one_graph_per_name(tmp_path, write,
+                                                         match):
+    path = tmp_path / "m.vsm"
+    write(path)
+    with pytest.raises(ModelFormatError, match=match):
+        load_bundle(path)
+
+
+def test_save_rejects_an_empty_bundle(tmp_path):
+    with pytest.raises(ValueError, match="no graphs to save"):
+        save_model({}, tmp_path / "x.vsm")
+    assert not (tmp_path / "x.vsm").exists()
+
+
 def test_save_rejects_unknown_objects(tmp_path):
     with pytest.raises((TypeError, ValueError)):
         save_model({"net": object()}, tmp_path / "x.vsm")
@@ -246,6 +286,39 @@ def test_load_carries_a_legacy_frozen_key(tmp_path, edit_vsm_header):
     assert np.array_equal(loaded.forward(x), ref)
     dev = np.max(np.abs(fused.forward(x) - ref))
     assert dev / max(float(np.max(np.abs(ref))), 1e-6) <= 1e-5
+
+
+@pytest.mark.parametrize("arch", ["egvsr", "control-a", "control-b",
+                                  "control-c"])
+def test_load_carries_declared_geometry_attributes(tmp_path, edit_vsm_header,
+                                                   declare_geometry, arch):
+    # older files stated c_in, c_out, k and c beside the arrays; they are
+    # ignored, even when wrong, and written back unchanged
+    bundle = (build_generator() if arch == "egvsr"
+              else {"net": build_control_srnet(arch)})
+    bundle = {k: init_random(g, 5) for k, g in bundle.items()}
+    path, again = tmp_path / "old.vsm", tmp_path / "again.vsm"
+    save_model(bundle, path)
+    edit_vsm_header(path, declare_geometry)
+    old = path.read_bytes()
+
+    def misdeclare(header):
+        for ly in header["graphs"][0]["layers"]:
+            for key in ("c_in", "c_out", "k", "c"):
+                if key in ly["attrs"]:
+                    ly["attrs"][key] = 99
+    edit_vsm_header(path, misdeclare)
+    for declared in (old, path.read_bytes()):
+        path.write_bytes(declared)
+        loaded = load_bundle(path)
+        save_model(loaded, again)
+        assert again.read_bytes() == declared
+        for name, g in bundle.items():
+            x = np.random.default_rng(6).random((1, g.in_channels, 8, 8),
+                                                dtype=np.float32)
+            assert np.array_equal(loaded[name].forward(x), g.forward(x))
+            assert (loaded[name].count_flops(x.shape).macs
+                    == g.count_flops(x.shape).macs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +529,26 @@ def test_write_sequence_start_offset(tmp_path):
     paths = write_sequence(seq, tmp_path, start=5)
     names = sorted(os.path.basename(p) for p in paths)
     assert names == ["0005.f32", "0006.f32"]
+
+
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda d: write_ppm(d / "a.ppm", np.zeros((1, 4, 4))), ShapeError,
+     r"P6 needs a \(3, h, w\) frame, got \(1, 4, 4\)"),
+    (lambda d: write_f32(d / "a.f32", np.zeros((4, 4))), ShapeError,
+     r"expected a \(c, h, w\) frame, got \(4, 4\)"),
+    (lambda d: write_sequence(np.zeros((2, 4, 4)), d / "out"), ShapeError,
+     r"expected \(t, c, h, w\), got \(2, 4, 4\)"),
+    (lambda d: write_sequence(np.zeros((2, 1, 4, 4)), d / "out", fmt="png"),
+     ValueError, "unknown frame format 'png'"),
+    (lambda d: read_sequence(d / "file"), FrameFormatError,
+     "file: not a directory"),
+], ids=["ppm-rank", "f32-rank", "sequence-rank", "sequence-format",
+        "not-a-directory"])
+def test_frame_io_rejects_bad_arguments(tmp_path, call, exc, match):
+    (tmp_path / "file").write_bytes(b"")
+    with pytest.raises(exc, match=match):
+        call(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("start, match", [

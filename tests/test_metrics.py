@@ -274,6 +274,26 @@ def test_quality_score_requires_matching_metric_sets():
         quality_score(recs, ScoreWeights({"ssim": 1.0}))
 
 
+@pytest.mark.parametrize("call, exc, match", [
+    (lambda: luma(np.zeros((2, 4, 4), dtype=np.float32)), ShapeError,
+     "expected 1 or 3 channels, got 2"),
+    (lambda: tof(np.zeros((3, 8, 8)), np.zeros((3, 8, 8))), ShapeError,
+     r"sequences must be \(t, c, h, w\)"),
+    (lambda: RandomFeatureDistance().distance(np.zeros((1, 3, 8, 8)),
+                                              np.zeros((1, 3, 8, 8))),
+     ShapeError, r"expected one \(c, h, w\) frame, got \(1, 3, 8, 8\)"),
+    (lambda: quality_score([]), ValueError, "no metric records given"),
+    (lambda: score_table({}), ValueError, "empty metric table"),
+    (lambda: score_table({"a": {"psnr": 30.0, "tof": 0.1},
+                          "b": {"psnr": 25.0}}), ValueError,
+     r"method 'b' reports metrics \['psnr'\], expected \['psnr', 'tof'\]"),
+], ids=["luma-channels", "sequence-rank", "feature-rank", "no-records",
+        "empty-table", "metric-sets-differ"])
+def test_metric_entry_points_reject_malformed_input(call, exc, match):
+    with pytest.raises(exc, match=match):
+        call()
+
+
 def test_quality_score_monotone_in_each_metric():
     w = ScoreWeights.equal(("psnr", "tof"))
     better = [MetricRecord("psnr", 29.0, 20.0, 30.0),

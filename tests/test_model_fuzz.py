@@ -1,4 +1,5 @@
-"""Seeded .vsm header fuzzing: a malformed header ends in a named error."""
+"""Seeded .vsm fuzzing: a malformed header, a truncated file or a flipped
+bit ends in a named error or in a model that runs."""
 
 import json
 import random
@@ -87,6 +88,21 @@ def seed0_models(tmp_path_factory):
     return models
 
 
+@pytest.fixture(scope="module")
+def written_files(seed0_models, declare_geometry):
+    """(label, bytes) of each seed-0 file as written now, and as written
+    when conv and batch-norm layers also stated c_in, c_out, k and c."""
+    files = []
+    for arch, hbytes, payload in seed0_models:
+        header = json.loads(hbytes)
+        declare_geometry(header)
+        declared = json.dumps(header, sort_keys=True).encode("utf-8")
+        for label, hb in ((arch, hbytes), (f"{arch} declared", declared)):
+            files.append((label, b"EGVS" + struct.pack("<II", 1, len(hb))
+                          + hb + payload))
+    return files
+
+
 def _use(path):
     """Load, cost and run a model the way the CLI does."""
     bundle = load_bundle(path)
@@ -140,3 +156,79 @@ def test_graph_name_swaps_end_in_named_errors(tmp_path, seed0_models, value):
         with pytest.raises(ModelFormatError, match=f"graph {gi}: 'name' is "
                                                    f"missing or not a string"):
             load_bundle(path)
+
+
+def _regions(raw):
+    """(name, start, end) of each part of a .vsm file."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return (("magic", 0, 4), ("version", 4, 8), ("header length", 8, 12),
+            ("header", 12, 12 + hlen), ("payload", 12 + hlen, len(raw)))
+
+
+def test_truncated_files_end_in_named_errors(tmp_path, written_files):
+    rng = random.Random(1)
+    path = tmp_path / "m.vsm"
+    for label, raw in written_files:
+        for region, start, end in _regions(raw):
+            for cut in (start, rng.randrange(start, end), end - 1):
+                path.write_bytes(raw[:cut])
+                with pytest.raises(ModelFormatError,
+                                   match=f"truncated at offset {cut}:"):
+                    load_bundle(path)
+
+
+def _flip(raw, byte, bit):
+    return raw[:byte] + bytes([raw[byte] ^ (1 << bit)]) + raw[byte + 1:]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in a conv
+def test_payload_bit_flips_run_or_end_in_named_errors(tmp_path,
+                                                      written_files):
+    rng = random.Random(2)
+    path = tmp_path / "m.vsm"
+    outcomes = {"ran": 0, "rejected": 0}
+    for label, raw in written_files:
+        _, start, end = _regions(raw)[-1]
+        # three bits anywhere, then the sign and the top exponent bit of one
+        # little-endian float32
+        value = start + 4 * rng.randrange((end - start) // 4)
+        flips = [(rng.randrange(start, end), rng.randrange(8))
+                 for _ in range(3)] + [(value + 3, 7), (value + 3, 6)]
+        for byte, bit in flips:
+            path.write_bytes(_flip(raw, byte, bit))
+            try:
+                _use(path)
+                outcomes["ran"] += 1
+            except NAMED:
+                outcomes["rejected"] += 1
+            except Exception as e:  # noqa: BLE001 - the fault being looked for
+                pytest.fail(f"{label}, bit {bit} of byte {byte}: "
+                            f"{type(e).__name__}: {e}")
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_header_bit_flips_load_or_end_in_named_errors(tmp_path,
+                                                      written_files):
+    # no forward: a flip can turn a bilinear_up scale of 3.0 into 7.0, which
+    # loads and costs but makes every later layer larger
+    rng = random.Random(3)
+    path = tmp_path / "m.vsm"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for label, raw in written_files:
+        _, start, end = _regions(raw)[3]
+        for _ in range(24):
+            byte, bit = rng.randrange(start, end), rng.randrange(8)
+            path.write_bytes(_flip(raw, byte, bit))
+            try:
+                bundle = load_bundle(path)
+                for g in bundle.values():
+                    g.count_flops((1, g.in_channels, 12, 16))
+                model_geometry(bundle, (12, 16))
+                outcomes["loaded"] += 1
+            except NAMED:
+                outcomes["rejected"] += 1
+            except Exception as e:  # noqa: BLE001 - the fault being looked for
+                pytest.fail(f"{label}, bit {bit} of byte {byte} "
+                            f"({raw[byte:byte + 1]!r}): "
+                            f"{type(e).__name__}: {e}")
+    assert min(outcomes.values()) > 0, outcomes

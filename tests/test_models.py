@@ -18,6 +18,15 @@ SRNET_PARAMS = 795_780
 TRUNK_PARAMS = 738_560
 
 
+def test_builders_state_layer_geometry_only_in_arrays():
+    nets = list(build_generator().values()) + [
+        build_control_srnet(a) for a in ("control-a", "control-b",
+                                         "control-c")]
+    for net in nets:
+        for ly in net.layers:
+            assert not {"c_in", "c_out", "k", "c"} & set(ly.attrs), ly.name
+
+
 def test_fnet_parameter_count():
     assert build_fnet().count_params() == FNET_PARAMS
     # roughly 1.75M parameters by design

@@ -354,7 +354,8 @@ def _fnet_with(fnet, flow_channels=2, pool=False):
     maxpool after its last layer when ``pool``."""
     layers = [ly.copy() for ly in fnet.layers]
     head = layers[-2]
-    layers[-2] = conv2d_layer(head.name, head.attrs["c_in"], flow_channels, 3)
+    layers[-2] = conv2d_layer(head.name, head.arrays["weight"].shape[1],
+                              flow_channels, 3)
     if pool:
         layers.append(maxpool2_layer("extra_pool"))
     return init_random(NetworkGraph(layers, fnet.in_channels), 4)

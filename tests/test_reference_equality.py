@@ -519,12 +519,11 @@ def _reference_cost(g, input_shape):
     prev = tuple(input_shape[1:])
     shapes = [r["out_shape"][1:] for r in g.count_flops(input_shape).per_layer]
     for ly, (c, h, w) in zip(g.layers, shapes):
-        a = ly.attrs
         m = e = 0
-        if ly.kind == "conv2d":
-            m = a["c_in"] * h * w * a["k"] ** 2 * a["c_out"]
-        elif ly.kind == "conv_transpose2d":
-            m = a["c_in"] * prev[1] * prev[2] * a["k"] ** 2 * a["c_out"]
+        if ly.kind in ("conv2d", "conv_transpose2d"):
+            c_out, c_in, k, _ = ly.arrays["weight"].shape
+            grid = (h, w) if ly.kind == "conv2d" else prev[1:]
+            m = c_in * grid[0] * grid[1] * k ** 2 * c_out
         elif ly.kind == "batch_norm":
             m = c * h * w
         elif ly.kind in ("activation", "maxpool2", "bilinear_up",
@@ -602,10 +601,10 @@ def _reference_fuse(g):
             b = (b.astype(np.float64) * scale + shift).astype(DTYPE)
             renames[g.layers[j].name] = ly.name
             j += 1
+        c_out, c_in, k, _ = w.shape
         out.append(graph.conv2d_layer(
-            ly.name, ly.attrs["c_in"], ly.attrs["c_out"], ly.attrs["k"],
-            stride=ly.attrs["stride"], pad=ly.attrs["pad"],
-            weights=w, bias=b))
+            ly.name, c_in, c_out, k, stride=ly.attrs["stride"],
+            pad=ly.attrs["pad"], weights=w, bias=b))
         i = j
     for ly in out:
         if ly.attrs.get("source") in renames:
