@@ -25,10 +25,10 @@ from .conv import (
 )
 from .graph import (
     BatchNormParams,
-    CostReport,
     GraphError,
     Layer,
     NetworkGraph,
+    Plan,
     activation_layer,
     batch_norm_layer,
     batchnorm_forward,

@@ -76,9 +76,8 @@ class FpgaProfile:
         for r in self.rows:
             if r[0] == n:
                 return r
-        sizes = [r[0] for r in self.rows]
         raise ValueError(f"no profile row for input size {input_size}, "
-                         f"available: {sizes}")
+                         f"available: {[r[0] for r in self.rows]}")
 
 
 def fpga_max_flops(profile: FpgaProfile, input_size: int) -> float:
@@ -91,9 +90,10 @@ def fpga_max_flops(profile: FpgaProfile, input_size: int) -> float:
 
 def theoretical_fps(max_flops: float, flops_per_frame: float) -> float:
     """Frame rate supported by a throughput bound for a per-frame cost."""
-    if not 0 < flops_per_frame < math.inf:
-        raise ValueError(f"flops_per_frame must be positive and finite, "
-                         f"got {flops_per_frame}")
+    if (not 0 < flops_per_frame < math.inf
+            or max_flops / flops_per_frame == math.inf):
+        raise ValueError(f"flops_per_frame must be positive and finite, and "
+                         f"give a finite frame rate, got {flops_per_frame}")
     return max_flops / flops_per_frame
 
 
@@ -221,13 +221,9 @@ def emit_report(sections: dict, fmt: str = "json") -> str:
         if items is None or (hasattr(items, "__len__") and len(items) == 0):
             raise ValueError(f"section {name!r} is empty")
     if fmt == "json":
-        doc = {"conventions": conventions(), "sections": {}}
-        for name in sorted(sections):
-            items = sections[name]
-            if isinstance(items, dict):
-                doc["sections"][name] = items
-            else:
-                doc["sections"][name] = _rows_of(items)
+        doc = {"conventions": conventions(), "sections": {
+            name: items if isinstance(items, dict) else _rows_of(items)
+            for name, items in sections.items()}}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         out = io.StringIO()
@@ -240,11 +236,10 @@ def emit_report(sections: dict, fmt: str = "json") -> str:
                 rows = [{"key": k, "value": items[k]} for k in sorted(items)]
             else:
                 rows = _rows_of(items)
-            cols = list(rows[0].keys())
-            writer = csv.DictWriter(out, fieldnames=cols)
+            writer = csv.DictWriter(out, fieldnames=list(rows[0]),
+                                    extrasaction="ignore")
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: row.get(k, "") for k in cols})
+            writer.writerows(rows)
         return out.getvalue()
     raise ValueError(f"unknown report format {fmt!r}, expected json or csv")
 

@@ -22,7 +22,7 @@ from .frame_io import read_sequence, write_sequence
 from .graph import fuse_conv_bn, init_random
 from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
-from .pipeline import graph_cost, model_geometry, run_size, vsr_run
+from .pipeline import graph_cost, model_geometry, vsr_run
 from .tensor import DTYPE
 
 
@@ -140,7 +140,7 @@ def cmd_score(args) -> dict:
                              f"use distinct --label values in eval")
         table[label] = values
     weights = None
-    if args.weights:
+    if args.weights is not None:
         ws = [float(w) for w in args.weights.split(",")]
         metrics = [m for m in metricsmod.DEFAULT_METRICS
                    if m in next(iter(table.values()))]
@@ -191,7 +191,7 @@ def cmd_estimate_fpga(args) -> dict:
                   f"max_flops={r['max_flops']:.6e} "
                   f"({r['max_tflops']:.3f} T)")
     sections = {"fpga": rows}
-    if args.flops_per_frame:
+    if args.flops_per_frame is not None:
         projections = []
         for text in args.flops_per_frame.split(","):
             fpf = float(text)
@@ -205,7 +205,7 @@ def cmd_estimate_fpga(args) -> dict:
 
 def cmd_inspect(args) -> None:
     bundle = load_bundle(args.model)
-    size = _parse_size(args.size)[::-1] if args.size else None  # (h, w)
+    size = None if args.size is None else _parse_size(args.size)[::-1]  # (h, w)
     grand = 0
     for gname in sorted(bundle):
         graph = bundle[gname]
@@ -224,7 +224,7 @@ def cmd_inspect(args) -> None:
             print(line)
         print(f"graph {gname} total params={graph.count_params()}")
         if report is not None:
-            h, w = run_size(bundle, gname, size)
+            _, _, h, w = report.in_shape
             print(f"graph {gname} ops at {w}x{h}: "
                   f"macs={report.macs} pointwise={report.pointwise_ops} "
                   f"mac_total={report.mac_total} flops={report.flops}")

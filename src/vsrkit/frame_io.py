@@ -161,10 +161,9 @@ def _scan_dir(directory) -> list:
     if len(exts) > 1:
         raise FrameFormatError(f"{directory}: mixed frame formats {sorted(exts)}")
     found.sort()
-    indices = [idx for idx, _, _ in found]
     width = len(found[0][2].split(".")[0])
-    for pos, idx in enumerate(indices):
-        want = indices[0] + pos
+    for pos, (idx, _, _) in enumerate(found):
+        want = found[0][0] + pos
         if idx != want:
             raise FrameFormatError(f"{directory}: missing frame index "
                                    f"{str(want).zfill(width)}")

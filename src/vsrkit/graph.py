@@ -217,20 +217,22 @@ class NetworkGraph:
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
             raise GraphError(f"duplicate layer names: {dup}")
-        self._plan((self.in_channels, None, None))
+        self._plan((1, self.in_channels, None, None))
 
     # -- the per-kind rule -------------------------------------------------------
 
-    def _plan(self, cur: tuple, backend: str = "gemm") -> list:
-        """Check each layer against its ``LAYER_KINDS`` row and return its
-        ``_infer`` result for input ``cur`` = (c, h, w); raises naming it."""
-        if cur[0] != self.in_channels:
+    def _plan(self, in_shape: tuple, backend: str = "gemm") -> Plan:
+        """Check each layer against its ``LAYER_KINDS`` row for input
+        ``in_shape`` = (n, c, h, w) and return the :class:`Plan` of its
+        ``_infer`` results; a failing layer raises naming it."""
+        n, c, h, w = in_shape
+        if c != self.in_channels:
             raise GraphError(f"graph expects {self.in_channels} input channels, "
-                             f"got {cur[0]}")
+                             f"got {c}")
         if backend not in convops.BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         seen: dict[str, tuple] = {}
-        plan = []
+        cur, plan = (c, h, w), Plan(in_shape)
         for i, ly in enumerate(self.layers):
             _, ints, arrays = LAYER_KINDS[ly.kind]
             try:
@@ -241,13 +243,19 @@ class NetworkGraph:
                 if ly.arrays.keys() != set(arrays):
                     raise GraphError(f"holds arrays {sorted(ly.arrays)}, "
                                      f"expected {list(arrays)}")
-                step = self._infer(ly, cur, seen, backend)
+                cur, macs, ops, run = self._infer(ly, cur, seen, backend)
             except (ValueError, KeyError, TypeError) as e:
                 why = f"missing {e}" if isinstance(e, KeyError) else e
                 raise GraphError(
                     f"layer {i} ({ly.name!r}, {ly.kind}): {why}") from e
-            cur = seen[ly.name] = step[0]
-            plan.append(step)
+            seen[ly.name] = cur
+            if ly.kind == "residual_add":
+                plan.last_read[ly.attrs["source"]] = i
+            plan.per_layer.append({"name": ly.name, "kind": ly.kind,
+                                   "out_shape": (n, *cur),
+                                   "params": ly.param_count(),
+                                   "macs": n * macs, "pointwise_ops": n * ops})
+            plan.steps.append(run)
         return plan
 
     @staticmethod
@@ -267,7 +275,9 @@ class NetworkGraph:
         sized = h is not None
         hw = h * w if sized else 0      # rules that resize update it
         if ly.kind in ("conv2d", "conv_transpose2d"):
-            s = a["stride"] if ly.kind == "conv2d" else a["scale"]
+            key = "stride" if ly.kind == "conv2d" else "scale"
+            s = a[key]
+            _check(s >= 1, f"{key} must be >= 1, got {s}")
             kern = ConvKernel(ly.arrays["weight"], ly.arrays["bias"], stride=s,
                               pad=a["pad"])
             k, p = kern.k, kern.pad
@@ -349,14 +359,7 @@ class NetworkGraph:
         """Deterministic forward pass through the named conv backend; every
         layer's shape rule is checked for the input size before any runs."""
         x = tops.check_tensor(x, "graph input")
-        plan = self._plan(x.shape[1:], backend)
-        wanted = self.referenced_sources()
-        saved: dict[str, np.ndarray] = {}
-        for ly, (_, _, _, run) in zip(self.layers, plan):
-            x = run(x, saved)
-            if ly.name in wanted:
-                saved[ly.name] = x
-        return x
+        return self._plan(x.shape, backend).run(x)
 
     # -- accounting --------------------------------------------------------------
 
@@ -365,31 +368,40 @@ class NetworkGraph:
         return sum(ly.param_count() for ly in self.layers)
 
     def count_flops(self, input_shape):
-        """MAC/elementwise-op accounting for one forward pass.
+        """MAC/elementwise-op accounting for one forward pass, as its
+        :class:`Plan`.
 
         Convolutions cost c_in*out_h*out_w*k^2*c_out multiply-accumulates
         (transposed convs use their input grid); batch-norm is one MAC per
         element; activations, pooling, resizing and residual adds count one
         op per output element; pure data movement costs nothing.
         """
-        n, c, h, w = (check_int(v, "input_shape") for v in input_shape)
-        per_layer = [{"name": ly.name, "kind": ly.kind, "out_shape": (n, *shape),
-                      "params": ly.param_count(),
-                      "macs": n * m, "pointwise_ops": n * e}
-                     for ly, (shape, m, e, _) in zip(self.layers,
-                                                     self._plan((c, h, w)))]
-        return CostReport(macs=sum(r["macs"] for r in per_layer),
-                          pointwise_ops=sum(r["pointwise_ops"] for r in per_layer),
-                          per_layer=per_layer)
+        return self._plan(tuple(check_int(v, "input_shape")
+                                for v in input_shape))
 
 
 @dataclass
-class CostReport:
-    """Cost of one forward pass: MAC-type ops plus 1-op-per-element work."""
+class Plan:
+    """One forward pass of a graph at one input shape: each layer's
+    ``count_flops`` row and step, and for each ``residual_add`` source the
+    index of its last reader."""
 
-    macs: int
-    pointwise_ops: int
+    in_shape: tuple
     per_layer: list = field(default_factory=list)
+    steps: list = field(default_factory=list)
+    last_read: dict = field(default_factory=dict)
+
+    @property
+    def out_shape(self) -> tuple:
+        return self.per_layer[-1]["out_shape"] if self.per_layer else self.in_shape
+
+    @property
+    def macs(self) -> int:
+        return sum(r["macs"] for r in self.per_layer)
+
+    @property
+    def pointwise_ops(self) -> int:
+        return sum(r["pointwise_ops"] for r in self.per_layer)
 
     @property
     def mac_total(self) -> int:
@@ -400,6 +412,17 @@ class CostReport:
     def flops(self) -> int:
         """2-FLOPs-per-MAC view of the same work."""
         return 2 * self.macs + self.pointwise_ops
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """Run the steps on ``x``, holding a skip source's output only up to
+        its last reader."""
+        held: dict[str, np.ndarray] = {}
+        for i, (row, step) in enumerate(zip(self.per_layer, self.steps)):
+            x = step(x, held)
+            held = {k: v for k, v in held.items() if self.last_read[k] > i}
+            if row["name"] in self.last_read:
+                held[row["name"]] = x
+        return x
 
 
 # ---------------------------------------------------------------------------

@@ -93,18 +93,14 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
     # truncate = r/sigma makes gaussian_filter use exactly an 11-tap kernel
     blur = lambda im: ndimage.gaussian_filter(im, SSIM_SIGMA,
                                               truncate=r / SSIM_SIGMA)
-    mx = blur(x)
-    my = blur(y)
+    mx, my = blur(x), blur(y)
     mxx = blur(x * x) - mx * mx
     myy = blur(y * y) - my * my
     mxy = blur(x * y) - mx * my
-    c1 = SSIM_K1 ** 2
-    c2 = SSIM_K2 ** 2
+    c1, c2 = SSIM_K1 ** 2, SSIM_K2 ** 2
     num = (2 * mx * my + c1) * (2 * mxy + c2)
     den = (mx * mx + my * my + c1) * (mxx + myy + c2)
-    smap = num / den
-    interior = smap[..., r:-r, r:-r]
-    return float(np.mean(interior))
+    return float(np.mean((num / den)[..., r:-r, r:-r]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +338,8 @@ class RandomFeatureDistance:
         return feats
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        fa = self._features(a)
-        fb = self._features(b)
         parts = []
-        for xa, xb in zip(fa, fb):
+        for xa, xb in zip(self._features(a), self._features(b)):
             diff = float(np.mean(np.abs(xa - xb)))
             norm = float(np.mean(np.abs(xa)) + np.mean(np.abs(xb))) + 1e-8
             parts.append(diff / norm)
@@ -500,6 +494,9 @@ def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None,
                          f"{list(DEFAULT_METRICS)}")
     if not wanted:
         raise ValueError("no metrics requested")
+    for m in wanted:
+        if wanted.count(m) > 1:
+            raise ValueError(f"metric {m!r} is requested more than once")
     gen, ref = _check_sequences(gen, ref,
                                 temporal="tof" in wanted or "tlp" in wanted)
     values = {}

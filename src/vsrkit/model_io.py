@@ -74,12 +74,8 @@ def save_model(bundle, path) -> None:
         })
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(hbytes)))
-        fh.write(hbytes)
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(hbytes)) + hbytes)
+        fh.writelines(chunks)
 
 
 def _payload_elements(header: dict) -> int:

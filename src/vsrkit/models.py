@@ -56,16 +56,15 @@ def build_fnet() -> NetworkGraph:
     c = in_c = 2 * FRAME_CHANNELS
 
     def unit(tag, c_in, width, tail):
-        steps = [
+        return [
             conv2d_layer(f"{tag}_conv1", c_in, width, 3),
             batch_norm_layer(f"{tag}_bn1", width),
             activation_layer(f"{tag}_act1", "leaky_relu", alpha=LEAKY_ALPHA),
             conv2d_layer(f"{tag}_conv2", width, width, 3),
             batch_norm_layer(f"{tag}_bn2", width),
             activation_layer(f"{tag}_act2", "leaky_relu", alpha=LEAKY_ALPHA),
+            tail,
         ]
-        steps.append(tail)
-        return steps
 
     for i, width in enumerate(FNET_ENCODER_WIDTHS, start=1):
         layers += unit(f"enc{i}", c, width, maxpool2_layer(f"enc{i}_pool"))

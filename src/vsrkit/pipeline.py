@@ -122,27 +122,17 @@ def fnet_size(fnet: NetworkGraph, size) -> tuple:
     return tuple(-(-v // f) * f for v in size)
 
 
-def run_size(bundle: dict, name: str, size) -> tuple:
-    """(h, w) graph ``name`` runs at: a pair's fnet at :func:`fnet_size`."""
-    if name == "fnet" and set(bundle) == {"fnet", "srnet"}:
-        return fnet_size(bundle[name], size)
-    return tuple(size)
-
-
 def graph_cost(bundle: dict, name: str, size):
-    """``count_flops`` of graph ``name`` for a frame of ``size`` at its
-    :func:`run_size`; a failing shape rule raises a GraphError naming it."""
-    net, size = bundle[name], run_size(bundle, name, size)
+    """The :class:`~vsrkit.graph.Plan` of graph ``name`` for a frame of
+    ``size``, a pair's fnet at :func:`fnet_size`; a failing shape rule
+    raises a GraphError naming the graph."""
+    net = bundle[name]
+    if name == "fnet" and set(bundle) == {"fnet", "srnet"}:
+        size = fnet_size(net, size)
     try:
         return net.count_flops((1, net.in_channels, *size))
     except GraphError as e:
         raise GraphError(f"graph {name!r}: {e}") from e
-
-
-def _out_shape(bundle: dict, name: str, size) -> tuple:
-    rows = graph_cost(bundle, name, size).per_layer
-    return (rows[-1]["out_shape"] if rows
-            else (1, bundle[name].in_channels, *size))
 
 
 def _pair(bundle: dict):
@@ -171,7 +161,7 @@ def model_geometry(bundle: dict, size) -> tuple:
     pair = _pair(bundle)
     name = "srnet" if pair else next(iter(bundle))
     h, w = size
-    _, c, oh, ow = _out_shape(bundle, name, size)
+    _, c, oh, ow = graph_cost(bundle, name, size).out_shape
     s = oh // h
     if s < 1 or (oh, ow) != (h * s, w * s):
         raise GraphError(f"graph {name!r} maps {h}x{w} frames to {oh}x{ow}, "
@@ -183,8 +173,8 @@ def model_geometry(bundle: dict, size) -> tuple:
             raise GraphError(f"graph {gname!r} takes "
                              f"{bundle[gname].in_channels} input channels; a "
                              f"x{s} pair of {c}-channel frames needs {want}")
-    fh, fw = fnet_size(bundle["fnet"], size)
-    _, fc, foh, fow = _out_shape(bundle, "fnet", size)
+    plan = graph_cost(bundle, "fnet", size)
+    (_, _, fh, fw), (_, fc, foh, fow) = plan.in_shape, plan.out_shape
     if (fc, foh, fow) != (2, fh, fw):
         raise GraphError(f"graph 'fnet' maps {fh}x{fw} frame pairs to "
                          f"{fc}x{foh}x{fow}, not a 2x{fh}x{fw} flow")

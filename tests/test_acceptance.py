@@ -280,12 +280,19 @@ def test_criterion_08_metric_fixed_points():
 # 9. backend and fusion performance ordering
 
 def _best_time(fn, reps):
-    out = []
+    return _best_times([fn], reps)[0]
+
+
+def _best_times(fns, reps):
+    """Best time of each of ``fns`` over ``reps`` rounds that call them in
+    turn, so a change in machine speed falls on all of them alike."""
+    out = [[] for _ in fns]
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        out.append(time.perf_counter() - t0)
-    return min(out)
+        for fn, times in zip(fns, out):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+    return [min(times) for times in out]
 
 
 def test_criterion_09_performance_ordering():
@@ -305,8 +312,8 @@ def test_criterion_09_performance_ordering():
         xin = rng.random((1, 6, 64, 64), dtype=np.float32)
         fnet.forward(xin)
         fused.forward(xin)
-        t_unfused = _best_time(lambda: fnet.forward(xin), 7)
-        t_fused = _best_time(lambda: fused.forward(xin), 7)
+        t_unfused, t_fused = _best_times([lambda: fnet.forward(xin),
+                                          lambda: fused.forward(xin)], 7)
         # machine-dependent; 5% allowance absorbs scheduler noise
         assert t_fused <= 1.05 * t_unfused, (t_fused, t_unfused)
 

@@ -235,6 +235,18 @@ def test_eval_single_frame_needs_two_only_for_temporal_metrics(tmp_path,
     assert "at least 2 frames" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_repeated_metric_and_writes_no_report(tmp_path,
+                                                             capsys):
+    gen_dir, _ = _write_lr_frames(tmp_path, t=2, c=3, h=16, w=16, seed=9)
+    report = tmp_path / "r.json"
+    assert main(["eval", "--gen", str(gen_dir), "--ref", str(gen_dir),
+                 "--metrics", "psnr,psnr", "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: metric 'psnr' is requested more than "
+                            "once\n")
+    assert captured.out == "" and not report.exists()
+
+
 def test_score_ranks_methods(tmp_path, capsys):
     rng = np.random.default_rng(7)
     ref = rng.random((3, 3, 40, 40), dtype=np.float32)
@@ -569,7 +581,7 @@ def test_inspect_rejects_zero_conv_stride(tmp_path, capsys, edit_vsm_header):
     capsys.readouterr()
     assert main(["inspect", "--model", str(model), "--size", "8x8"]) == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "stride=0" in err
+    assert "error:" in err and "stride must be >= 1, got 0" in err
 
 
 def test_fuse_bn_rejects_batch_norm_without_eps(tmp_path, capsys,
@@ -642,6 +654,8 @@ def test_parameter_faults_are_named_at_load(tmp_path, capsys, command, fault):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "graph 'net'" in err
     assert f"({name!r}, " in err
+    if fault == "zero transposed scale":    # named as the file names it
+        assert "scale must be >= 1, got 0" in err
     assert not (tmp_path / "f.vsm").exists()
 
 

@@ -131,9 +131,9 @@ def test_graph_rejects_unknown_skip_source():
     (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, bias=np.zeros(3))], 2),
      r"layer 0 \('l', conv2d\): bias length 3 != c_out 2"),
     (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, stride=0)], 2),
-     r"layer 0 \('l', conv2d\): invalid geometry k=3 stride=0 pad=1"),
+     r"layer 0 \('l', conv2d\): stride must be >= 1, got 0"),
     (lambda: NetworkGraph([conv_transpose2d_layer("l", 2, 2, 4, 0, 1)], 2),
-     r"layer 0 \('l', conv_transpose2d\): invalid geometry k=4 stride=0"),
+     r"layer 0 \('l', conv_transpose2d\): scale must be >= 1, got 0"),
     (lambda: NetworkGraph([batch_norm_layer("l", 3)], 2),
      r"layer 0 \('l', batch_norm\): normalizes 3 channels, gets 2"),
 ])

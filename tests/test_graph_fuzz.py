@@ -1,5 +1,6 @@
 """Seeded random graphs: batch-norm fusion keeps outputs, is idempotent and
-folds every batch-norm it may."""
+folds every batch-norm it may, and each planned step gives the output shape
+its cost row states."""
 
 import numpy as np
 
@@ -135,3 +136,19 @@ def test_fusion_of_random_graphs(tmp_path):
         save_model({"net": fused}, path)
         assert np.array_equal(load_bundle(path)["net"].forward(x), out), case
     assert seen == set(FEATURES), sorted(set(FEATURES) - seen)
+
+
+def test_each_step_of_a_random_graph_gives_the_shape_of_its_cost_row():
+    rng = np.random.default_rng(1)
+    for case in range(150):
+        g = _random_graph(rng)
+        x = rng.random((int(rng.integers(1, 3)), g.in_channels,
+                        int(rng.integers(5, 13)), int(rng.integers(5, 13))),
+                       dtype=np.float32)
+        plan, y, held = g.count_flops(x.shape), x, {}
+        assert plan.in_shape == x.shape
+        for row, step in zip(plan.per_layer, plan.steps, strict=True):
+            y = held[row["name"]] = step(y, held)
+            assert y.shape == row["out_shape"], (case, row)
+        assert y.shape == plan.out_shape
+        assert np.array_equal(y, g.forward(x)), case

@@ -356,6 +356,15 @@ def test_evaluate_sequence_returns_only_the_named_metrics():
         evaluate_sequence(one, one.copy(), metrics=())
 
 
+def test_evaluate_sequence_rejects_a_repeated_metric_before_any_work():
+    # a report with two rows of one metric is one that score rejects; the
+    # frame pair is malformed too, so only a check made first can win
+    one = np.zeros((1, 3, 40, 40), dtype=np.float32)
+    with pytest.raises(ValueError, match="metric 'psnr' is requested more "
+                                         "than once"):
+        evaluate_sequence(one, one[:, :1], metrics=("psnr", "ssim", "psnr"))
+
+
 # ---------------------------------------------------------------------------
 # non-finite frames
 

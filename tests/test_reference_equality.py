@@ -561,6 +561,39 @@ def test_forward_of_egvsr_is_bit_identical_to_reference(fused, backend):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_source_that_two_adds_read_is_held_until_the_second(backend):
+    # r2 reads c0 after the stream has gone through r1, which read it first
+    conv = graph.conv2d_layer
+    g = init_random(graph.NetworkGraph([
+        conv("c0", 2, 3, 3), conv("c1", 3, 3, 3),
+        graph.residual_add_layer("r1", "c0"), conv("c2", 3, 3, 3),
+        graph.residual_add_layer("r2", "c0"),
+        graph.residual_add_layer("r3", "r1")], in_channels=2), seed=30)
+    x = np.random.default_rng(31).random((2, 2, 7, 9), dtype=np.float32)
+    assert g.count_flops(x.shape).last_read == {"c0": 4, "r1": 5}
+    assert np.array_equal(g.forward(x, backend),
+                          _reference_forward(g, x, backend))
+
+
+def test_forward_lets_each_skip_output_go_after_its_last_reader():
+    # eight residual blocks whose adds each read their own block's first
+    # output: a pass that held every such output to the end would keep
+    # eight of them at once, one that lets them go at most one
+    layers = []
+    for i in range(8):
+        layers += [graph.batch_norm_layer(f"b{i}", 4),
+                   graph.activation_layer(f"a{i}", "relu"),
+                   graph.residual_add_layer(f"r{i}", f"b{i}")]
+    g = init_random(graph.NetworkGraph(layers, in_channels=4), seed=32)
+    x = np.random.default_rng(33).random((1, 4, 64, 64), dtype=np.float32)
+    want = _reference_forward(g, x, "gemm")
+    peak = _peak_bytes(g.forward, x)
+    assert np.array_equal(g.forward(x), want)
+    # the block's first output, its activation and its sum, plus slack
+    assert peak < 4 * x.nbytes, peak / x.nbytes
+
+
 @pytest.mark.parametrize("arch", ["egvsr", "control-a", "control-b",
                                   "control-c"])
 def test_count_flops_equals_reference(arch):
