@@ -70,6 +70,14 @@ class FpgaProfile:
                 raise ValueError(f"profile row {row} has non-positive entries")
             if [r[0] for r in self.rows].count(n) > 1:
                 raise ValueError(f"profile rows repeat input size {n}")
+        try:
+            finite = all(fpga_max_flops(self, r[0]) < math.inf
+                         for r in self.rows)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"lut_total {self.lut_total} and frequency "
+                             f"{self.frequency:g} give an infinite bound")
 
     def row(self, input_size: int):
         n = check_int(input_size, "input_size")

@@ -177,8 +177,7 @@ def cmd_build_model(args) -> None:
 
 
 def cmd_estimate_fpga(args) -> dict:
-    profile = benchmod.FpgaProfile(lut_total=args.lut_total,
-                                   frequency=args.freq)
+    profile = benchmod.FpgaProfile(int(args.lut_total), float(args.freq))
     rows = benchmod.fpga_table(profile)
     best = max(r["max_flops"] for r in rows)
     if args.table:
@@ -301,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-fpga", parents=[report],
                        help="analytical accelerator throughput bounds")
-    p.add_argument("--lut-total", type=int, default=benchmod.DEFAULT_LUT_TOTAL)
-    p.add_argument("--freq", type=float, default=benchmod.DEFAULT_FREQUENCY)
+    p.add_argument("--lut-total", default=benchmod.DEFAULT_LUT_TOTAL)
+    p.add_argument("--freq", default=benchmod.DEFAULT_FREQUENCY)
     p.add_argument("--flops-per-frame", default=None, metavar="N[,N...]",
                    help="project frame rates for these per-frame FLOPs")
     p.add_argument("--table", action="store_true",

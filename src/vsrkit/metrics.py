@@ -3,14 +3,16 @@
 Spatial fidelity: PSNR and SSIM on the luma plane of [0, 1] RGB frames.
 Temporal consistency: tOF compares motion fields estimated from consecutive
 reference frames against those from the corresponding output frames; tLP
-does the same with a perceptual frame-pair distance. A min-max normalized,
+does the same with each frame's perceptual features. A min-max normalized,
 weighted combination folds all four into one score per method.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
+from itertools import pairwise, starmap
 
 import numpy as np
 from scipy import ndimage
@@ -270,43 +272,34 @@ def _check_sequences(gen, ref, temporal: bool = True):
     return gen, ref
 
 
-def _pair_gaps(mapper, fn, gap, gen, ref):
-    """``gap(generated, reference)`` for each consecutive pair of two checked
-    sequences, in order, where each value is ``fn`` of the pair's two frames.
-
-    ``mapper(fn, firsts, seconds)`` is called at once with each pair's
-    frames, the generated and the reference pair side by side: ``map``, or
-    an executor's ``map``, which submits every call now and lets each result
-    go once it is read. The gaps are taken as the values are read.
-    """
+def _flow_gaps(mapper, gen, ref):
+    """tOF's term for each consecutive pair, in order. ``mapper`` is ``map``
+    or an executor's ``map``, which submits every flow now, a pair's two
+    side by side, and lets each go once its gap is taken."""
     pairs = range(1, gen.shape[0])
-    values = mapper(fn, [seq[t - 1] for t in pairs for seq in (gen, ref)],
-                    [seq[t] for t in pairs for seq in (gen, ref)])
-    return (gap(g, r) for g, r in zip(values, values))
-
-
-def _flow_l1(g: FlowResult, r: FlowResult) -> float:
-    """Mean L1 gap between two flows: one pair's term of tOF."""
-    return float(np.mean(np.abs(g.flow - r.flow)))
+    flows = mapper(dense_flow,
+                   [seq[t - 1] for t in pairs for seq in (gen, ref)],
+                   [seq[t] for t in pairs for seq in (gen, ref)])
+    return (float(np.mean(np.abs(g.flow - r.flow)))
+            for g, r in zip(flows, flows))
 
 
 def tof(gen: np.ndarray, ref: np.ndarray) -> float:
     """Temporal flow error: mean L1 gap between the motion estimated from
     consecutive generated frames and from the corresponding reference frames."""
     gen, ref = _check_sequences(gen, ref)
-    return float(np.mean([*_pair_gaps(map, dense_flow, _flow_l1, gen, ref)]))
+    return float(np.mean([*_flow_gaps(map, gen, ref)]))
 
 
 # ---------------------------------------------------------------------------
-# perceptual frame-pair distance
+# perceptual features
 
 class RandomFeatureDistance:
     """Deterministic perceptual distance from a fixed random conv stack.
 
     Three stride-2 conv+relu stages with seed-pinned weights provide a
     stable multi-scale feature space; the distance is the mean over stages
-    of the magnitude-normalized L1 feature difference. Any object with the
-    same ``distance(a, b) -> float`` signature can stand in for it.
+    of the magnitude-normalized L1 feature difference (:func:`_feature_gap`).
     """
 
     WIDTHS = (8, 16, 24)
@@ -338,33 +331,34 @@ class RandomFeatureDistance:
         return feats
 
     def distance(self, a: np.ndarray, b: np.ndarray) -> float:
-        parts = []
-        for xa, xb in zip(self._features(a), self._features(b)):
-            diff = float(np.mean(np.abs(xa - xb)))
-            norm = float(np.mean(np.abs(xa)) + np.mean(np.abs(xb))) + 1e-8
-            parts.append(diff / norm)
-        return float(np.mean(parts))
+        return _feature_gap(self._features(a), self._features(b))
 
 
-_default_pd = None
+def _feature_gap(fa: list, fb: list) -> float:
+    """The distance between two frames, from their features."""
+    return float(np.mean([
+        float(np.mean(np.abs(xa - xb)))
+        / (float(np.mean(np.abs(xa)) + np.mean(np.abs(xb))) + 1e-8)
+        for xa, xb in zip(fa, fb)]))
 
 
+@cache
 def default_perceptual_distance() -> RandomFeatureDistance:
-    global _default_pd
-    if _default_pd is None:
-        _default_pd = RandomFeatureDistance()
-    return _default_pd
+    return RandomFeatureDistance()
 
 
 def tlp(gen: np.ndarray, ref: np.ndarray, pd=None) -> float:
-    """Temporal perceptual error: for each consecutive pair, the perceptual
-    distance of the generated pair minus that of the reference pair, averaged
-    as absolute values over the sequence."""
+    """Temporal perceptual error: the mean absolute difference between the
+    feature gaps of consecutive generated frames and of the corresponding
+    reference frames. ``pd`` is a :class:`RandomFeatureDistance`, the default
+    one when None; each frame's features are computed once."""
     gen, ref = _check_sequences(gen, ref)
     if pd is None:
         pd = default_perceptual_distance()
-    return float(np.mean([*_pair_gaps(map, pd.distance,
-                                      lambda g, r: abs(g - r), gen, ref)]))
+    # starmap lets each pair go before the next frame's features are made
+    g, r = ([*starmap(_feature_gap, pairwise(map(pd._features, seq)))]
+            for seq in (gen, ref))
+    return float(np.mean([abs(x - y) for x, y in zip(g, r)]))
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +498,7 @@ def evaluate_sequence(gen: np.ndarray, ref: np.ndarray, pd=None,
         # the longest task first, then the flows, the generated and the
         # reference flow of a pair side by side, then the per-frame tasks
         lp = pool.submit(tlp, gen, ref, pd=pd) if "tlp" in wanted else None
-        gaps = (_pair_gaps(pool.map, dense_flow, _flow_l1, gen, ref)
-                if "tof" in wanted else None)
+        gaps = _flow_gaps(pool.map, gen, ref) if "tof" in wanted else None
         per_frame = {m: pool.map(fn, gen, ref)
                      for m, fn in (("psnr", psnr), ("ssim", ssim))
                      if m in wanted}

@@ -5,6 +5,7 @@ import csv
 import importlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -92,6 +93,21 @@ def test_fpga_profile_rejects_non_finite_or_non_positive_frequency(bad):
 def test_fpga_profile_rejects_non_finite_lut_total():
     with pytest.raises(ValueError, match="lut_total"):
         FpgaProfile(lut_total=float("inf"))
+
+
+@pytest.mark.parametrize("lut_total, frequency", [
+    (10 ** 400, 300e6),         # lut_total / lut_tile overflows a float
+    (326_080, 1e308),           # the product rounds to inf
+    (10 ** 300, 1e10),
+], ids=["lut_total", "frequency", "both"])
+def test_fpga_profile_rejects_an_infinite_bound(lut_total, frequency):
+    message = (f"lut_total {lut_total} and frequency {frequency:g} give an "
+               f"infinite bound")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FpgaProfile(lut_total=lut_total, frequency=frequency)
+    # just inside the float range every row's bound is finite
+    rows = fpga_table(FpgaProfile(lut_total=10 ** 290, frequency=1e7))
+    assert all(0 < r["max_flops"] < math.inf for r in rows)
 
 
 @pytest.mark.parametrize("kwargs, match", [

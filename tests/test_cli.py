@@ -484,6 +484,22 @@ def test_estimate_fpga_rejects_non_finite_values(capsys, argv):
     assert "nan fps" not in captured.out and "-> 0.00 fps" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lut-total", "9" * 400],
+    ["--freq", "1e308", "--table"],
+    ["--freq", "1e308", "--flops-per-frame", "1e9"],
+], ids=["lut-total", "freq", "freq-with-projection"])
+def test_estimate_fpga_rejects_an_infinite_bound(capsys, argv):
+    # the profile names its two values, not the frame cost; no table row
+    # with an inf bound is printed first
+    code = main(["estimate-fpga"] + argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: lut_total ")
+    assert captured.err.endswith(" give an infinite bound\n")
+    assert "flops_per_frame" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # error handling
 

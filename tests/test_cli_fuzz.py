@@ -1,12 +1,16 @@
 """Seeded malformed option values through the CLI.
 
 ``--size`` goes through ``inspect``, ``--metrics`` through ``eval``,
-``--weights`` through ``score`` and ``--flops-per-frame`` through
-``estimate-fpga``; ``upscale`` gets frame directories of random shape and
-a random ``--scale``. Every run must exit 0, or exit 1 with an ``error:``
-line on stderr: an exception that escapes ``main`` fails the test with
-its traceback. Values are passed as ``--option=value`` so that argparse
-takes a leading ``-`` as part of the value.
+``--weights`` through ``score``, ``--flops-per-frame``, ``--lut-total``
+and ``--freq`` through ``estimate-fpga``, and ``--size``, ``--frames`` and
+``--warmup`` through ``bench``; ``upscale`` gets frame directories of
+random shape and a random ``--scale``. Every run must exit 0, or exit 1
+with an ``error:`` line on stderr: an exception that escapes ``main``
+fails the test with its traceback. Values are passed as
+``--option=value`` so that argparse takes a leading ``-`` as part of the
+value. ``bench``'s ``--frames`` and ``--warmup`` are argparse integers,
+so their values are texts ``int`` reads; other text is argparse's usage
+error.
 """
 
 import json
@@ -33,15 +37,19 @@ def _join(rng, pieces, most):
     return ("," if rng.random() < 0.8 else "").join(chosen)
 
 
-def _size(rng):
+def _size(rng, dims=("1", "2", "7", "12", "33", "100000", "0", "-3", "2.5",
+                     "1e3", "00012")):
     if rng.random() < 0.3:
         return str(rng.choice(("x", "", "8", "8x", "x8", "8x8x8", " 8x8",
                                "8X8", "+8x8", "8.5x8", "８x８", "²x2",
                                "8x-8", "0x0", "0x8", "8x0", "1x1")))
-    dims = [str(rng.choice(("1", "2", "7", "12", "33", "100000", "0", "-3",
-                            "2.5", "1e3", "00012")))
-            for _ in range(2)]
-    return "x".join(dims)
+    return "x".join(str(rng.choice(dims)) for _ in range(2))
+
+
+def _digits(rng):
+    """A digit string of 1 to 400 digits, short ones as often as long."""
+    most = 400 if rng.random() < 0.5 else 12
+    return "".join(map(str, rng.integers(0, 10, int(rng.integers(1, most + 1)))))
 
 
 def _run(capsys, argv):
@@ -132,6 +140,50 @@ def test_estimate_fpga_takes_any_flops_per_frame_text(capsys):
         if code == 0:
             fps = [float(v) for v in re.findall(r"-> (\S+) fps", out)]
             assert fps and all(0 <= v < math.inf for v in fps), (text, out)
+    assert codes == {0, 1}
+
+
+def test_estimate_fpga_takes_any_lut_total_and_freq_text(capsys):
+    rng = np.random.default_rng(47)
+    codes = set()
+    for _ in range(150):
+        argv = ["estimate-fpga", "--table", "--flops-per-frame=1e9"]
+        if rng.random() < 0.8:
+            lut = (_digits(rng) if rng.random() < 0.6
+                   else str(rng.choice(("0", "-5", "00", "1", "-0"))))
+            argv.append(f"--lut-total={lut}")
+        if rng.random() < 0.6:
+            argv.append(f"--freq={rng.choice(NUMBERS)}")
+        code, out = _run(capsys, argv)
+        codes.add(code)
+        if code == 0:
+            peaks = [float(v) for v in re.findall(r"max_flops=(\S+)", out)]
+            fps = [float(v) for v in re.findall(r"-> (\S+) fps", out)]
+            assert len(peaks) == 5 and len(fps) == 1, (argv, out)
+            assert all(0 <= v < math.inf for v in peaks + fps), (argv, out)
+    assert codes == {0, 1}
+
+
+def test_bench_takes_any_size_frames_and_warmup(tmp_path, capsys, model):
+    rng = np.random.default_rng(48)
+    codes = set()
+    counts = ("0", "-1", "1", "2", "-0", "+1", " 1", "01", "1_0", "١")
+    for i in range(30):
+        # small sizes only: a large frame is a cost, not a malformed value
+        size = _size(rng, dims=("1", "2", "7", "12", "0", "-3", "2.5", "1e3",
+                                "00012"))
+        frames, warmup = (str(rng.choice(counts)) for _ in range(2))
+        report = tmp_path / f"b{i}.json"
+        code, out = _run(capsys, ["bench", "--model", str(model),
+                                  f"--size={size}", f"--frames={frames}",
+                                  f"--warmup={warmup}", f"--report={report}"])
+        codes.add(code)
+        assert report.exists() == (code == 0), (size, frames, warmup)
+        if code == 0:
+            row = json.loads(report.read_text())["sections"]["bench"][0]
+            assert row["frames"] == int(frames) >= 1, (frames, row)
+            assert row["warmup"] == int(warmup) >= 0, (warmup, row)
+            assert 0 < row["fps"] <= math.inf
     assert codes == {0, 1}
 
 

@@ -23,6 +23,7 @@ from vsrkit import (
     tof,
 )
 from vsrkit import metrics
+from vsrkit.conv import conv2d
 
 
 def _smooth_image(rng, h=72, w=72):
@@ -186,20 +187,23 @@ def test_tlp_zero_on_identical_sequences():
     assert tlp(seq, seq.copy()) == 0.0
 
 
-def test_tlp_accepts_custom_distance():
+@pytest.mark.parametrize("t", [2, 3, 5])
+def test_tlp_computes_each_frames_features_once(t, monkeypatch):
+    # three conv stages per frame: 6*t calls for two t-frame sequences,
+    # where a distance per pair computed an interior frame's twice
+    # (24 calls at t = 3)
     calls = []
 
-    class CountingDistance:
-        def distance(self, a, b):
-            calls.append(1)
-            return float(np.mean(np.abs(a - b)))
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
 
+    monkeypatch.setattr(metrics, "conv2d", counted)
     rng = np.random.default_rng(11)
-    gen = rng.random((3, 1, 16, 16), dtype=np.float32)
-    ref = rng.random((3, 1, 16, 16), dtype=np.float32)
-    val = tlp(gen, ref, CountingDistance())
-    assert len(calls) == 4  # two consecutive pairs per sequence
-    assert val >= 0.0
+    gen = rng.random((t, 1, 16, 16), dtype=np.float32)
+    ref = rng.random((t, 1, 16, 16), dtype=np.float32)
+    assert tlp(gen, ref) >= 0.0
+    assert len(calls) == 6 * t
 
 
 def test_perceptual_distance_axioms():

@@ -369,6 +369,35 @@ def test_evaluate_sequence_of_1_channel_sequences():
     assert evaluate_sequence(gen, ref)["tlp"] == tlp(*rgb)
 
 
+def _reference_tlp(gen, ref, pd):
+    """tLP pair by pair: the distance of each consecutive generated pair
+    against that of the reference pair, each frame's features computed
+    once per pair it is in."""
+    return float(np.mean([abs(pd.distance(gen[t - 1], gen[t])
+                              - pd.distance(ref[t - 1], ref[t]))
+                          for t in range(1, gen.shape[0])]))
+
+
+@pytest.mark.parametrize("t", [2, 5])
+@pytest.mark.parametrize("c", [3, 1], ids=["rgb", "gray"])
+def test_tlp_is_bit_identical_to_reference(t, c):
+    gen, ref = (seq[:, :c].copy() for seq in _sequences(t=t, h=45, w=61))
+    want = _reference_tlp(gen, ref, default_perceptual_distance())
+    assert want > 0.0
+    assert tlp(gen, ref) == want
+    assert evaluate_sequence(gen, ref, metrics=("tlp",))["tlp"] == want
+    assert evaluate_sequence(gen, ref)["tlp"] == want
+
+
+def test_tlp_peak_memory_at_384x512():
+    gen, ref = _sequences(t=3, h=384, w=512)
+    tlp(gen[:2], ref[:2])           # the default distance is built once
+    # measured 11.9 MB: two frames' features (2.65 MB each) and the conv
+    # buffers of the one being made, as one distance call holds; a pair
+    # kept bound while the next frame's features are made read 14.6 MB
+    assert _peak_bytes(tlp, gen, ref) < 13.3e6
+
+
 def test_evaluate_sequence_runs_at_most_two_computations_at_once(
         monkeypatch):
     lock = threading.Lock()
