@@ -37,6 +37,19 @@ def _parse_size(text: str) -> tuple:
     return w, h
 
 
+def _number(text, option: str, kind=float):
+    """``text`` read by ``kind`` (``int`` or ``float``) as ``option``'s value;
+    text it cannot read is a ValueError naming the option and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        shown = (repr(text) if len(text) <= 40
+                 else f"{text[:20]!r}... ({len(text)} characters)")
+        raise ValueError(f"bad {option} {shown}, expected "
+                         f"{'an integer' if kind is int else 'a number'}"
+                         ) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each returns the report sections it offers, or None
 
@@ -141,7 +154,7 @@ def cmd_score(args) -> dict:
         table[label] = values
     weights = None
     if args.weights is not None:
-        ws = [float(w) for w in args.weights.split(",")]
+        ws = [_number(w, "--weights") for w in args.weights.split(",")]
         metrics = [m for m in metricsmod.DEFAULT_METRICS
                    if m in next(iter(table.values()))]
         if len(ws) != len(metrics):
@@ -177,7 +190,8 @@ def cmd_build_model(args) -> None:
 
 
 def cmd_estimate_fpga(args) -> dict:
-    profile = benchmod.FpgaProfile(int(args.lut_total), float(args.freq))
+    profile = benchmod.FpgaProfile(_number(args.lut_total, "--lut-total", int),
+                                   _number(args.freq, "--freq"))
     rows = benchmod.fpga_table(profile)
     best = max(r["max_flops"] for r in rows)
     if args.table:
@@ -193,7 +207,7 @@ def cmd_estimate_fpga(args) -> dict:
     if args.flops_per_frame is not None:
         projections = []
         for text in args.flops_per_frame.split(","):
-            fpf = float(text)
+            fpf = _number(text, "--flops-per-frame")
             fps = benchmod.theoretical_fps(best, fpf)
             projections.append({"flops_per_frame": fpf, "max_flops": best,
                                 "fps": fps})

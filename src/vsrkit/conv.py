@@ -10,10 +10,10 @@ Three interchangeable forward-convolution implementations are provided:
   output (col2im is a plain reshape, no transpose), in two fixed row
   bands, the second on a helper thread when called from the main thread,
   with the same bits on any thread;
-* :func:`conv2d_winograd`-- minimal-filtering F(2x2,3x3) tiling, 16
-  multiplications per 2x2 output tile instead of 36: add/subtract
-  transform passes over contiguous buffers around one batched matmul of
-  the 16 transformed filter matrices.
+* :func:`conv2d_winograd`-- minimal-filtering F(4x4,3x3) tiling, 36
+  multiplications per 4x4 output tile instead of 144: the input, filter
+  and output transforms are each one BLAS matmul by a Kronecker matrix,
+  around one batched matmul of the 36 transformed filter matrices.
 
 All backends add the bias, return float32 NCHW tensors, and agree with the
 naive reference within the tolerances stated on each function.
@@ -40,22 +40,29 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 # second row band of main-thread gemm convs; its thread starts on first use
 _HELPER = ThreadPoolExecutor(1, thread_name_prefix="vsrkit-gemm")
 
-# F(2x2,3x3) transform matrices: input (BT d B), filter (G g GT), output
-# (AT m A). The element-wise product stage touches 4x4 = 16 values per tile
-# where direct computation of the same 2x2 output needs 4*9 = 36 multiplies.
+# F(4x4,3x3) transform matrices at points 0, +-1, +-2 and infinity (Lavin &
+# Gray, CVPR 2016): input (BT d B), filter (G g GT), output (AT m A). The
+# element-wise product stage touches 6x6 = 36 values per tile where direct
+# computation of the same 4x4 output needs 16*9 = 144 multiplies.
 WINOGRAD_BT = np.array(
-    [[1, 0, -1, 0],
-     [0, 1, 1, 0],
-     [0, -1, 1, 0],
-     [0, 1, 0, -1]], dtype=DTYPE)
+    [[4, 0, -5, 0, 1, 0],
+     [0, -4, -4, 1, 1, 0],
+     [0, 4, -4, -1, 1, 0],
+     [0, -2, -1, 2, 1, 0],
+     [0, 2, -1, -2, 1, 0],
+     [0, 4, 0, -5, 0, 1]], dtype=np.float64)
 WINOGRAD_G = np.array(
-    [[1, 0, 0],
-     [0.5, 0.5, 0.5],
-     [0.5, -0.5, 0.5],
-     [0, 0, 1]], dtype=DTYPE)
+    [[6, 0, 0],
+     [-4, -4, -4],
+     [-4, 4, -4],
+     [1, 2, 4],
+     [1, -2, 4],
+     [0, 0, 24]]) / 24.0
 WINOGRAD_AT = np.array(
-    [[1, 1, 1, 0],
-     [0, 1, -1, -1]], dtype=DTYPE)
+    [[1, 1, 1, 1, 1, 0],
+     [0, 1, -1, 2, -2, 0],
+     [0, 1, 1, 4, 4, 0],
+     [0, 1, -1, 8, -8, 1]], dtype=np.float64)
 
 
 @dataclass
@@ -247,51 +254,33 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     return out.reshape(n, kern.c_out, oh, ow)
 
 
-def _bt_passes(d, out) -> None:
-    """``out[a] = sum_i BT[a, i] * d[i]`` for the F(2x2,3x3) input transform.
-
-    ``d`` holds four equally shaped arrays (tile rows or columns) and
-    ``out`` stacks four of that shape. ``WINOGRAD_BT`` holds only 0 and
-    +-1, so each output is one add or subtract pass.
-    """
-    np.subtract(d[0], d[2], out=out[0])
-    np.add(d[1], d[2], out=out[1])
-    np.subtract(d[2], d[1], out=out[2])
-    np.subtract(d[1], d[3], out=out[3])
-
-
-def _at_passes(m, out) -> None:
-    """``out[a] = sum_i AT[a, i] * m[i]`` for the F(2x2,3x3) output
-    transform: two sums of three terms over the four arrays of ``m``."""
-    np.add(m[0], m[1], out=out[0])
-    out[0] += m[2]
-    np.subtract(m[1], m[2], out=out[1])
-    out[1] -= m[3]
-
-
 # (k, stride) pairs whose gemm fallback has been logged; once per cause
 _FALLBACK_LOGGED: set = set()
 _FALLBACK_LOCK = threading.Lock()
 
-# (16, 9) filter transform: row 4a+b of kron(G, G) applied to a flattened
-# 3x3 filter g gives (G g GT)[a, b]
-_WINOGRAD_GG = np.kron(WINOGRAD_G, WINOGRAD_G)
+# the 2-D transforms as float32 matrices on flattened tiles: row 6a+b of
+# kron(BT, BT) applied to a flattened 6x6 tile d gives (BT d B)[a, b], and
+# likewise (36, 9) kron(G, G) for a 3x3 filter, (16, 36) kron(AT, AT) for m
+_WINOGRAD_BB = np.kron(WINOGRAD_BT, WINOGRAD_BT).astype(DTYPE)
+_WINOGRAD_GG = np.kron(WINOGRAD_G, WINOGRAD_G).astype(DTYPE)
+_WINOGRAD_AA = np.kron(WINOGRAD_AT, WINOGRAD_AT).astype(DTYPE)
 
 
 def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
-    """F(2x2,3x3) minimal-filtering convolution.
+    """F(4x4,3x3) minimal-filtering convolution.
 
     Requires k=3 and stride 1; any other geometry falls back to
     :func:`conv2d_gemm` (logged once per (k, stride) per process). Per image,
-    the input is zero-padded once into a buffer holding every 4x4 tile at
-    stride 2. The input transform BT d B runs as add/subtract passes over
-    stride-2 row slices, then column slices, into a contiguous
-    (16, c_in, tiles) buffer V. The filter transform G g GT of all filters
-    is one (16, 9) matrix product U. One batched matmul U @ V gives the 16
-    (c_out, tiles) Hadamard terms, and the output transform AT m A writes
-    the four 2x2 output phases straight into the NCHW result; a ragged
-    edge is cropped only when oh or ow is odd. Returns a C-contiguous
-    float32 tensor equal to :func:`conv2d_naive` within 1e-4 relative.
+    the input is zero-padded once into a buffer holding every 6x6 tile at
+    stride 4, and one strided copy gathers the tiles into a contiguous
+    (36, c_in*tiles) buffer. Each of the three transforms is one BLAS
+    matmul by a Kronecker matrix: kron(BT, BT) gives V, kron(G, G) gives
+    the (36, c_out, c_in) filters U of this call, and after the one batched
+    matmul U @ V of the 36 (c_out, tiles) Hadamard terms, kron(AT, AT)
+    gives the 16 output phases, copied into the NCHW result with one
+    strided copy; a ragged edge is cropped only when oh or ow is not a
+    multiple of 4. Returns a C-contiguous float32 tensor equal to
+    :func:`conv2d_naive` within 1e-4 relative.
     """
     x = _check_conv_input(x, kern)
     if kern.k != 3 or kern.stride != 1:
@@ -305,32 +294,33 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     n, ci, h, w = x.shape
     co, p = kern.c_out, kern.pad
     oh, ow = out_dims(h, w, 3, 1, p)
-    th, tw = (oh + 1) // 2, (ow + 1) // 2
-    u = (_WINOGRAD_GG @ kern.weights.reshape(co * ci, 9).T).reshape(16, co, ci)
+    th, tw = (oh + 3) // 4, (ow + 3) // 4
+    u = (_WINOGRAD_GG @ kern.weights.reshape(co * ci, 9).T).reshape(36, co, ci)
 
     out = np.empty((n, co, oh, ow), dtype=DTYPE)
-    # each 4x4 tile at stride 2 reads rows up to 2*(t-1)+4 = 2t+2; the
+    # each 6x6 tile at stride 4 reads rows up to 4*(t-1)+6 = 4t+2; the
     # border stays zero across images, only the interior is rewritten
-    xp = np.zeros((ci, 2 * th + 2, 2 * tw + 2), dtype=DTYPE)
-    rows = np.empty((4, ci, th, 2 * tw + 2), dtype=DTYPE)
-    v = np.empty((16, ci, th * tw), dtype=DTYPE)
-    m = np.empty((16, co, th * tw), dtype=DTYPE)
-    mrows = np.empty((2, 4, co, th, tw), dtype=DTYPE)
-    ragged = oh % 2 or ow % 2
-    y = np.empty((co, 2 * th, 2 * tw), dtype=DTYPE) if ragged else None
+    xp = np.zeros((ci, 4 * th + 2, 4 * tw + 2), dtype=DTYPE)
+    tiles = np.lib.stride_tricks.sliding_window_view(
+        xp, (6, 6), axis=(1, 2))[:, ::4, ::4].transpose(3, 4, 0, 1, 2)
+    d = np.empty((36, ci * th * tw), dtype=DTYPE)
+    v = np.empty((36, ci, th * tw), dtype=DTYPE)
+    m = np.empty((36, co, th * tw), dtype=DTYPE)
+    y = np.empty((16, co * th * tw), dtype=DTYPE)
+    ragged = oh % 4 or ow % 4
+    full = np.empty((co, 4 * th, 4 * tw), dtype=DTYPE) if ragged else None
     for b in range(n):
         xp[:, p:p + h, p:p + w] = x[b]
-        _bt_passes([xp[:, r:r + 2 * th:2] for r in range(4)], rows)
-        _bt_passes([rows[..., c:c + 2 * tw:2] for c in range(4)],
-                   v.reshape(4, 4, ci, th, tw).swapaxes(0, 1))
+        np.copyto(d.reshape(tiles.shape), tiles)
+        np.matmul(_WINOGRAD_BB, d, out=v.reshape(36, -1))
         np.matmul(u, v, out=m)
-        _at_passes(m.reshape(4, 4, co, th, tw), mrows)
-        yb = y if ragged else out[b]
-        # phase (i, j) of yb is yb[:, i::2, j::2]
-        _at_passes(mrows.swapaxes(0, 1),
-                   yb.reshape(co, th, 2, tw, 2).transpose(4, 2, 0, 1, 3))
+        np.matmul(_WINOGRAD_AA, m.reshape(36, -1), out=y)
+        yb = full if ragged else out[b]
+        # phase (i, j) of yb is yb[:, i::4, j::4]
+        np.copyto(yb.reshape(co, th, 4, tw, 4).transpose(2, 4, 0, 1, 3),
+                  y.reshape(4, 4, co, th, tw))
         if ragged:
-            out[b] = y[:, :oh, :ow]
+            out[b] = full[:, :oh, :ow]
     out += kern.bias[:, None, None]
     return out
 
@@ -387,14 +377,16 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 
     Odd spatial dims are padded on the right/bottom by edge replication,
     which is equivalent to padding with negative infinity for a max window.
+    The four stride-2 slices of the window meet in three element-wise
+    maxima written into the first result, which is C-contiguous.
     """
     x = check_tensor(x, "maxpool input")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), mode="edge")
-        n, c, h, w = x.shape
-    v = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    return v.max(axis=(3, 5))
+    out = np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2])
+    np.maximum(out, x[:, :, 1::2, 0::2], out=out)
+    return np.maximum(out, x[:, :, 1::2, 1::2], out=out)
 
 
 def activation(x: np.ndarray, kind: str, alpha: float = 0.2,

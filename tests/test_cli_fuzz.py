@@ -10,7 +10,8 @@ fails the test with its traceback. Values are passed as
 ``--option=value`` so that argparse takes a leading ``-`` as part of the
 value. ``bench``'s ``--frames`` and ``--warmup`` are argparse integers,
 so their values are texts ``int`` reads; other text is argparse's usage
-error.
+error. Text that is not a number, given to a numeric option, must be an
+``error:`` that names the option and the text.
 """
 
 import json
@@ -162,6 +163,30 @@ def test_estimate_fpga_takes_any_lut_total_and_freq_text(capsys):
             assert len(peaks) == 5 and len(fps) == 1, (argv, out)
             assert all(0 <= v < math.inf for v in peaks + fps), (argv, out)
     assert codes == {0, 1}
+
+
+@pytest.mark.parametrize("option, text, shown", [
+    ("--lut-total", "abc", "'abc'"),
+    ("--lut-total", "1.5", "'1.5'"),
+    ("--lut-total", "", "''"),
+    ("--lut-total", "9" * 4301, f"'{'9' * 20}'... (4301 characters)"),
+    ("--freq", "1e", "'1e'"),
+    ("--freq", "0x10", "'0x10'"),
+    ("--flops-per-frame", "1e9,x", "'x'"),
+    ("--flops-per-frame", "1e9,,2", "''"),
+    ("--weights", "abc", "'abc'"),
+    ("--weights", "0.5,", "''"),
+])
+def test_number_options_name_the_option_and_the_text(tmp_path, capsys,
+                                                     option, text, shown):
+    rows = [{"method": "a", "metric": m, "value": 1.0} for m in ("psnr", "tof")]
+    (tmp_path / "a.json").write_text(json.dumps({"sections": {"metrics": rows}}))
+    command = (["score", "--reports", str(tmp_path / "a.json")]
+               if option == "--weights" else ["estimate-fpga"])
+    assert main(command + [f"{option}={text}"]) == 1
+    expected = "an integer" if option == "--lut-total" else "a number"
+    assert capsys.readouterr().err == (
+        f"error: bad {option} {shown}, expected {expected}\n")
 
 
 def test_bench_takes_any_size_frames_and_warmup(tmp_path, capsys, model):

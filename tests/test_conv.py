@@ -28,7 +28,14 @@ from vsrkit import (
     vsr_run,
 )
 from vsrkit import conv
-from vsrkit.conv import WINOGRAD_AT, WINOGRAD_BT, _at_passes, _bt_passes
+from vsrkit.conv import (
+    WINOGRAD_AT,
+    WINOGRAD_BT,
+    WINOGRAD_G,
+    _WINOGRAD_AA,
+    _WINOGRAD_BB,
+    _WINOGRAD_GG,
+)
 
 
 def _conv_ref(x, w, b, stride, pad):
@@ -337,27 +344,84 @@ def test_winograd_reproduces_naive_for_3x3_stride1():
         assert float(np.max(np.abs(got - ref))) / denom <= 1e-4
 
 
+def test_winograd_transforms_compute_a_correlation():
+    # F(4,3): AT [(G g) * (BT d)] is the valid correlation of six samples d
+    # with three taps g, and the kron form the same of a 6x6 tile, in float64
+    rng = np.random.default_rng(14)
+    bb, gg, aa = (np.kron(m, m) for m in (WINOGRAD_BT, WINOGRAD_G, WINOGRAD_AT))
+    for _ in range(20):
+        d, g = rng.standard_normal(6), rng.standard_normal(3)
+        got = WINOGRAD_AT @ ((WINOGRAD_G @ g) * (WINOGRAD_BT @ d))
+        assert np.allclose(got, np.correlate(d, g), rtol=0, atol=1e-12)
+        d, g = rng.standard_normal((6, 6)), rng.standard_normal((3, 3))
+        got = aa @ ((gg @ g.ravel()) * (bb @ d.ravel()))
+        want = np.einsum("yxij,ij->yx", np.lib.stride_tricks.sliding_window_view(
+            d, (3, 3)), g)
+        assert np.allclose(got.reshape(4, 4), want, rtol=0, atol=1e-12)
+
+
 def test_winograd_transform_passes_match_the_matrices():
-    # the add/subtract passes are the definition of BT and AT written out
-    tile = np.random.default_rng(14).standard_normal((4, 4)).astype(np.float32)
-    rows = np.empty((4, 4), dtype=np.float32)
-    v = np.empty((4, 4), dtype=np.float32)
-    _bt_passes(list(tile), rows)
-    _bt_passes(list(rows.T), v.T)
-    assert np.allclose(v, WINOGRAD_BT @ tile @ WINOGRAD_BT.T, atol=1e-6)
-    mrows = np.empty((2, 4), dtype=np.float32)
-    y = np.empty((2, 2), dtype=np.float32)
-    _at_passes(list(tile), mrows)
-    _at_passes(list(mrows.T), y.T)
-    assert np.allclose(y, WINOGRAD_AT @ tile @ WINOGRAD_AT.T, atol=1e-6)
+    # each float32 Kronecker matmul is its two-sided transform written out
+    rng = np.random.default_rng(14)
+    tile = rng.standard_normal((6, 6)).astype(np.float32)
+    g = rng.standard_normal((3, 3)).astype(np.float32)
+    for kron, m, a in ((_WINOGRAD_BB, WINOGRAD_BT, tile),
+                       (_WINOGRAD_GG, WINOGRAD_G, g),
+                       (_WINOGRAD_AA, WINOGRAD_AT, tile)):
+        assert kron.dtype == np.float32
+        got = (kron @ a.ravel()).reshape(m.shape[0], m.shape[0])
+        assert np.allclose(got, m @ a @ m.T, rtol=0, atol=1e-5)
 
 
 def test_winograd_exact_on_small_integers():
-    # the transform constants are powers of two, so integer data stays exact
+    # BT and AT are integer matrices, so on small-integer data the input and
+    # output passes stay exact in float32; only G's 1/6 and 1/24 round
     rng = np.random.default_rng(8)
-    x = rng.integers(-3, 4, (1, 2, 6, 6)).astype(np.float32)
-    kern = ConvKernel(rng.integers(-3, 4, (2, 2, 3, 3)).astype(np.float32))
-    assert np.array_equal(conv2d_winograd(x, kern), conv2d_naive(x, kern))
+    bt, at = WINOGRAD_BT.astype(np.int64), WINOGRAD_AT.astype(np.int64)
+    d = rng.integers(-3, 4, (6, 6, 50))
+    v = _WINOGRAD_BB @ d.reshape(36, -1).astype(np.float32)
+    assert np.array_equal(
+        v.reshape(6, 6, -1), np.einsum("ai,ijt,bj->abt", bt, d, bt))
+    m = rng.integers(-300, 301, (6, 6, 50))
+    y = _WINOGRAD_AA @ m.reshape(36, -1).astype(np.float32)
+    assert np.array_equal(
+        y.reshape(4, 4, -1), np.einsum("ai,ijt,bj->abt", at, m, at))
+
+
+def _assert_winograd_matches_naive(x, kern):
+    ref = conv2d_naive(x, kern)
+    got = conv2d_winograd(x, kern)
+    assert got.dtype == np.float32 and got.flags.c_contiguous
+    assert got.shape == ref.shape
+    denom = max(float(np.max(np.abs(ref))), 1e-6)
+    assert float(np.max(np.abs(got - ref))) / denom <= 1e-4, x.shape
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_winograd_crops_every_ragged_edge(pad):
+    # oh and ow of 1 to 8 give every (oh mod 4, ow mod 4) pair and one-row
+    # and one-column outputs; a batch of 3 reuses the padded buffer's
+    # border, and every other case reads a non-contiguous channel slice
+    rng = np.random.default_rng(60 + pad)
+    for oh in range(1, 9):
+        for ow in range(1, 9):
+            wide = rng.standard_normal(
+                (3, 6, oh + 2 - 2 * pad, ow + 2 - 2 * pad)).astype(np.float32)
+            x = wide[:, 1:4] if (oh + ow) % 2 else wide[:, :3].copy()
+            kern = ConvKernel(
+                rng.standard_normal((4, 3, 3, 3)).astype(np.float32),
+                rng.standard_normal(4).astype(np.float32), pad=pad)
+            _assert_winograd_matches_naive(x, kern)
+
+
+def test_winograd_runs_egvsrs_widest_layer_on_two_tiles():
+    # the fnet's 256->256 conv at 6x8 in a 64x48 frame: one tile row
+    # holding two tiles
+    rng = np.random.default_rng(62)
+    kern = ConvKernel(rng.standard_normal((256, 256, 3, 3)).astype(np.float32)
+                      / 48, rng.standard_normal(256).astype(np.float32), pad=1)
+    _assert_winograd_matches_naive(
+        rng.random((1, 256, 6, 8), dtype=np.float32), kern)
 
 
 def test_winograd_falls_back_for_unsupported_geometry(caplog):
@@ -465,6 +529,29 @@ def test_maxpool2_window_oracle():
         for x_ in range(4):
             ref = t[:, :, 2 * y:2 * y + 2, 2 * x_:2 * x_ + 2].max(axis=(2, 3))
             assert np.array_equal(out[:, :, y, x_], ref)
+
+
+def _maxpool2_by_reduction(x):
+    """maxpool2 as a reshape and one reduction over each 2x2 window."""
+    n, c, h, w = x.shape
+    if h % 2 or w % 2:
+        x = np.pad(x, ((0, 0), (0, 0), (0, h % 2), (0, w % 2)), mode="edge")
+        n, c, h, w = x.shape
+    return x.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 5, 7), (1, 2, 6, 9),
+                                   (1, 1, 8, 1), (2, 4, 33, 16)])
+def test_maxpool2_bits_match_the_reduction(shape):
+    rng = np.random.default_rng(sum(shape))
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf], dtype=np.float32)
+    x = rng.standard_normal(shape).astype(np.float32)
+    # half the values from {+0, -0, NaN, +inf, -inf}
+    mask = rng.random(shape) < 0.5
+    x[mask] = rng.choice(special, size=int(mask.sum()))
+    got, want = maxpool2(x), _maxpool2_by_reduction(x)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_maxpool2_pads_odd_dims_by_replication():
