@@ -143,6 +143,8 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
         raise ValueError(f"frames must be >= 1, got {frames}")
     if check_int(warmup, "warmup") < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if check_int(seed, "seed") < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     h, w = (check_int(v, "size") for v in size)
     if h < 1 or w < 1:
         raise ShapeError(f"size must be >= 1, got {(h, w)}")

@@ -54,13 +54,15 @@ def _number(text, option: str, kind=float):
 # subcommands: each returns the report sections it offers, or None
 
 def cmd_upscale(args) -> None:
+    want_scale = (None if args.scale is None
+                  else _number(args.scale, "--scale", int))
     bundle = load_bundle(args.model)
     if args.fuse_bn:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
     frames = read_sequence(args.inp)
     scale, want_c = model_geometry(bundle, frames.shape[2:])
-    if args.scale is not None and args.scale != scale:
-        raise ValueError(f"model upscales x{scale}, but --scale {args.scale} "
+    if want_scale is not None and want_scale != scale:
+        raise ValueError(f"model upscales x{scale}, but --scale {want_scale} "
                          f"was requested")
     if frames.shape[1] == 3 and want_c == 1:
         frames = metricsmod.luma(frames)[:, None].astype(DTYPE)
@@ -74,11 +76,14 @@ def cmd_upscale(args) -> None:
 
 
 def cmd_bench(args) -> dict:
-    bundle = load_bundle(args.model)
     w, h = _parse_size(args.size)
-    result = benchmod.time_pipeline(bundle, (h, w), args.frames,
+    frames = _number(args.frames, "--frames", int)
+    warmup = _number(args.warmup, "--warmup", int)
+    seed = _number(args.seed, "--seed", int)
+    bundle = load_bundle(args.model)
+    result = benchmod.time_pipeline(bundle, (h, w), frames,
                                     backend=args.conv, fused=args.fuse_bn,
-                                    warmup=args.warmup, seed=args.seed)
+                                    warmup=warmup, seed=seed)
     print(f"{result.arch} {w}x{h} backend={result.backend} "
           f"fused={result.fused}: {result.fps:.3f} fps "
           f"(mean {result.mean_frame_s * 1e3:.2f} ms, "
@@ -194,6 +199,15 @@ def cmd_estimate_fpga(args) -> dict:
                                    _number(args.freq, "--freq"))
     rows = benchmod.fpga_table(profile)
     best = max(r["max_flops"] for r in rows)
+    # every projection is made before any line is printed, so a bad item
+    # leaves no partial output
+    projections = None
+    if args.flops_per_frame is not None:
+        projections = []
+        for text in args.flops_per_frame.split(","):
+            fpf = _number(text, "--flops-per-frame")
+            projections.append({"flops_per_frame": fpf, "max_flops": best,
+                                "fps": benchmod.theoretical_fps(best, fpf)})
     if args.table:
         print(f"lut_total={profile.lut_total} "
               f"frequency={profile.frequency:.6g}")
@@ -204,14 +218,10 @@ def cmd_estimate_fpga(args) -> dict:
                   f"max_flops={r['max_flops']:.6e} "
                   f"({r['max_tflops']:.3f} T)")
     sections = {"fpga": rows}
-    if args.flops_per_frame is not None:
-        projections = []
-        for text in args.flops_per_frame.split(","):
-            fpf = _number(text, "--flops-per-frame")
-            fps = benchmod.theoretical_fps(best, fpf)
-            projections.append({"flops_per_frame": fpf, "max_flops": best,
-                                "fps": fps})
-            print(f"flops_per_frame={fpf:.6g} -> {fps:.2f} fps")
+    if projections is not None:
+        for p in projections:
+            print(f"flops_per_frame={p['flops_per_frame']:.6g} -> "
+                  f"{p['fps']:.2f} fps")
         sections["projections"] = projections
     return sections
 
@@ -261,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="inp", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--scale", type=int, default=None,
+    p.add_argument("--scale", default=None,
                    help="expected upscale factor (checked against the model)")
     p.add_argument("--conv", choices=BACKENDS, default="gemm")
     p.add_argument("--fuse-bn", action="store_true")
@@ -273,11 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time the pipeline on synthetic frames")
     p.add_argument("--model", required=True)
     p.add_argument("--size", required=True, metavar="WxH")
-    p.add_argument("--frames", type=int, default=30)
-    p.add_argument("--warmup", type=int, default=5)
+    p.add_argument("--frames", default=30)
+    p.add_argument("--warmup", default=5)
     p.add_argument("--conv", choices=BACKENDS, default="gemm")
     p.add_argument("--fuse-bn", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("eval", parents=[report],

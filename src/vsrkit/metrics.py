@@ -5,6 +5,10 @@ Temporal consistency: tOF compares motion fields estimated from consecutive
 reference frames against those from the corresponding output frames; tLP
 does the same with each frame's perceptual features. A min-max normalized,
 weighted combination folds all four into one score per method.
+
+``scipy.ndimage`` is imported inside the three functions that filter
+(:func:`ssim`, :func:`_downsample2`, :func:`_window_sums`), so importing
+vsrkit, and every upscale path, never loads scipy.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from functools import cache
 from itertools import pairwise, starmap
 
 import numpy as np
-from scipy import ndimage
 
 from .conv import ConvKernel, conv2d
 from .pipeline import warp
@@ -85,6 +88,8 @@ def ssim(ref: np.ndarray, test: np.ndarray) -> float:
     Border pixels whose window would leave the image are excluded, which
     matches the classical valid-window formulation.
     """
+    from scipy import ndimage
+
     ref, test = _check_pair(ref, test)
     x = luma(ref)
     y = luma(test)
@@ -124,6 +129,8 @@ class FlowResult:
 
 
 def _downsample2(im: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
+
     return ndimage.gaussian_filter(im, 1.0)[::2, ::2]
 
 
@@ -139,6 +146,8 @@ def _window_sums(a: np.ndarray, b32: np.ndarray, flow: np.ndarray,
     that the warped frame and its gradients are freed on return, not held
     through the next iteration's warp.
     """
+    from scipy import ndimage
+
     bw = warp(b32, flow[None].astype(DTYPE))[0, 0].astype(np.float64)
     gy = np.empty_like(bw)
     gx = np.empty_like(bw)

@@ -1,11 +1,15 @@
 """Shared test helpers."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vsrkit
 from vsrkit import conv
 
 
@@ -60,6 +64,24 @@ def _write_raw_f32(path, frame):
 @pytest.fixture()
 def write_raw_f32():
     return _write_raw_f32
+
+
+def _fresh_python(script, *args):
+    """Run ``script`` in a new interpreter that finds this vsrkit, and return
+    the JSON its last stdout line holds."""
+    src = os.path.dirname(os.path.dirname(vsrkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    return _fresh_python
 
 
 @pytest.fixture(autouse=True)

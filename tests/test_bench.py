@@ -235,6 +235,8 @@ def test_time_pipeline_validates_counts():
         time_pipeline({"net": g}, (8, 8), frames=0)
     with pytest.raises(ValueError):
         time_pipeline({"net": g}, (8, 8), frames=1, warmup=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        time_pipeline({"net": g}, (8, 8), frames=1, seed=-1)
 
 
 def test_time_pipeline_takes_an_integer_height_and_width():
@@ -246,7 +248,9 @@ def test_time_pipeline_takes_an_integer_height_and_width():
     for counts, match in ((dict(frames=1.5), "frames must be an integer"),
                           (dict(frames=True), "frames must be an integer"),
                           (dict(frames=1, warmup=0.5),
-                           "warmup must be an integer")):
+                           "warmup must be an integer"),
+                          (dict(frames=1, seed=2.0),
+                           "seed must be an integer")):
         with pytest.raises(ShapeError, match=match):
             time_pipeline({"net": g}, (8, 8), **counts)
 

@@ -500,6 +500,18 @@ def test_estimate_fpga_rejects_an_infinite_bound(capsys, argv):
     assert "flops_per_frame" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--flops-per-frame", "1,zz"],
+    ["--table", "--flops-per-frame", "1e9,zz"],
+    ["--table", "--flops-per-frame", "1e9,1e-320"],
+], ids=["text", "text-with-table", "inf-fps-with-table"])
+def test_estimate_fpga_bad_item_leaves_no_partial_output(capsys, argv):
+    # every item is read and projected before the first line is printed
+    assert main(["estimate-fpga"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # error handling
 
@@ -937,3 +949,53 @@ def test_bad_size_argument(tmp_path, capsys):
     capsys.readouterr()
     assert main(["bench", "--model", str(model), "--size", "twelve"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+# the upscale path and every command but eval, in one fresh process; the
+# JSON line lists the scipy modules loaded by the end
+_UPSCALE_PATH = """
+import json, os, sys
+import numpy as np
+from vsrkit import (BACKENDS, fuse_conv_bn, load_bundle, read_sequence,
+                    vsr_run, write_sequence)
+from vsrkit.cli import main
+
+d = sys.argv[1]
+model, fused = os.path.join(d, "g.vsm"), os.path.join(d, "f.vsm")
+lr, report = os.path.join(d, "lr"), os.path.join(d, "e.json")
+write_sequence(np.random.default_rng(0).random((2, 3, 8, 12),
+                                               dtype=np.float32), lr)
+with open(report, "w") as fh:
+    json.dump({"sections": {"metrics": [
+        {"method": "a", "metric": "psnr", "value": 30.0}]}}, fh)
+codes = [
+    main(["build-model", "--arch", "egvsr", "--out", model]),
+    main(["inspect", "--model", model, "--size", "12x8"]),
+    main(["fuse-bn", "--in", model, "--out", fused]),
+    main(["upscale", "--model", model, "--in", lr, "--out",
+          os.path.join(d, "hr"), "--fuse-bn", "--conv", "winograd"]),
+    main(["bench", "--model", fused, "--size", "12x8", "--frames", "1",
+          "--warmup", "0"]),
+    main(["score", "--reports", report]),
+    main(["estimate-fpga", "--table", "--flops-per-frame", "1e9"]),
+]
+bundle = load_bundle(model)
+frames = read_sequence(lr)
+for b in (bundle, {k: fuse_conv_bn(g) for k, g in bundle.items()}):
+    for backend in BACKENDS:
+        write_sequence(np.clip(vsr_run(b, frames, backend=backend), 0, 1),
+                       os.path.join(d, "out"), fmt="f32")
+print(json.dumps({"codes": codes, "scipy": sorted(
+    m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_the_upscale_path_and_commands_never_load_scipy(tmp_path,
+                                                        fresh_python):
+    # scipy.ndimage costs about half of a fresh process's start-up and
+    # 25 MB; only the quality metrics filter, and they import it there
+    got = fresh_python(_UPSCALE_PATH, tmp_path)
+    assert got == {"codes": [0] * 7, "scipy": []}

@@ -2,16 +2,14 @@
 
 ``--size`` goes through ``inspect``, ``--metrics`` through ``eval``,
 ``--weights`` through ``score``, ``--flops-per-frame``, ``--lut-total``
-and ``--freq`` through ``estimate-fpga``, and ``--size``, ``--frames`` and
-``--warmup`` through ``bench``; ``upscale`` gets frame directories of
-random shape and a random ``--scale``. Every run must exit 0, or exit 1
-with an ``error:`` line on stderr: an exception that escapes ``main``
-fails the test with its traceback. Values are passed as
-``--option=value`` so that argparse takes a leading ``-`` as part of the
-value. ``bench``'s ``--frames`` and ``--warmup`` are argparse integers,
-so their values are texts ``int`` reads; other text is argparse's usage
-error. Text that is not a number, given to a numeric option, must be an
-``error:`` that names the option and the text.
+and ``--freq`` through ``estimate-fpga``, and ``--size``, ``--frames``,
+``--warmup`` and ``--seed`` through ``bench``; ``upscale`` gets frame
+directories of random shape and a random ``--scale``. Every run must exit
+0, or exit 1 with an ``error:`` line on stderr: an exception that escapes
+``main`` (argparse's usage error included) fails the test. Values are
+passed as ``--option=value`` so that argparse takes a leading ``-`` as
+part of the value. Text that is not a number, given to a numeric option,
+must be an ``error:`` that names the option and the text.
 """
 
 import json
@@ -176,34 +174,53 @@ def test_estimate_fpga_takes_any_lut_total_and_freq_text(capsys):
     ("--flops-per-frame", "1e9,,2", "''"),
     ("--weights", "abc", "'abc'"),
     ("--weights", "0.5,", "''"),
+    ("--frames", "abc", "'abc'"),
+    ("--frames", "1.5", "'1.5'"),
+    ("--warmup", "", "''"),
+    ("--warmup", "1e3", "'1e3'"),
+    ("--seed", "x1", "'x1'"),
+    ("--seed", "9" * 4301, f"'{'9' * 20}'... (4301 characters)"),
+    ("--scale", "abc", "'abc'"),
+    ("--scale", "3.0", "'3.0'"),
 ])
-def test_number_options_name_the_option_and_the_text(tmp_path, capsys,
+def test_number_options_name_the_option_and_the_text(tmp_path, capsys, model,
                                                      option, text, shown):
     rows = [{"method": "a", "metric": m, "value": 1.0} for m in ("psnr", "tof")]
     (tmp_path / "a.json").write_text(json.dumps({"sections": {"metrics": rows}}))
-    command = (["score", "--reports", str(tmp_path / "a.json")]
-               if option == "--weights" else ["estimate-fpga"])
-    assert main(command + [f"{option}={text}"]) == 1
-    expected = "an integer" if option == "--lut-total" else "a number"
+    command = {
+        "--weights": ["score", "--reports", str(tmp_path / "a.json")],
+        "--frames": ["bench", "--model", str(model), "--size", "8x8"],
+        "--scale": ["upscale", "--model", str(model), "--in",
+                    str(tmp_path / "lr"), "--out", str(tmp_path / "hr")],
+    }
+    command["--warmup"] = command["--seed"] = command["--frames"]
+    assert main(command.get(option, ["estimate-fpga"])
+                + [f"{option}={text}"]) == 1
+    expected = ("a number" if option in ("--freq", "--flops-per-frame",
+                                         "--weights") else "an integer")
     assert capsys.readouterr().err == (
         f"error: bad {option} {shown}, expected {expected}\n")
+    assert not (tmp_path / "hr").exists()
 
 
 def test_bench_takes_any_size_frames_and_warmup(tmp_path, capsys, model):
     rng = np.random.default_rng(48)
     codes = set()
-    counts = ("0", "-1", "1", "2", "-0", "+1", " 1", "01", "1_0", "١")
-    for i in range(30):
+    counts = ("0", "-1", "1", "2", "-0", "+1", " 1", "01", "1_0", "١", "abc",
+              "", "1.5", "1e1", "0x2", "²")
+    for i in range(60):
         # small sizes only: a large frame is a cost, not a malformed value
         size = _size(rng, dims=("1", "2", "7", "12", "0", "-3", "2.5", "1e3",
                                 "00012"))
         frames, warmup = (str(rng.choice(counts)) for _ in range(2))
+        seed = str(rng.choice(("0", "7", "-1", "abc", "")))
         report = tmp_path / f"b{i}.json"
         code, out = _run(capsys, ["bench", "--model", str(model),
                                   f"--size={size}", f"--frames={frames}",
-                                  f"--warmup={warmup}", f"--report={report}"])
+                                  f"--warmup={warmup}", f"--seed={seed}",
+                                  f"--report={report}"])
         codes.add(code)
-        assert report.exists() == (code == 0), (size, frames, warmup)
+        assert report.exists() == (code == 0), (size, frames, warmup, seed)
         if code == 0:
             row = json.loads(report.read_text())["sections"]["bench"][0]
             assert row["frames"] == int(frames) >= 1, (frames, row)
@@ -225,7 +242,8 @@ def test_upscale_takes_any_frame_shape_and_scale(tmp_path, capsys, model,
         (tmp_path / f"lr{i}").mkdir()
         for j, frame in enumerate(frames):
             write_raw_f32(tmp_path / f"lr{i}" / f"{j:04d}.f32", frame)
-        scale = str(rng.choice(("3", "2", "0", "-3", "1")))
+        scale = str(rng.choice(("3", "2", "0", "-3", "1", "abc", "", "3.0",
+                                " 3", "+3", "0x3")))
         out_dir = tmp_path / f"hr{i}"
         code, _ = _run(capsys, ["upscale", "--model", str(model),
                                 "--in", str(tmp_path / f"lr{i}"),

@@ -299,6 +299,26 @@ def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing):
     assert finished == [3 if failing == "first" else 0]
 
 
+def test_gemm_runs_the_second_band_itself_when_the_helper_is_busy():
+    # the helper is held by a task until the event is set; the main thread
+    # takes its band back instead of waiting for a helper that cannot start
+    rng = np.random.default_rng(40)
+    x = rng.random((1, 8, 17, 13), dtype=np.float32)
+    kern = ConvKernel(rng.standard_normal((4, 8, 3, 3)).astype(np.float32),
+                      rng.standard_normal(4).astype(np.float32), pad=1)
+    want = _on_worker(conv2d_gemm, x, kern)
+    release = threading.Event()
+    blocker = conv._HELPER.submit(release.wait, 20)
+    try:
+        got = conv2d_gemm(x, kern)
+        # returned while the helper was still held, not after its timeout
+        assert not blocker.done()
+    finally:
+        release.set()
+        blocker.result(timeout=60)
+    assert np.array_equal(got, want)
+
+
 def test_vsr_run_bits_do_not_depend_on_the_thread():
     bundle = {"fnet": init_random(build_fnet(), 33),
               "srnet": init_random(build_srnet(), 34)}
@@ -571,6 +591,22 @@ def test_activation_values():
     assert np.allclose(t, 24.0 * np.tanh(x), atol=1e-5)
     assert np.allclose(activation(x, "tanh") + activation(-x, "tanh"), 0.0,
                        atol=1e-7)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.0, -0.5, 1.0, 1.5, -0.0, np.inf])
+def test_leaky_relu_bits_match_the_where_form(alpha):
+    # the max / min forms against np.where, kept here as the reference, on
+    # signed zeros, subnormals and values whose product overflows
+    special = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 3e38, -3e38],
+                       dtype=np.float32)
+    x = np.random.default_rng(39).standard_normal((2, 3, 7, 9)).astype(
+        np.float32)
+    x.flat[:special.size] = special
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.where(x >= 0, x, np.float32(alpha) * x)
+        got = activation(x, "leaky_relu", alpha=alpha)
+    assert got.dtype == np.float32 and got.shape == x.shape
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_activation_rejects_unknown_kind():

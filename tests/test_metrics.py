@@ -404,3 +404,34 @@ def test_evaluate_sequence_checks_frames_before_its_worker_starts(monkeypatch):
     ref[2, 1, 0, 0] = np.nan
     with pytest.raises(NonFiniteError, match=r"^reference frame 2 holds 1 "):
         evaluate_sequence(gen, ref)
+
+
+# evaluate_sequence in a fresh process, after importing scipy.ndimage when
+# argv[1] is "warm"; cold, the first flows the two workers start at once
+# are the first use of scipy. The JSON line holds every value and whether
+# scipy was loaded before the first call
+_EVAL_FRESH = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "warm":
+    import scipy.ndimage
+from vsrkit import evaluate_sequence
+
+rng = np.random.default_rng(19)
+ref = rng.random((4, 3, 32, 48), dtype=np.float32)
+gen = np.roll(ref, 1, axis=3) + rng.normal(0, 0.02, ref.shape).astype(
+    np.float32)
+loaded = "scipy" in sys.modules
+first = evaluate_sequence(gen, ref, metrics=("tof", "ssim"))
+print(json.dumps({"loaded": loaded, "values": [
+    first, evaluate_sequence(gen, ref)]}))
+"""
+
+
+def test_evaluate_sequence_values_do_not_depend_on_when_scipy_loads(
+        fresh_python):
+    cold = fresh_python(_EVAL_FRESH, "cold")
+    warm = fresh_python(_EVAL_FRESH, "warm")
+    assert (cold["loaded"], warm["loaded"]) == (False, True)
+    assert cold["values"] == warm["values"]
+    assert len(cold["values"][1]["per_frame_ssim"]) == 4
