@@ -210,17 +210,6 @@ def _gemm_band(xp, wmat, out, k, stride, ow, cols, r0, r1) -> None:
                   out=out[b, :, r0 * ow:r1 * ow])
 
 
-def _take(todo: list) -> bool:
-    """Run the job left in ``todo`` unless another thread took it first
-    (``list.pop`` is atomic); whether this call ran it."""
-    try:
-        job = todo.pop()
-    except IndexError:
-        return False
-    job()
-    return True
-
-
 def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """Convolution as a channel-major lowering followed by matrix
     multiplications straight into the output.
@@ -231,9 +220,7 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     part of one buffer, reused across the batch, and the (c_out,
     c_in*k*k) filter matrix multiplies that into the band's columns of the
     image's (c_out, oh*ow) output. Called from the main thread, the second
-    band runs on a helper thread meanwhile, unless the helper has not
-    started it by the time the first band is done: then the calling thread
-    takes it back. Elsewhere both run in turn; the partition is fixed, so
+    band runs on a helper thread meanwhile; elsewhere both run in turn, so
     the bits do not depend on the thread. The bias is added in place and
     the result reshaped to NCHW without a copy. Returns a C-contiguous
     float32 tensor equal to :func:`conv2d_naive` within 1e-6 relative.
@@ -255,16 +242,11 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     bands = ((0, mid), (mid, oh)) if mid else ((0, oh),)
     run = functools.partial(_gemm_band, xp, wmat, out, k, s, ow, cols)
     if len(bands) == 2 and threading.current_thread() is threading.main_thread():
-        # the second band goes to the helper, or back to this thread if the
-        # helper has not started it when the first is done; only ``todo``
-        # holds it, so a band taken back leaves no buffer in the helper's queue
-        todo = [functools.partial(run, *bands[1])]
-        second = _HELPER.submit(_take, todo)
+        second = _HELPER.submit(run, *bands[1])
         try:
             run(*bands[0])
         finally:  # nothing may write to out once this returns or raises
-            if not _take(todo):  # the helper has it: wait for its end
-                second.result()
+            second.result()
     else:
         for band in bands:
             run(*band)
@@ -418,17 +400,15 @@ def activation(x: np.ndarray, kind: str, alpha: float = 0.2,
     if kind == "relu":
         out = np.maximum(x, 0)
     elif kind == "leaky_relu":
-        # the larger of x and alpha*x for 0 <= alpha <= 1, the smaller for
-        # finite alpha > 1: the where form's bits, +-0 included; a negative
-        # alpha (-0 too) would flip a zero's sign, and inf*0 is NaN
+        # the larger of x and alpha*x for 0 <= alpha <= 1: the where form's
+        # bits, +-0 included; a negative alpha (-0 too) would flip a
+        # zero's sign, so it and alpha > 1 keep the where form
         a = DTYPE(alpha)
         out = a * x
-        if np.signbit(a) or not np.isfinite(a):
-            out = np.where(x >= 0, x, out)
-        elif a <= 1:
+        if 0 <= a <= 1 and not np.signbit(a):
             np.maximum(x, out, out=out)
         else:
-            np.minimum(x, out, out=out)
+            out = np.where(x >= 0, x, out)
     elif kind == "tanh":
         out = np.tanh(x)
     else:

@@ -299,26 +299,6 @@ def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing):
     assert finished == [3 if failing == "first" else 0]
 
 
-def test_gemm_runs_the_second_band_itself_when_the_helper_is_busy():
-    # the helper is held by a task until the event is set; the main thread
-    # takes its band back instead of waiting for a helper that cannot start
-    rng = np.random.default_rng(40)
-    x = rng.random((1, 8, 17, 13), dtype=np.float32)
-    kern = ConvKernel(rng.standard_normal((4, 8, 3, 3)).astype(np.float32),
-                      rng.standard_normal(4).astype(np.float32), pad=1)
-    want = _on_worker(conv2d_gemm, x, kern)
-    release = threading.Event()
-    blocker = conv._HELPER.submit(release.wait, 20)
-    try:
-        got = conv2d_gemm(x, kern)
-        # returned while the helper was still held, not after its timeout
-        assert not blocker.done()
-    finally:
-        release.set()
-        blocker.result(timeout=60)
-    assert np.array_equal(got, want)
-
-
 def test_vsr_run_bits_do_not_depend_on_the_thread():
     bundle = {"fnet": init_random(build_fnet(), 33),
               "srnet": init_random(build_srnet(), 34)}
@@ -595,8 +575,9 @@ def test_activation_values():
 
 @pytest.mark.parametrize("alpha", [0.2, 0.0, -0.5, 1.0, 1.5, -0.0, np.inf])
 def test_leaky_relu_bits_match_the_where_form(alpha):
-    # the max / min forms against np.where, kept here as the reference, on
-    # signed zeros, subnormals and values whose product overflows
+    # the max form and its fallback against np.where, kept here as the
+    # reference, on signed zeros, subnormals and values whose product
+    # overflows
     special = np.array([0.0, -0.0, 1e-45, -1e-45, 1e-38, -1e-38, 3e38, -3e38],
                        dtype=np.float32)
     x = np.random.default_rng(39).standard_normal((2, 3, 7, 9)).astype(
