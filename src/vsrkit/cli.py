@@ -183,14 +183,17 @@ def cmd_fuse_bn(args) -> None:
 
 
 def cmd_build_model(args) -> None:
+    seed = _number(args.seed, "--seed", int)
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
     model = (build_generator() if args.arch == "egvsr"
              else {"net": build_control_srnet(args.arch)})
     if args.init == "random-seeded":
-        model = {k: init_random(g, args.seed + i)
+        model = {k: init_random(g, seed + i)
                  for i, (k, g) in enumerate(model.items())}
     total = sum(g.count_params() for g in model.values())
     save_model(model, args.out)
-    print(f"{args.arch} ({args.init}, seed {args.seed}): "
+    print(f"{args.arch} ({args.init}, seed {seed}): "
           f"{total} parameters -> {args.out}")
 
 
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=ARCH_NAMES, required=True)
     p.add_argument("--init", choices=("random-seeded", "zeros"),
                    default="random-seeded")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.add_argument("--out", required=True, metavar="MODEL")
     p.set_defaults(fn=cmd_build_model)
 

@@ -4,12 +4,11 @@ Three interchangeable forward-convolution implementations are provided:
 
 * :func:`conv2d_naive`   -- direct sliding-window cross-correlation, the
   reference every other backend is checked against;
-* :func:`conv2d_gemm`    -- channel-major lowering: the k*k strided tap
-  slices of the padded input fill a (c_in*k*k, oh*ow) matrix, which the
-  (c_out, c_in*k*k) filter matrix multiplies straight into the NCHW
-  output (col2im is a plain reshape, no transpose), in two fixed row
-  bands, the second on a helper thread when called from the main thread,
-  with the same bits on any thread;
+* :func:`conv2d_gemm`    -- a lowering multiplied by the filter matrix
+  straight into the NCHW output (col2im is a plain reshape, no
+  transpose), in two fixed row bands, the second on a helper thread when
+  called from the main thread, with the same bits on any thread; a large
+  stride-1 conv lowers by column tap only and stacks its row-tap filters;
 * :func:`conv2d_winograd`-- minimal-filtering F(4x4,3x3) tiling, 36
   multiplications per 4x4 output tile instead of 144: the input, filter
   and output transforms are each one BLAS matmul by a Kronecker matrix,
@@ -17,7 +16,7 @@ Three interchangeable forward-convolution implementations are provided:
 
 All backends add the bias, return float32 NCHW tensors, and agree with the
 naive reference within the tolerances stated on each function.
-:func:`im2col` exposes the same lowering transposed, as the paper's
+:func:`im2col` exposes the full k*k lowering transposed, as the paper's
 (oh*ow, c_in*k*k) row layout: one row per activation zone.
 """
 from __future__ import annotations
@@ -39,6 +38,12 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 
 # second row band of main-thread gemm convs; its thread starts on first use
 _HELPER = ThreadPoolExecutor(1, thread_name_prefix="vsrkit-gemm")
+
+# a stride-1 gemm conv whose larger row band would lower more bytes than
+# this takes the stacked form: the 2 MiB per-core L2 of the Xeon it was
+# measured on. Below it the full lowering stays in cache, and stacking
+# the flow net's small 128- and 256-wide layers was 1.3-2.5x slower
+STACK_MIN_BYTES = 2 << 20
 
 # F(4x4,3x3) transform matrices at points 0, +-1, +-2 and infinity (Lavin &
 # Gray, CVPR 2016): input (BT d B), filter (G g GT), output (AT m A). The
@@ -183,7 +188,9 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     A 4x4 single-channel input with k=3, stride 1 yields a 4x9 matrix.
 
     This row layout is the transpose of the channel-major (c_in*k*k, oh*ow)
-    matrix :func:`conv2d_gemm` multiplies; both come from the same lowering.
+    matrix :func:`conv2d_gemm` multiplies in its lowered form; a large
+    stride-1 conv takes the stacked form, which lowers by (channel,
+    column tap) only and never builds this matrix.
     """
     x = check_tensor(x, "im2col input")
     if x.shape[0] != 1:
@@ -200,47 +207,88 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
 
 
 def _gemm_band(xp, wmat, out, k, stride, ow, cols, r0, r1) -> None:
-    """Lower output rows [r0, r1) of every image into their part of the
-    flat ``cols`` and multiply them straight into their columns of ``out``."""
-    kk = wmat.shape[1]
-    band = cols[kk * r0 * ow:kk * r1 * ow].reshape(kk, (r1 - r0) * ow)
+    """Lower output rows [r0, r1) of every image into the band's ``cols``
+    and multiply them straight into their columns of ``out``."""
+    cols = cols.reshape(wmat.shape[1], (r1 - r0) * ow)
     rows = slice(r0 * stride, (r1 - 1) * stride + k)
     for b in range(xp.shape[0]):
-        np.matmul(wmat, _lower(xp[b, :, rows], k, stride, r1 - r0, ow, band),
+        np.matmul(wmat, _lower(xp[b, :, rows], k, stride, r1 - r0, ow, cols),
                   out=out[b, :, r0 * ow:r1 * ow])
 
 
+def _stacked_band(xp, wst, out, k, ow, buf, r0, r1) -> None:
+    """Compute output rows [r0, r1) of every image of a stride-1 conv in
+    the stacked form (see :func:`conv2d_gemm`): ``buf`` holds the band's
+    (c_in*k, (rows+k-1)*ow) lowering, then the k partial products."""
+    nr, co = r1 - r0, out.shape[1]
+    m = (nr + k - 1) * ow
+    cols = buf[:wst.shape[1] * m].reshape(-1, m)
+    part = buf[cols.size:].reshape(k, co, m)
+    for b in range(xp.shape[0]):
+        win = np.lib.stride_tricks.sliding_window_view(
+            xp[b, :, r0:r1 + k - 1], ow, axis=2)  # (c, nr + k - 1, k, ow)
+        np.copyto(cols.reshape(-1, k, nr + k - 1, ow), win.transpose(0, 2, 1, 3))
+        np.matmul(wst, cols, out=part.reshape(k * co, m))
+        band = out[b, :, r0 * ow:r1 * ow]
+        np.add(part[0, :, :nr * ow], part[1, :, ow:ow + nr * ow], out=band)
+        for ky in range(2, k):
+            band += part[ky, :, ky * ow:ky * ow + nr * ow]
+
+
 def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
-    """Convolution as a channel-major lowering followed by matrix
-    multiplications straight into the output.
+    """Convolution as a lowering followed by matrix multiplications
+    straight into the output.
 
     The input is zero-padded once. Each image's output is computed in two
-    fixed row bands, rows [0, oh//2) and [oh//2, oh): the k*k strided tap
-    slices of the input rows a band reads fill its (c_in*k*k, rows*ow)
-    part of one buffer, reused across the batch, and the (c_out,
-    c_in*k*k) filter matrix multiplies that into the band's columns of the
-    image's (c_out, oh*ow) output. Called from the main thread, the second
-    band runs on a helper thread meanwhile; elsewhere both run in turn, so
-    the bits do not depend on the thread. The bias is added in place and
-    the result reshaped to NCHW without a copy. Returns a C-contiguous
-    float32 tensor equal to :func:`conv2d_naive` within 1e-6 relative.
+    fixed row bands, rows [0, oh//2) and [oh//2, oh), each in its part of
+    one scratch buffer reused across the batch, in one of two forms:
+
+    * lowered: the k*k strided tap slices of the input rows a band reads
+      fill its (c_in*k*k, rows*ow) part, and the (c_out, c_in*k*k) filter
+      matrix multiplies that into the band's columns of the image's
+      (c_out, oh*ow) output;
+    * stacked, for a stride-1 conv with k > 1 whose larger band would
+      lower more than ``STACK_MIN_BYTES`` in the lowered form: the band's
+      rows+k-1 input rows are lowered by (channel, column tap) only, one
+      (c_in*k, (rows+k-1)*ow) matrix, which one matmul by the k row-tap
+      filters stacked along M, (k*c_out, c_in*k), turns into all k partial
+      products; the band is their sum at row offsets 0 to k-1 (Cho &
+      Brand, "MEC: Memory-efficient Convolution", ICML 2017).
+
+    Called from the main thread, the second band runs on a helper thread
+    meanwhile; elsewhere both run in turn, so the bits do not depend on
+    the thread. The bias is added in place and the result reshaped to NCHW
+    without a copy. Returns a C-contiguous float32 tensor equal to
+    :func:`conv2d_naive` within 1e-6 relative.
     """
     x = _check_conv_input(x, kern)
     n, c, h, w = x.shape
-    k, s, p = kern.k, kern.stride, kern.pad
+    co, k, s, p = kern.c_out, kern.k, kern.stride, kern.pad
     oh, ow = out_dims(h, w, k, s, p)
     xp = pad_zero(x, p) if p else x
-    wmat = kern.weights.reshape(kern.c_out, -1)  # (c_out, c_in*k*k)
-    # out before cols, so the short-lived cols buffer sits above the result
-    # on the heap and is returned when freed; the reverse order leaves a
-    # cols-sized hole under each output (about 10% more peak RSS on egvsr).
-    # One cols for both bands: two half-size ones moved glibc's thresholds
-    # and cost ~3,000 page faults per perceptual distance on a worker
-    out = np.empty((n, kern.c_out, oh * ow), dtype=DTYPE)
-    cols = np.empty(c * k * k * oh * ow, dtype=DTYPE)
     mid = oh // 2
     bands = ((0, mid), (mid, oh)) if mid else ((0, oh),)
-    run = functools.partial(_gemm_band, xp, wmat, out, k, s, ow, cols)
+    stacked = (s == 1 and k > 1
+               and 4 * c * k * k * (oh - mid) * ow > STACK_MIN_BYTES)
+    if stacked:  # lowering, then the k partial products
+        sizes = [(c + co) * k * (r1 - r0 + k - 1) * ow for r0, r1 in bands]
+    else:
+        sizes = [c * k * k * (r1 - r0) * ow for r0, r1 in bands]
+    # out before the scratch, so the short-lived scratch sits above the
+    # result on the heap and is returned when freed; the reverse order
+    # leaves a scratch-sized hole under each output (about 10% more peak
+    # RSS on egvsr). One buffer for both bands, allocated here: per-band
+    # ones moved glibc's thresholds, and one made on the helper thread
+    # lands in its arena, each costing thousands of page faults per frame
+    out = np.empty((n, co, oh * ow), dtype=DTYPE)
+    scratch = np.split(np.empty(sum(sizes), dtype=DTYPE), np.cumsum(sizes[:-1]))
+    if stacked:
+        wst = kern.weights.transpose(2, 0, 1, 3).reshape(k * co, c * k)
+        run = functools.partial(_stacked_band, xp, wst, out, k, ow)
+    else:
+        wmat = kern.weights.reshape(co, -1)  # (c_out, c_in*k*k)
+        run = functools.partial(_gemm_band, xp, wmat, out, k, s, ow)
+    bands = [(buf, r0, r1) for buf, (r0, r1) in zip(scratch, bands)]
     if len(bands) == 2 and threading.current_thread() is threading.main_thread():
         second = _HELPER.submit(run, *bands[1])
         try:
@@ -251,7 +299,7 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
         for band in bands:
             run(*band)
     out += kern.bias[:, None]
-    return out.reshape(n, kern.c_out, oh, ow)
+    return out.reshape(n, co, oh, ow)
 
 
 # (k, stride) pairs whose gemm fallback has been logged; once per cause

@@ -2,9 +2,10 @@
 
 ``--size`` goes through ``inspect``, ``--metrics`` through ``eval``,
 ``--weights`` through ``score``, ``--flops-per-frame``, ``--lut-total``
-and ``--freq`` through ``estimate-fpga``, and ``--size``, ``--frames``,
-``--warmup`` and ``--seed`` through ``bench``; ``upscale`` gets frame
-directories of random shape and a random ``--scale``. Every run must exit
+and ``--freq`` through ``estimate-fpga``, ``--size``, ``--frames``,
+``--warmup`` and ``--seed`` through ``bench``, and ``--seed`` through
+``build-model``; ``upscale`` gets frame directories of random shape and
+a random ``--scale``. Every run must exit
 0, or exit 1 with an ``error:`` line on stderr: an exception that escapes
 ``main`` (argparse's usage error included) fails the test. Values are
 passed as ``--option=value`` so that argparse takes a leading ``-`` as
@@ -201,6 +202,18 @@ def test_number_options_name_the_option_and_the_text(tmp_path, capsys, model,
     assert capsys.readouterr().err == (
         f"error: bad {option} {shown}, expected {expected}\n")
     assert not (tmp_path / "hr").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("abc", "bad --seed 'abc', expected an integer"),
+    ("-1", "--seed must be >= 0, got -1"),
+])
+def test_build_model_seed_is_named(tmp_path, capsys, text, message):
+    out = tmp_path / "m.vsm"
+    assert main(["build-model", "--arch", "control-a", f"--seed={text}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_bench_takes_any_size_frames_and_warmup(tmp_path, capsys, model):

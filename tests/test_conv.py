@@ -277,19 +277,99 @@ def test_gemm_bands_reproduce_naive(n, h, w, k, stride, pad):
             assert float(np.max(np.abs(got - ref))) / denom <= 1e-6
 
 
-@pytest.mark.parametrize("failing", ["first", "second"])
-def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing):
-    band = conv._gemm_band
+def _spy_forms(monkeypatch):
+    """List the form of each row band gemm runs (append is thread-safe;
+    the helper thread runs bands too)."""
+    ran = []
+    for form, name in (("lowered", "_gemm_band"), ("stacked", "_stacked_band")):
+        def spy(*args, _band=getattr(conv, name), _form=form):
+            ran.append(_form)
+            _band(*args)
+        monkeypatch.setattr(conv, name, spy)
+    return ran
+
+
+STACKED_CASES = [case for case in BAND_CASES if case[4] == 1 and case[3] > 1]
+
+
+@pytest.mark.parametrize("n,h,w,k,stride,pad", STACKED_CASES)
+def test_gemm_stacked_bands_reproduce_naive(monkeypatch, n, h, w, k, stride,
+                                            pad):
+    # every stride-1 band case in the stacked form, as if each were large
+    monkeypatch.setattr(conv, "STACK_MIN_BYTES", 0)
+    ran = _spy_forms(monkeypatch)
+    rng = np.random.default_rng(41 + h * w + k)
+    kern = ConvKernel(rng.standard_normal((6, 4, k, k)).astype(np.float32),
+                      rng.standard_normal(6).astype(np.float32),
+                      stride=stride, pad=pad)
+    x = rng.random((n, 4, h, w), dtype=np.float32)
+    wide = np.repeat(x, 2, axis=3)[..., ::2]
+    ref = conv2d_naive(x, kern)
+    denom = max(float(np.max(np.abs(ref))), 1e-6)
+    for inp in (x, wide):
+        main = conv2d_gemm(inp, kern)
+        assert main.shape == ref.shape and main.flags.c_contiguous
+        assert float(np.max(np.abs(main - ref))) / denom <= 1e-6
+        assert np.array_equal(main, _on_worker(conv2d_gemm, inp, kern))
+    assert ran and set(ran) == {"stacked"}
+
+
+def test_gemm_stacked_form_at_egvsr_size(monkeypatch):
+    # srnet's 64->64 conv at 96x128 lowers 3.4 MB per band: stacked as is
+    ran = _spy_forms(monkeypatch)
+    rng = np.random.default_rng(42)
+    kern = ConvKernel(rng.standard_normal((64, 64, 3, 3)).astype(np.float32),
+                      rng.standard_normal(64).astype(np.float32), pad=1)
+    x = rng.random((1, 64, 96, 128), dtype=np.float32)
+    main = conv2d_gemm(x, kern)
+    assert ran == ["stacked", "stacked"]
+    ref = conv2d_naive(x, kern)
+    assert float(np.max(np.abs(main - ref))) / float(np.max(np.abs(ref))) <= 1e-6
+    assert np.array_equal(main, _on_worker(conv2d_gemm, x, kern))
+
+
+@pytest.mark.parametrize("ci,h,w,stride", [
+    (3, 384, 512, 2),  # a perceptual conv, far above the threshold
+    (32, 48, 64, 1),   # 1.8 MB per band, just below it
+])
+def test_gemm_keeps_the_lowered_bits_where_it_does_not_stack(ci, h, w,
+                                                             stride):
+    rng = np.random.default_rng(43)
+    kern = ConvKernel(rng.standard_normal((8, ci, 3, 3)).astype(np.float32),
+                      rng.standard_normal(8).astype(np.float32),
+                      stride=stride, pad=1)
+    x = rng.random((1, ci, h, w), dtype=np.float32)
+    oh, ow = conv.out_dims(h, w, 3, stride, 1)
+    xp = np.pad(x[0], ((0, 0), (1, 1), (1, 1)))
+    want = np.empty((8, oh * ow), dtype=np.float32)
+    for r0, r1 in ((0, oh // 2), (oh // 2, oh)):
+        cols = np.empty((ci * 9, (r1 - r0) * ow), dtype=np.float32)
+        rows = xp[:, r0 * stride:(r1 - 1) * stride + 3]
+        conv._lower(rows, 3, stride, r1 - r0, ow, cols)
+        want[:, r0 * ow:r1 * ow] = kern.weights.reshape(8, -1) @ cols
+    want += kern.bias[:, None]
+    assert np.array_equal(conv2d_gemm(x, kern), want.reshape(1, 8, oh, ow))
+
+
+@pytest.mark.parametrize("failing,stacked", [
+    ("first", False), ("second", False), ("first", True), ("second", True),
+], ids=["first", "second", "stacked-first", "stacked-second"])
+def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing,
+                                                  stacked):
+    name = "_stacked_band" if stacked else "_gemm_band"
+    band = getattr(conv, name)
     finished = []
 
-    def flaky(xp, wmat, out, k, stride, ow, cols, r0, r1):
+    def flaky(*args):
+        r0 = args[-2]
         if (r0 == 0) == (failing == "first"):
             raise RuntimeError(f"{failing} band failed")
         time.sleep(0.2)
-        band(xp, wmat, out, k, stride, ow, cols, r0, r1)
+        band(*args)
         finished.append(r0)
 
-    monkeypatch.setattr(conv, "_gemm_band", flaky)
+    monkeypatch.setattr(conv, name, flaky)
+    monkeypatch.setattr(conv, "STACK_MIN_BYTES", 0 if stacked else 1 << 40)
     rng = np.random.default_rng(32)
     x = rng.random((1, 3, 8, 8), dtype=np.float32)
     kern = ConvKernel(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
