@@ -39,11 +39,17 @@ ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 # second row band of main-thread gemm convs; its thread starts on first use
 _HELPER = ThreadPoolExecutor(1, thread_name_prefix="vsrkit-gemm")
 
-# a stride-1 gemm conv whose larger row band would lower more bytes than
-# this takes the stacked form: the 2 MiB per-core L2 of the Xeon it was
-# measured on. Below it the full lowering stays in cache, and stacking
-# the flow net's small 128- and 256-wide layers was 1.3-2.5x slower
-STACK_MIN_BYTES = 2 << 20
+# a stride-1 gemm conv takes the stacked form only when its smaller row
+# band spans at least this many rows and output positions (and the stacked
+# scratch is the smaller, see _stacks). Measured per call against the
+# lowered form on a 2-vCPU Xeon VM, one BLAS thread, widths 32-256, k 3
+# and 5, bands of 6-48 rows: shorter bands multiply k-1 extra input rows
+# for too few outputs (256->128 at 12 rows of 32: 1.10x slower), narrower
+# ones leave too few columns to the stacked product (256->256 at 16
+# columns: 1.06-1.95x slower up to 32 rows); 64->64 at 16 rows of 64 was
+# 0.97x
+STACK_MIN_ROWS = 16
+STACK_MIN_COLS = 1024
 
 # F(4x4,3x3) transform matrices at points 0, +-1, +-2 and infinity (Lavin &
 # Gray, CVPR 2016): input (BT d B), filter (G g GT), output (AT m A). The
@@ -235,6 +241,18 @@ def _stacked_band(xp, wst, out, k, ow, buf, r0, r1) -> None:
             band += part[ky, :, ky * ow:ky * ow + nr * ow]
 
 
+def _stacks(c: int, co: int, k: int, stride: int, nr: int, ow: int) -> bool:
+    """Whether :func:`conv2d_gemm` takes the stacked form for a conv whose
+    smaller row band is ``nr`` rows of ``ow``: stride 1, a band of at
+    least ``STACK_MIN_ROWS`` rows and ``STACK_MIN_COLS`` positions, and a
+    stacked scratch, (c_in + c_out)*k rows over nr+k-1, smaller than the
+    c_in*k*k-row lowering over nr; then the larger band's is smaller too.
+    Never for k = 1 or c_out >= c_in*(k-1).
+    """
+    return (stride == 1 and nr >= STACK_MIN_ROWS and nr * ow >= STACK_MIN_COLS
+            and (c + co) * (nr + k - 1) < c * k * nr)
+
+
 def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """Convolution as a lowering followed by matrix multiplications
     straight into the output.
@@ -247,13 +265,13 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
       fill its (c_in*k*k, rows*ow) part, and the (c_out, c_in*k*k) filter
       matrix multiplies that into the band's columns of the image's
       (c_out, oh*ow) output;
-    * stacked, for a stride-1 conv with k > 1 whose larger band would
-      lower more than ``STACK_MIN_BYTES`` in the lowered form: the band's
-      rows+k-1 input rows are lowered by (channel, column tap) only, one
-      (c_in*k, (rows+k-1)*ow) matrix, which one matmul by the k row-tap
-      filters stacked along M, (k*c_out, c_in*k), turns into all k partial
-      products; the band is their sum at row offsets 0 to k-1 (Cho &
-      Brand, "MEC: Memory-efficient Convolution", ICML 2017).
+    * stacked, for a stride-1 conv whose bands are tall and wide enough
+      and whose stacked scratch is the smaller (:func:`_stacks`): the
+      band's rows+k-1 input rows are lowered by (channel, column tap)
+      only, one (c_in*k, (rows+k-1)*ow) matrix, which one matmul by the k
+      row-tap filters stacked along M, (k*c_out, c_in*k), turns into all k
+      partial products; the band is their sum at row offsets 0 to k-1
+      (Cho & Brand, "MEC: Memory-efficient Convolution", ICML 2017).
 
     Called from the main thread, the second band runs on a helper thread
     meanwhile; elsewhere both run in turn, so the bits do not depend on
@@ -268,8 +286,7 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     xp = pad_zero(x, p) if p else x
     mid = oh // 2
     bands = ((0, mid), (mid, oh)) if mid else ((0, oh),)
-    stacked = (s == 1 and k > 1
-               and 4 * c * k * k * (oh - mid) * ow > STACK_MIN_BYTES)
+    stacked = _stacks(c, co, k, s, mid, ow)
     if stacked:  # lowering, then the k partial products
         sizes = [(c + co) * k * (r1 - r0 + k - 1) * ow for r0, r1 in bands]
     else:
@@ -277,9 +294,12 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     # out before the scratch, so the short-lived scratch sits above the
     # result on the heap and is returned when freed; the reverse order
     # leaves a scratch-sized hole under each output (about 10% more peak
-    # RSS on egvsr). One buffer for both bands, allocated here: per-band
-    # ones moved glibc's thresholds, and one made on the helper thread
-    # lands in its arena, each costing thousands of page faults per frame
+    # RSS on egvsr). One buffer for both bands, made here and not on each
+    # band's thread, where the helper's would land in its own arena. The
+    # stacked scratch is smaller than the 28 MB lowerings that used to
+    # raise glibc's trim threshold, so a freed heap top is returned and
+    # faulted back in: 2,200-2,700 minor faults per vsr_run call on fused
+    # egvsr at 128x96 (8 before), about 8 ms of a 700 ms 2-frame pass
     out = np.empty((n, co, oh * ow), dtype=DTYPE)
     scratch = np.split(np.empty(sum(sizes), dtype=DTYPE), np.cumsum(sizes[:-1]))
     if stacked:

@@ -295,8 +295,8 @@ STACKED_CASES = [case for case in BAND_CASES if case[4] == 1 and case[3] > 1]
 @pytest.mark.parametrize("n,h,w,k,stride,pad", STACKED_CASES)
 def test_gemm_stacked_bands_reproduce_naive(monkeypatch, n, h, w, k, stride,
                                             pad):
-    # every stride-1 band case in the stacked form, as if each were large
-    monkeypatch.setattr(conv, "STACK_MIN_BYTES", 0)
+    # every stride-1 band case in the stacked form, as if each took it
+    monkeypatch.setattr(conv, "_stacks", lambda *geometry: True)
     ran = _spy_forms(monkeypatch)
     rng = np.random.default_rng(41 + h * w + k)
     kern = ConvKernel(rng.standard_normal((6, 4, k, k)).astype(np.float32),
@@ -315,7 +315,7 @@ def test_gemm_stacked_bands_reproduce_naive(monkeypatch, n, h, w, k, stride,
 
 
 def test_gemm_stacked_form_at_egvsr_size(monkeypatch):
-    # srnet's 64->64 conv at 96x128 lowers 3.4 MB per band: stacked as is
+    # srnet's 64->64 conv at 96x128, bands of 48 rows: stacked as is
     ran = _spy_forms(monkeypatch)
     rng = np.random.default_rng(42)
     kern = ConvKernel(rng.standard_normal((64, 64, 3, 3)).astype(np.float32),
@@ -328,27 +328,33 @@ def test_gemm_stacked_form_at_egvsr_size(monkeypatch):
     assert np.array_equal(main, _on_worker(conv2d_gemm, x, kern))
 
 
-@pytest.mark.parametrize("ci,h,w,stride", [
-    (3, 384, 512, 2),  # a perceptual conv, far above the threshold
-    (32, 48, 64, 1),   # 1.8 MB per band, just below it
-])
-def test_gemm_keeps_the_lowered_bits_where_it_does_not_stack(ci, h, w,
+@pytest.mark.parametrize("ci,co,k,h,w,stride", [
+    (3, 8, 3, 384, 512, 2),     # a perceptual conv: stride 2
+    (256, 128, 3, 24, 32, 1),   # flow net decoder at 128x96: 12 rows of 32
+    (64, 64, 3, 24, 128, 1),    # bands of 12 rows, 1536 positions
+    (128, 128, 3, 32, 32, 1),   # bands of 16 rows, 512 positions
+    (1, 64, 5, 256, 192, 1),    # control conv1: stacked scratch 13x larger
+    (6, 32, 3, 96, 128, 1),     # flow net entry: stacked scratch 2.2x larger
+], ids=["stride2", "fnet-decoder", "short", "narrow", "control-conv1",
+        "fnet-entry"])
+def test_gemm_keeps_the_lowered_bits_where_it_does_not_stack(ci, co, k, h, w,
                                                              stride):
     rng = np.random.default_rng(43)
-    kern = ConvKernel(rng.standard_normal((8, ci, 3, 3)).astype(np.float32),
-                      rng.standard_normal(8).astype(np.float32),
-                      stride=stride, pad=1)
+    kern = ConvKernel(rng.standard_normal((co, ci, k, k)).astype(np.float32),
+                      rng.standard_normal(co).astype(np.float32),
+                      stride=stride, pad=k // 2)
     x = rng.random((1, ci, h, w), dtype=np.float32)
-    oh, ow = conv.out_dims(h, w, 3, stride, 1)
-    xp = np.pad(x[0], ((0, 0), (1, 1), (1, 1)))
-    want = np.empty((8, oh * ow), dtype=np.float32)
+    oh, ow = conv.out_dims(h, w, k, stride, k // 2)
+    assert not conv._stacks(ci, co, k, stride, oh // 2, ow)
+    xp = np.pad(x[0], ((0, 0), (k // 2, k // 2), (k // 2, k // 2)))
+    want = np.empty((co, oh * ow), dtype=np.float32)
     for r0, r1 in ((0, oh // 2), (oh // 2, oh)):
-        cols = np.empty((ci * 9, (r1 - r0) * ow), dtype=np.float32)
-        rows = xp[:, r0 * stride:(r1 - 1) * stride + 3]
-        conv._lower(rows, 3, stride, r1 - r0, ow, cols)
-        want[:, r0 * ow:r1 * ow] = kern.weights.reshape(8, -1) @ cols
+        cols = np.empty((ci * k * k, (r1 - r0) * ow), dtype=np.float32)
+        rows = xp[:, r0 * stride:(r1 - 1) * stride + k]
+        conv._lower(rows, k, stride, r1 - r0, ow, cols)
+        want[:, r0 * ow:r1 * ow] = kern.weights.reshape(co, -1) @ cols
     want += kern.bias[:, None]
-    assert np.array_equal(conv2d_gemm(x, kern), want.reshape(1, 8, oh, ow))
+    assert np.array_equal(conv2d_gemm(x, kern), want.reshape(1, co, oh, ow))
 
 
 @pytest.mark.parametrize("failing,stacked", [
@@ -369,7 +375,7 @@ def test_gemm_band_error_waits_for_the_other_band(monkeypatch, failing,
         finished.append(r0)
 
     monkeypatch.setattr(conv, name, flaky)
-    monkeypatch.setattr(conv, "STACK_MIN_BYTES", 0 if stacked else 1 << 40)
+    monkeypatch.setattr(conv, "_stacks", lambda *geometry: stacked)
     rng = np.random.default_rng(32)
     x = rng.random((1, 3, 8, 8), dtype=np.float32)
     kern = ConvKernel(rng.standard_normal((2, 3, 3, 3)).astype(np.float32))
