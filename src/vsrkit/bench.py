@@ -18,7 +18,7 @@ import json
 import math
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,15 +32,6 @@ from .tensor import ShapeError, check_int
 DEFAULT_LUT_TOTAL = 326_080
 DEFAULT_FREQUENCY = 300e6
 
-# (input tile size n, LUTs per tile, pipeline latency in cycles)
-DEFAULT_PROFILE_ROWS = (
-    (4, 827, 6),
-    (5, 2682, 10),
-    (6, 4242, 12),
-    (7, 10214, 16),
-    (8, 16499, 17),
-)
-
 
 def conv_flops(ci: int, hi: int, wi: int, k: int, co: int) -> int:
     """Multiply count ci*hi*wi*k^2*co of a dense conv over an hi x wi input."""
@@ -53,23 +44,21 @@ def conv_flops(ci: int, hi: int, wi: int, k: int, co: int) -> int:
 
 @dataclass(frozen=True)
 class FpgaProfile:
-    """Device LUT budget, clock, and per-tile-size implementation costs."""
+    """Device LUT budget, clock, and per-tile-size implementation costs.
+
+    ``rows`` is a fixed table, not a field: one (input tile size n, LUTs
+    per tile, pipeline latency in cycles) row per size.
+    """
 
     lut_total: int = DEFAULT_LUT_TOTAL
     frequency: float = DEFAULT_FREQUENCY
-    rows: tuple = DEFAULT_PROFILE_ROWS
+    rows = ((4, 827, 6), (5, 2682, 10), (6, 4242, 12), (7, 10214, 16),
+            (8, 16499, 17))
 
     def __post_init__(self):
         if not (check_int(self.lut_total, "lut_total") >= 1
                 and 0 < self.frequency < math.inf):
             raise ValueError("lut_total and frequency must be positive and finite")
-        for row in self.rows:
-            n, luts, lat = (check_int(v, f"profile row {row} entry")
-                            for v in row)
-            if n < 1 or luts < 1 or lat < 1:
-                raise ValueError(f"profile row {row} has non-positive entries")
-            if [r[0] for r in self.rows].count(n) > 1:
-                raise ValueError(f"profile rows repeat input size {n}")
         try:
             finite = all(fpga_max_flops(self, r[0]) < math.inf
                          for r in self.rows)

@@ -8,7 +8,8 @@ Three interchangeable forward-convolution implementations are provided:
   straight into the NCHW output (col2im is a plain reshape, no
   transpose), in two fixed row bands, the second on a helper thread when
   called from the main thread, with the same bits on any thread; a large
-  stride-1 conv lowers by column tap only and stacks its row-tap filters;
+  stride-1 conv lowers with a 1xk window (column taps only) and stacks
+  its row-tap filters;
 * :func:`conv2d_winograd`-- minimal-filtering F(4x4,3x3) tiling, 36
   multiplications per 4x4 output tile instead of 144: the input, filter
   and output transforms are each one BLAS matmul by a Kronecker matrix,
@@ -25,7 +26,7 @@ import functools
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .tensor import DTYPE, ShapeError, check_int, check_tensor, pad_zero
 
 log = logging.getLogger(__name__)
 
-BACKENDS = ("naive", "gemm", "winograd")
 ACTIVATIONS = ("relu", "leaky_relu", "tanh")
 
 # second row band of main-thread gemm convs; its thread starts on first use
@@ -167,21 +167,21 @@ def conv2d_naive(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     return out.reshape(n, kern.c_out, oh, ow).astype(DTYPE)
 
 
-def _lower(xp: np.ndarray, k: int, stride: int, oh: int, ow: int,
-           cols: np.ndarray) -> np.ndarray:
-    """Fill ``cols`` with the receptive fields of one padded image.
+def _lower(xp: np.ndarray, window: tuple[int, int], stride: int, oh: int,
+           ow: int, cols: np.ndarray) -> np.ndarray:
+    """Fill ``cols`` with the ``window`` = (kh, kw) fields of one padded image.
 
     ``xp`` is a (c, hp, wp) zero-padded image and ``cols`` a C-contiguous
-    (c*k*k, oh*ow) buffer. Row (ci, ky, kx) of ``cols`` receives tap
+    (c*kh*kw, oh*ow) buffer. Row (ci, ky, kx) of ``cols`` receives tap
     (ky, kx) of channel ci at every output position, i.e. the strided slice
     ``xp[ci, ky::stride, kx::stride]`` cropped to (oh, ow), so every row is
-    a contiguous copy of one output grid. Pure data movement; returns
-    ``cols``.
+    a contiguous copy of one output grid. A (k, k) window is the full
+    lowering; the stacked gemm form passes (1, k), one row per (channel,
+    column tap). Pure data movement; returns ``cols``.
     """
-    c = xp.shape[0]
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    taps = win[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)  # (c, k, k, oh, ow)
-    np.copyto(cols.reshape(c, k, k, oh, ow), taps)
+    win = np.lib.stride_tricks.sliding_window_view(xp, window, axis=(1, 2))
+    taps = win[:, ::stride, ::stride].transpose(0, 3, 4, 1, 2)  # (c, kh, kw, oh, ow)
+    np.copyto(cols.reshape(-1, *window, oh, ow), taps)
     return cols
 
 
@@ -195,8 +195,8 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
 
     This row layout is the transpose of the channel-major (c_in*k*k, oh*ow)
     matrix :func:`conv2d_gemm` multiplies in its lowered form; a large
-    stride-1 conv takes the stacked form, which lowers by (channel,
-    column tap) only and never builds this matrix.
+    stride-1 conv takes the stacked form, which lowers with a 1xk window,
+    by (channel, column tap) only, and never builds this matrix.
     """
     x = check_tensor(x, "im2col input")
     if x.shape[0] != 1:
@@ -208,7 +208,7 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     _, c, h, w = x.shape
     oh, ow = out_dims(h, w, k, stride, pad)
     cols = np.empty((c * k * k, oh * ow), dtype=DTYPE)
-    _lower(pad_zero(x, pad)[0], k, stride, oh, ow, cols)
+    _lower(pad_zero(x, pad)[0], (k, k), stride, oh, ow, cols)
     return np.ascontiguousarray(cols.T)
 
 
@@ -218,8 +218,8 @@ def _gemm_band(xp, wmat, out, k, stride, ow, cols, r0, r1) -> None:
     cols = cols.reshape(wmat.shape[1], (r1 - r0) * ow)
     rows = slice(r0 * stride, (r1 - 1) * stride + k)
     for b in range(xp.shape[0]):
-        np.matmul(wmat, _lower(xp[b, :, rows], k, stride, r1 - r0, ow, cols),
-                  out=out[b, :, r0 * ow:r1 * ow])
+        np.matmul(wmat, _lower(xp[b, :, rows], (k, k), stride, r1 - r0, ow,
+                              cols), out=out[b, :, r0 * ow:r1 * ow])
 
 
 def _stacked_band(xp, wst, out, k, ow, buf, r0, r1) -> None:
@@ -231,9 +231,7 @@ def _stacked_band(xp, wst, out, k, ow, buf, r0, r1) -> None:
     cols = buf[:wst.shape[1] * m].reshape(-1, m)
     part = buf[cols.size:].reshape(k, co, m)
     for b in range(xp.shape[0]):
-        win = np.lib.stride_tricks.sliding_window_view(
-            xp[b, :, r0:r1 + k - 1], ow, axis=2)  # (c, nr + k - 1, k, ow)
-        np.copyto(cols.reshape(-1, k, nr + k - 1, ow), win.transpose(0, 2, 1, 3))
+        _lower(xp[b, :, r0:r1 + k - 1], (1, k), 1, nr + k - 1, ow, cols)
         np.matmul(wst, cols, out=part.reshape(k * co, m))
         band = out[b, :, r0 * ow:r1 * ow]
         np.add(part[0, :, :nr * ow], part[1, :, ow:ow + nr * ow], out=band)
@@ -267,11 +265,12 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
       (c_out, oh*ow) output;
     * stacked, for a stride-1 conv whose bands are tall and wide enough
       and whose stacked scratch is the smaller (:func:`_stacks`): the
-      band's rows+k-1 input rows are lowered by (channel, column tap)
-      only, one (c_in*k, (rows+k-1)*ow) matrix, which one matmul by the k
-      row-tap filters stacked along M, (k*c_out, c_in*k), turns into all k
-      partial products; the band is their sum at row offsets 0 to k-1
-      (Cho & Brand, "MEC: Memory-efficient Convolution", ICML 2017).
+      band's rows+k-1 input rows are lowered by :func:`_lower` with a 1xk
+      window, one row per (channel, column tap): a (c_in*k, (rows+k-1)*ow)
+      matrix, which one matmul by the k row-tap filters stacked along M,
+      (k*c_out, c_in*k), turns into all k partial products; the band is
+      their sum at row offsets 0 to k-1 (Cho & Brand, "MEC:
+      Memory-efficient Convolution", ICML 2017).
 
     Called from the main thread, the second band runs on a helper thread
     meanwhile; elsewhere both run in turn, so the bits do not depend on
@@ -286,11 +285,6 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     xp = pad_zero(x, p) if p else x
     mid = oh // 2
     bands = ((0, mid), (mid, oh)) if mid else ((0, oh),)
-    stacked = _stacks(c, co, k, s, mid, ow)
-    if stacked:  # lowering, then the k partial products
-        sizes = [(c + co) * k * (r1 - r0 + k - 1) * ow for r0, r1 in bands]
-    else:
-        sizes = [c * k * k * (r1 - r0) * ow for r0, r1 in bands]
     # out before the scratch, so the short-lived scratch sits above the
     # result on the heap and is returned when freed; the reverse order
     # leaves a scratch-sized hole under each output (about 10% more peak
@@ -301,13 +295,15 @@ def conv2d_gemm(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     # faulted back in: 2,200-2,700 minor faults per vsr_run call on fused
     # egvsr at 128x96 (8 before), about 8 ms of a 700 ms 2-frame pass
     out = np.empty((n, co, oh * ow), dtype=DTYPE)
-    scratch = np.split(np.empty(sum(sizes), dtype=DTYPE), np.cumsum(sizes[:-1]))
-    if stacked:
+    if _stacks(c, co, k, s, mid, ow):  # lowering, then the k partial products
+        sizes = [(c + co) * k * (r1 - r0 + k - 1) * ow for r0, r1 in bands]
         wst = kern.weights.transpose(2, 0, 1, 3).reshape(k * co, c * k)
         run = functools.partial(_stacked_band, xp, wst, out, k, ow)
     else:
+        sizes = [c * k * k * (r1 - r0) * ow for r0, r1 in bands]
         wmat = kern.weights.reshape(co, -1)  # (c_out, c_in*k*k)
         run = functools.partial(_gemm_band, xp, wmat, out, k, s, ow)
+    scratch = np.split(np.empty(sum(sizes), dtype=DTYPE), np.cumsum(sizes[:-1]))
     bands = [(buf, r0, r1) for buf, (r0, r1) in zip(scratch, bands)]
     if len(bands) == 2 and threading.current_thread() is threading.main_thread():
         second = _HELPER.submit(run, *bands[1])
@@ -345,9 +341,10 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     matmul by a Kronecker matrix: kron(BT, BT) gives V, kron(G, G) gives
     the (36, c_out, c_in) filters U of this call, and after the one batched
     matmul U @ V of the 36 (c_out, tiles) Hadamard terms, kron(AT, AT)
-    gives the 16 output phases, copied into the NCHW result with one
-    strided copy; a ragged edge is cropped only when oh or ow is not a
-    multiple of 4. Returns a C-contiguous float32 tensor equal to
+    gives the 16 output phases, copied with one strided copy into a
+    (n, c_out, 4*th, 4*tw) result of whole tiles. That is cropped to
+    (oh, ow), a copy only when oh or ow is not a multiple of 4, before the
+    bias is added. Returns a C-contiguous float32 tensor equal to
     :func:`conv2d_naive` within 1e-4 relative.
     """
     x = _check_conv_input(x, kern)
@@ -365,7 +362,7 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     th, tw = (oh + 3) // 4, (ow + 3) // 4
     u = (_WINOGRAD_GG @ kern.weights.reshape(co * ci, 9).T).reshape(36, co, ci)
 
-    out = np.empty((n, co, oh, ow), dtype=DTYPE)
+    out = np.empty((n, co, 4 * th, 4 * tw), dtype=DTYPE)
     # each 6x6 tile at stride 4 reads rows up to 4*(t-1)+6 = 4t+2; the
     # border stays zero across images, only the interior is rewritten
     xp = np.zeros((ci, 4 * th + 2, 4 * tw + 2), dtype=DTYPE)
@@ -375,20 +372,16 @@ def conv2d_winograd(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     v = np.empty((36, ci, th * tw), dtype=DTYPE)
     m = np.empty((36, co, th * tw), dtype=DTYPE)
     y = np.empty((16, co * th * tw), dtype=DTYPE)
-    ragged = oh % 4 or ow % 4
-    full = np.empty((co, 4 * th, 4 * tw), dtype=DTYPE) if ragged else None
     for b in range(n):
         xp[:, p:p + h, p:p + w] = x[b]
         np.copyto(d.reshape(tiles.shape), tiles)
         np.matmul(_WINOGRAD_BB, d, out=v.reshape(36, -1))
         np.matmul(u, v, out=m)
         np.matmul(_WINOGRAD_AA, m.reshape(36, -1), out=y)
-        yb = full if ragged else out[b]
-        # phase (i, j) of yb is yb[:, i::4, j::4]
-        np.copyto(yb.reshape(co, th, 4, tw, 4).transpose(2, 4, 0, 1, 3),
+        # phase (i, j) of out[b] is out[b, :, i::4, j::4]
+        np.copyto(out[b].reshape(co, th, 4, tw, 4).transpose(2, 4, 0, 1, 3),
                   y.reshape(4, 4, co, th, tw))
-        if ragged:
-            out[b] = full[:, :oh, :ow]
+    out = np.ascontiguousarray(out[:, :, :oh, :ow])
     out += kern.bias[:, None, None]
     return out
 
@@ -398,6 +391,7 @@ _CONV_DISPATCH = {
     "gemm": conv2d_gemm,
     "winograd": conv2d_winograd,
 }
+BACKENDS = tuple(_CONV_DISPATCH)
 
 
 def conv2d(x: np.ndarray, kern: ConvKernel, backend: str = "gemm") -> np.ndarray:
@@ -409,22 +403,28 @@ def conv2d(x: np.ndarray, kern: ConvKernel, backend: str = "gemm") -> np.ndarray
     return fn(x, kern)
 
 
+def check_transpose_geometry(k: int, s: int, p: int) -> None:
+    """Raise :class:`ShapeError` unless a transposed conv lands on exactly
+    ``s`` times its input: implied output padding s - k + 2p in [0, s)."""
+    if not 0 <= s - k + 2 * p < s:
+        raise ShapeError(
+            f"transposed conv k={k} pad={p} cannot produce an exact x{s} "
+            f"output (implied output padding {s - k + 2 * p})")
+
+
 def conv_transpose2d(x: np.ndarray, kern: ConvKernel) -> np.ndarray:
     """Transposed convolution producing an exactly ``kern.stride``-times
     larger output.
 
     This is the adjoint of the corresponding strided convolution: input
     element (oy, ox) scatters weights[c_out, c_in] into output positions
-    (oy*s + ky - pad, ox*s + kx - pad). The geometry must satisfy
-    0 <= s - k + 2*pad < s so the output lands on exactly (h*s, w*s).
+    (oy*s + ky - pad, ox*s + kx - pad). The geometry must pass
+    :func:`check_transpose_geometry` so the output lands on exactly
+    (h*s, w*s).
     """
     x = _check_conv_input(x, kern)
     k, s, p = kern.k, kern.stride, kern.pad
-    opad = s - k + 2 * p
-    if not 0 <= opad < s:
-        raise ShapeError(
-            f"transposed conv k={k} pad={p} cannot produce an exact x{s} "
-            f"output (implied output padding {opad})")
+    check_transpose_geometry(k, s, p)
     n, _, h, w = x.shape
     oh, ow = h * s, w * s
     # tap (ky, kx) of input (iy, ix) lands at (ky + iy*s, kx + ix*s) of a

@@ -288,9 +288,8 @@ class NetworkGraph:
                     h, w = convops.out_dims(h, w, k, s, p)
                     hw = h * w
                 run = lambda x, saved: convops.conv2d(x, kern, backend)
-            elif not 0 <= s - k + 2 * p < s:
-                raise ShapeError(f"k={k} pad={p} inconsistent with x{s} output")
             else:
+                convops.check_transpose_geometry(k, s, p)
                 if sized:
                     h, w = h * s, w * s
                 run = lambda x, saved: convops.conv_transpose2d(x, kern)

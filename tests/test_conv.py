@@ -351,7 +351,7 @@ def test_gemm_keeps_the_lowered_bits_where_it_does_not_stack(ci, co, k, h, w,
     for r0, r1 in ((0, oh // 2), (oh // 2, oh)):
         cols = np.empty((ci * k * k, (r1 - r0) * ow), dtype=np.float32)
         rows = xp[:, r0 * stride:(r1 - 1) * stride + k]
-        conv._lower(rows, k, stride, r1 - r0, ow, cols)
+        conv._lower(rows, (k, k), stride, r1 - r0, ow, cols)
         want[:, r0 * ow:r1 * ow] = kern.weights.reshape(co, -1) @ cols
     want += kern.bias[:, None]
     assert np.array_equal(conv2d_gemm(x, kern), want.reshape(1, co, oh, ow))
@@ -391,6 +391,28 @@ def test_vsr_run_bits_do_not_depend_on_the_thread():
     frames = np.random.default_rng(35).random((3, 3, 24, 16), dtype=np.float32)
     main = vsr_run(bundle, frames)
     assert np.array_equal(main, _on_worker(vsr_run, bundle, frames))
+
+
+def test_float64_and_integer_input_give_the_float32_bits():
+    # each entry point casts a non-float32 tensor to float32 once, on entry
+    rng = np.random.default_rng(38)
+    x32 = rng.random((2, 3, 24, 16), dtype=np.float32)
+    ints = rng.integers(0, 4, (2, 3, 24, 16))
+    kern = ConvKernel(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+    graph = init_random(NetworkGraph([conv2d_layer("c", 3, 4, 3)],
+                                     in_channels=3), seed=39)
+    bundle = {"fnet": init_random(build_fnet(), 33),
+              "srnet": init_random(build_srnet(), 34)}
+    for other, same in ((x32.astype(np.float64), x32),
+                        (ints, ints.astype(np.float32)),
+                        (ints.astype(np.uint8), ints.astype(np.float32))):
+        for backend in conv.BACKENDS:
+            for fn, args in ((conv2d, (kern, backend)),
+                             (graph.forward, (backend,))):
+                got = fn(other, *args)
+                assert got.dtype == np.float32
+                assert np.array_equal(got, fn(same, *args))
+        assert np.array_equal(vsr_run(bundle, other), vsr_run(bundle, same))
 
 
 def test_winograd_reproduces_naive_for_3x3_stride1():
