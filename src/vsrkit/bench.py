@@ -35,10 +35,7 @@ DEFAULT_FREQUENCY = 300e6
 
 def conv_flops(ci: int, hi: int, wi: int, k: int, co: int) -> int:
     """Multiply count ci*hi*wi*k^2*co of a dense conv over an hi x wi input."""
-    vals = tuple(check_int(v, "factor") for v in (ci, hi, wi, k, co))
-    if any(v < 1 for v in vals):
-        raise ValueError(f"all factors must be positive, got {vals}")
-    ci, hi, wi, k, co = vals
+    ci, hi, wi, k, co = (check_int(v, "factor", 1) for v in (ci, hi, wi, k, co))
     return ci * hi * wi * k * k * co
 
 
@@ -56,9 +53,10 @@ class FpgaProfile:
             (8, 16499, 17))
 
     def __post_init__(self):
-        if not (check_int(self.lut_total, "lut_total") >= 1
-                and 0 < self.frequency < math.inf):
-            raise ValueError("lut_total and frequency must be positive and finite")
+        check_int(self.lut_total, "lut_total", 1)
+        if not 0 < self.frequency < math.inf:
+            raise ValueError("frequency must be positive and finite, "
+                             f"got {self.frequency!r}")
         try:
             finite = all(fpga_max_flops(self, r[0]) < math.inf
                          for r in self.rows)
@@ -128,12 +126,9 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
     frames run first and are not timed; each frame's time is the monotonic
     gap between consecutive frames of :func:`upscale_steps`.
     """
-    if check_int(frames, "frames") < 1:
-        raise ValueError(f"frames must be >= 1, got {frames}")
-    if check_int(warmup, "warmup") < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if check_int(seed, "seed") < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    frames = check_int(frames, "frames", 1)
+    warmup = check_int(warmup, "warmup", 0)
+    seed = check_int(seed, "seed", 0)
     h, w = (check_int(v, "size") for v in size)
     if h < 1 or w < 1:
         raise ShapeError(f"size must be >= 1, got {(h, w)}")

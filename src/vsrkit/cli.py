@@ -23,7 +23,7 @@ from .graph import fuse_conv_bn, init_random
 from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
 from .pipeline import graph_cost, model_geometry, vsr_run
-from .tensor import DTYPE
+from .tensor import DTYPE, check_int
 
 
 def _parse_size(text: str) -> tuple:
@@ -183,9 +183,7 @@ def cmd_fuse_bn(args) -> None:
 
 
 def cmd_build_model(args) -> None:
-    seed = _number(args.seed, "--seed", int)
-    if seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {seed}")
+    seed = check_int(_number(args.seed, "--seed", int), "--seed", 0)
     model = (build_generator() if args.arch == "egvsr"
              else {"net": build_control_srnet(args.arch)})
     if args.init == "random-seeded":
@@ -269,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--report", default=None, metavar="PATH")
     report.add_argument("--format", choices=("json", "csv"), default="json")
+    metric_names = ",".join(metricsmod.DEFAULT_METRICS)
 
     p = sub.add_parser("upscale", help="upscale a frame directory")
     p.add_argument("--model", required=True)
@@ -298,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "reference")
     p.add_argument("--gen", required=True, metavar="DIR")
     p.add_argument("--ref", required=True, metavar="DIR")
-    p.add_argument("--metrics", default="psnr,ssim,tof,tlp")
+    p.add_argument("--metrics", default=metric_names)
     p.add_argument("--label", default=None,
                    help="method name recorded in the report")
     p.set_defaults(fn=cmd_eval)
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reports", required=True, metavar="PATH[,PATH...]")
     p.add_argument("--weights", default=None, metavar="w1,w2,...",
                    help="per-metric weights in canonical order "
-                        "(psnr,ssim,tof,tlp restricted to present metrics); "
+                        f"({metric_names} restricted to present metrics); "
                         "default equal")
     p.set_defaults(fn=cmd_score)
 

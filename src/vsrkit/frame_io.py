@@ -204,8 +204,7 @@ def write_sequence(seq: np.ndarray, directory, fmt: str | None = None,
     its path, and a ppm frame without 3 channels raises :class:`ShapeError`,
     as does a ``start`` that is not an integer >= 0.
     """
-    if check_int(start, "start") < 0:
-        raise ShapeError(f"start must be >= 0, got {start}")
+    start = check_int(start, "start", 0)
     seq = np.asarray(seq, dtype=DTYPE)
     if seq.ndim != 4:
         raise ShapeError(f"expected (t, c, h, w), got {seq.shape}")

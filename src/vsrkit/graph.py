@@ -119,7 +119,7 @@ def _check(ok: bool, msg: str) -> None:
 # layer constructors
 
 def _conv_layer(kind, name, c_in, c_out, k, ints, weights, bias) -> Layer:
-    shape = tuple(check_int(v, key) for key, v in
+    shape = tuple(check_int(v, key, 1) for key, v in
                   (("c_out", c_out), ("c_in", c_in), ("k", k), ("k", k)))
     weights = np.zeros(shape, DTYPE) if weights is None else weights
     if np.shape(weights) != shape:
@@ -145,7 +145,7 @@ def conv_transpose2d_layer(name, c_in, c_out, k, scale, pad,
 
 
 def batch_norm_layer(name, c, params: BatchNormParams | None = None) -> Layer:
-    c = check_int(c, "c")
+    c = check_int(c, "c", 1)
     if params is None:
         params = BatchNormParams(np.ones(c), np.zeros(c), np.zeros(c),
                                  np.ones(c))
@@ -170,7 +170,7 @@ def bilinear_up_layer(name, scale: float = 2.0) -> Layer:
 
 
 def pixel_shuffle_layer(name, r: int) -> Layer:
-    return Layer("pixel_shuffle", name, {"r": check_int(r, "r")})
+    return Layer("pixel_shuffle", name, {"r": check_int(r, "r", 1)})
 
 
 def residual_add_layer(name, source: str) -> Layer:
@@ -276,8 +276,7 @@ class NetworkGraph:
         hw = h * w if sized else 0      # rules that resize update it
         if ly.kind in ("conv2d", "conv_transpose2d"):
             key = "stride" if ly.kind == "conv2d" else "scale"
-            s = a[key]
-            _check(s >= 1, f"{key} must be >= 1, got {s}")
+            s = check_int(a[key], key, 1)
             kern = ConvKernel(ly.arrays["weight"], ly.arrays["bias"], stride=s,
                               pad=a["pad"])
             k, p = kern.k, kern.pad
@@ -324,8 +323,7 @@ class NetworkGraph:
             return (c, h, w), 0, c * hw, lambda x, saved: tops.bilinear_resize(
                 x, s)
         if ly.kind == "pixel_shuffle":
-            r = a["r"]
-            _check(r >= 1, f"factor r must be >= 1, got {r!r}")
+            r = check_int(a["r"], "r", 1)
             if c % (r * r):
                 raise ShapeError(f"{c} channels not divisible by r^2={r * r}")
             if sized:
@@ -375,7 +373,7 @@ class NetworkGraph:
         element; activations, pooling, resizing and residual adds count one
         op per output element; pure data movement costs nothing.
         """
-        return self._plan(tuple(check_int(v, "input_shape")
+        return self._plan(tuple(check_int(v, "input_shape", 1)
                                 for v in input_shape))
 
 

@@ -31,6 +31,7 @@ PSNR_CAP_DB = 100.0
 
 # metric orientation: whether larger values mean better output
 HIGHER_IS_BETTER = {"psnr": True, "ssim": True, "tof": False, "tlp": False}
+DEFAULT_METRICS = tuple(HIGHER_IS_BETTER)   # the canonical order
 
 
 def luma(frame: np.ndarray) -> np.ndarray:
@@ -429,9 +430,6 @@ class ScoreWeights:
     def equal(cls, metrics) -> "ScoreWeights":
         metrics = list(metrics)
         return cls({m: 1.0 / len(metrics) for m in metrics})
-
-
-DEFAULT_METRICS = ("psnr", "ssim", "tof", "tlp")
 
 
 def quality_score(records: list, weights: ScoreWeights | None = None) -> float:

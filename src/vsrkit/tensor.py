@@ -26,14 +26,18 @@ def _require(cond: bool, msg: str) -> None:
         raise ShapeError(msg)
 
 
-def check_int(v, name: str) -> int:
-    """``v`` as an int; anything else, even 2.0 or True, raises ShapeError."""
+def check_int(v, name: str, least: int | None = None) -> int:
+    """``v`` as an int of at least ``least``; anything else, even 2.0 or
+    True, raises ShapeError."""
     try:
-        if not isinstance(v, bool):
-            return operator.index(v)
+        if isinstance(v, bool):
+            raise TypeError
+        n = operator.index(v)
     except TypeError:
-        pass
-    raise ShapeError(f"{name} must be an integer, got {v!r}")
+        raise ShapeError(f"{name} must be an integer, got {v!r}") from None
+    if least is not None and n < least:
+        raise ShapeError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
 def check_tensor(t: np.ndarray, name: str = "tensor") -> np.ndarray:
@@ -75,8 +79,7 @@ def space_to_depth(t: np.ndarray, block: int) -> np.ndarray:
     (dy, dx) lands in output channel c*block^2 + dy*block + dx.
     """
     t = check_tensor(t)
-    block = check_int(block, "block")
-    _require(block >= 1, f"block must be >= 1, got {block}")
+    block = check_int(block, "block", 1)
     n, c, h, w = t.shape
     _require(
         h % block == 0 and w % block == 0,
@@ -94,8 +97,7 @@ def pixel_shuffle(t: np.ndarray, r: int) -> np.ndarray:
     (n, c'*r^2 + dy*r + dx, y, x).
     """
     t = check_tensor(t)
-    r = check_int(r, "upscale factor")
-    _require(r >= 1, f"upscale factor must be >= 1, got {r}")
+    r = check_int(r, "upscale factor", 1)
     n, c, h, w = t.shape
     _require(c % (r * r) == 0, f"channels {c} not divisible by r^2={r * r}")
     c_out = c // (r * r)
@@ -107,8 +109,7 @@ def pixel_shuffle(t: np.ndarray, r: int) -> np.ndarray:
 def pad_zero(t: np.ndarray, pad: int) -> np.ndarray:
     """Zero-pad the two spatial axes by ``pad`` on every side."""
     t = check_tensor(t)
-    pad = check_int(pad, "pad")
-    _require(pad >= 0, f"pad must be >= 0, got {pad}")
+    pad = check_int(pad, "pad", 0)
     return np.pad(t, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
