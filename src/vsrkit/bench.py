@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics as qmetrics
 from .graph import fuse_conv_bn
-from .pipeline import graph_cost, model_geometry, upscale_steps
+from .pipeline import flow_chunk, graph_cost, model_geometry, upscale_steps
 from .tensor import ShapeError, check_int
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
@@ -123,8 +123,10 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
 
     ``bundle`` is any name -> graph dict :func:`vsr_run` accepts (a single
     net or a recurrent pair); it fixes the frames' channel count. Warm-up
-    frames run first and are not timed; each frame's time is the monotonic
-    gap between consecutive frames of :func:`upscale_steps`.
+    frames run first and are not timed. Each frame's time is the monotonic
+    gap between consecutive frames of :func:`upscale_steps`, spread evenly
+    over each chunk of :func:`flow_chunk` frames: a chunk's first frame
+    carries the flows of the whole chunk.
     """
     frames = check_int(frames, "frames", 1)
     warmup = check_int(warmup, "warmup", 0)
@@ -147,7 +149,12 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
         t1 = time.perf_counter()
         times.append(t1 - t0)
         t0 = t1
-    times = times[warmup:]
+    chunk = flow_chunk(bundle, (h, w))
+    even = []
+    for i in range(0, len(times), chunk):
+        part = times[i:i + chunk]
+        even += [sum(part) / len(part)] * len(part)
+    times = even[warmup:]
 
     wall = float(sum(times))
     reps = [graph_cost(bundle, k, (h, w)) for k in bundle]

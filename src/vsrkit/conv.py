@@ -89,8 +89,8 @@ class ConvKernel:
     pad: int = 0
 
     def __post_init__(self):
-        self.stride = check_int(self.stride, "stride")
-        self.pad = check_int(self.pad, "pad")
+        self.stride = check_int(self.stride, "stride", 1)
+        self.pad = check_int(self.pad, "pad", 0)
         self.weights = np.asarray(self.weights, dtype=DTYPE)
         if self.weights.ndim != 4 or self.weights.shape[2] != self.weights.shape[3]:
             raise ShapeError(
@@ -101,9 +101,7 @@ class ConvKernel:
         if self.bias.size != self.weights.shape[0]:
             raise ShapeError(
                 f"bias length {self.bias.size} != c_out {self.weights.shape[0]}")
-        if self.k < 1 or self.stride < 1 or self.pad < 0:
-            raise ShapeError(
-                f"invalid geometry k={self.k} stride={self.stride} pad={self.pad}")
+        check_int(self.k, "k", 1)
 
     @property
     def c_out(self) -> int:
@@ -201,10 +199,8 @@ def im2col(x: np.ndarray, k: int, stride: int = 1, pad: int = 0) -> np.ndarray:
     x = check_tensor(x, "im2col input")
     if x.shape[0] != 1:
         raise ShapeError(f"im2col expects a single image (n=1), got n={x.shape[0]}")
-    k, stride, pad = (check_int(k, "k"), check_int(stride, "stride"),
-                      check_int(pad, "pad"))
-    if k < 1 or stride < 1 or pad < 0:
-        raise ShapeError(f"invalid geometry k={k} stride={stride} pad={pad}")
+    k, stride, pad = (check_int(k, "k", 1), check_int(stride, "stride", 1),
+                      check_int(pad, "pad", 0))
     _, c, h, w = x.shape
     oh, ow = out_dims(h, w, k, stride, pad)
     cols = np.empty((c * k * k, oh * ow), dtype=DTYPE)

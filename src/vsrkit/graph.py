@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,19 @@ LAYER_KINDS = {
     "pixel_shuffle": (6, ("r",), ()),
     "residual_add": (9, (), ()),
 }
+
+
+def _physical_bytes() -> float:
+    """The machine's physical memory in bytes; infinite where the OS does
+    not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+# no layer output may be larger: a plan past it fails before any layer runs
+PHYSICAL_BYTES = _physical_bytes()
 
 
 class GraphError(ValueError):
@@ -244,6 +258,12 @@ class NetworkGraph:
                     raise GraphError(f"holds arrays {sorted(ly.arrays)}, "
                                      f"expected {list(arrays)}")
                 cur, macs, ops, run = self._infer(ly, cur, seen, backend)
+                nbytes = (n * math.prod(cur) * np.dtype(DTYPE).itemsize
+                          if h is not None else 0)
+                if nbytes > PHYSICAL_BYTES:
+                    raise GraphError(f"output {(n, *cur)} is {nbytes} bytes, "
+                                     f"more than the {PHYSICAL_BYTES} bytes "
+                                     f"of physical memory")
             except (ValueError, KeyError, TypeError) as e:
                 why = f"missing {e}" if isinstance(e, KeyError) else e
                 raise GraphError(

@@ -5,10 +5,14 @@ low-resolution frames, warps the previous high-resolution output by the
 upscaled flow, packs the warp into the low-resolution grid with
 space-to-depth, and lets the reconstruction net fuse both. Frame 0 uses
 the current frame as its own predecessor and a black previous output.
-The scale and the frame channels are read from the graphs' shape rules.
+The flow net reads only frame pairs, never the recurrent state, so a
+sequence's flows are estimated a chunk of frames at a time, in one batched
+call (:func:`flow_chunk`). The scale and the frame channels are read from
+the graphs' shape rules.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,10 @@ from .tensor import DTYPE, NonFiniteError, ShapeError
 # samples per strip of output rows that warp processes at once: its
 # scratch buffers stay a few hundred kB, reused across strips and images
 WARP_STRIP = 16384
+
+# bytes the largest fnet layer output of one batched estimate_flow call
+# may take: a chunk holds as many frames as fit, and at least one
+FLOW_BATCH_BYTES = 8 << 20
 
 
 def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
@@ -181,6 +189,20 @@ def model_geometry(bundle: dict, size) -> tuple:
     return s, c
 
 
+def flow_chunk(bundle: dict, size) -> int:
+    """Frames per :func:`estimate_flow` call in :func:`upscale_steps` for
+    frames of ``size`` = (h, w): ``FLOW_BATCH_BYTES`` over the bytes of
+    the fnet's largest layer output (or its input, if it has no layers)
+    for one frame, at least 1; 1 for a single net, which runs frame by
+    frame. Read from the plan: nothing runs."""
+    if _pair(bundle) is None:
+        return 1
+    plan = graph_cost(bundle, "fnet", size)
+    largest = max((math.prod(r["out_shape"]) for r in plan.per_layer),
+                  default=math.prod(plan.in_shape))
+    return max(1, FLOW_BATCH_BYTES // (largest * np.dtype(DTYPE).itemsize))
+
+
 def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
                   backend: str = "gemm") -> np.ndarray:
     """Dense flow from prev to cur on the input grid.
@@ -201,8 +223,11 @@ def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
 
 def vsr_step(generator: dict, lr: np.ndarray,
              state: RecurrentState | None = None,
-             backend: str = "gemm") -> tuple:
+             backend: str = "gemm", flow: np.ndarray | None = None) -> tuple:
     """One recurrent step; returns (hr_frame, flow, next_state).
+
+    ``flow`` is the (n, 2, h, w) flow from the state's frame to ``lr``, as
+    :func:`estimate_flow` gives it; without it the step estimates it.
 
     A bundle that is not an fnet+srnet pair, or one whose graphs disagree
     (see :func:`model_geometry`), raises :class:`GraphError`. A non-finite
@@ -228,7 +253,11 @@ def vsr_step(generator: dict, lr: np.ndarray,
         raise ShapeError(f"state frame shape {state.prev_lr.shape} does not "
                          f"match input {lr.shape}")
 
-    flow = estimate_flow(fnet, lr, state.prev_lr, backend)
+    if flow is None:
+        flow = estimate_flow(fnet, lr, state.prev_lr, backend)
+    elif np.shape(flow) != (n, 2, h, w):
+        raise ShapeError(f"flow shape {np.shape(flow)} does not match "
+                         f"({n}, 2, {h}, {w})")
     flow_hr = tops.bilinear_resize(flow, float(scale)) * DTYPE(scale)
     warped = warp(state.prev_hr, flow_hr)
     packed = tops.space_to_depth(warped, scale)
@@ -240,21 +269,33 @@ def upscale_steps(bundle: dict, frames: np.ndarray, backend: str = "gemm"):
     """Yield the upscaled (c, h*s, w*s) frames of a (t, c, h, w) sequence,
     one per input frame, for either bundle kind.
 
-    An fnet+srnet pair runs the recurrent :func:`vsr_step` chain; a single
-    net runs ``forward`` on each frame independently. A non-finite input
-    frame, flow or output raises :class:`NonFiniteError` naming the frame
-    (and, for an output, the graph that produced it).
+    An fnet+srnet pair runs the recurrent :func:`vsr_step` chain. Its
+    flows are estimated :func:`flow_chunk` frames at a time: one
+    :func:`estimate_flow` call on the chunk's (n, 2c, h, w) frame pairs,
+    pair t being (frame t, frame t-1) and frame 0 its own predecessor.
+    Every backend runs a batch image by image, so the bits are those of the
+    per-frame chain. A single net runs ``forward`` on each frame
+    independently. A non-finite input frame, flow or output raises
+    :class:`NonFiniteError` naming the frame (and, for an output, the graph
+    that produced it), after the frames before it.
     """
     frames = tops.check_tensor(frames, "sequence")
     model_geometry(bundle, frames.shape[2:])
-    recurrent = _pair(bundle) is not None
-    name, net = ("srnet", None) if recurrent else next(iter(bundle.items()))
-    state = None
+    pair = _pair(bundle)
+    name, net = ("srnet", None) if pair else next(iter(bundle.items()))
+    chunk = flow_chunk(bundle, frames.shape[2:])
+    state = flows = None
     for t in range(frames.shape[0]):
         try:
-            if recurrent:
-                # through the module global, so rebinding vsr_step reaches it
-                hr, _, state = vsr_step(bundle, frames[t:t + 1], state, backend)
+            if pair:
+                # both through their module globals, so rebinding reaches them
+                if t % chunk == 0:
+                    cur = frames[t:t + chunk]
+                    prev = frames[np.arange(t - 1, t - 1 + len(cur)).clip(0)]
+                    flows = estimate_flow(pair[0], cur, prev, backend)
+                j = t % chunk
+                hr, _, state = vsr_step(bundle, frames[t:t + 1], state, backend,
+                                        flow=flows[j:j + 1])
             else:
                 tops.check_finite(frames[t], "low-resolution frame")
                 hr = net.forward(frames[t:t + 1], backend)

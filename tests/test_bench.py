@@ -8,6 +8,7 @@ import json
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from vsrkit import (
     theoretical_fps,
     time_pipeline,
 )
+from vsrkit import bench as bench_module, pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,36 @@ def test_time_pipeline_takes_an_integer_height_and_width():
                            "seed must be an integer")):
         with pytest.raises(ShapeError, match=match):
             time_pipeline({"net": g}, (8, 8), **counts)
+
+
+def test_time_pipeline_spreads_a_chunk_of_flows_over_its_frames(monkeypatch):
+    # a clock that only a step (1 s) and a flow batch (3 s) advance; with
+    # 3 frames per flow chunk the 6 frames take 4, 1, 1, 4, 1, 1 s, so
+    # each chunk's first frame carries the chunk's flows
+    now = [0.0]
+    monkeypatch.setattr(bench_module, "time",
+                        SimpleNamespace(perf_counter=lambda: now[0]))
+    estimate, step = pipeline.estimate_flow, pipeline.vsr_step
+
+    def slow_flow(*args):
+        now[0] += 3.0
+        return estimate(*args)
+
+    def slow_step(*args, **kwargs):
+        now[0] += 1.0
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "estimate_flow", slow_flow)
+    monkeypatch.setattr(pipeline, "vsr_step", slow_step)
+    gen = {"fnet": build_fnet(), "srnet": build_srnet()}
+    plan = pipeline.graph_cost(gen, "fnet", (16, 16))
+    largest = max(math.prod(r["out_shape"]) for r in plan.per_layer)
+    monkeypatch.setattr(pipeline, "FLOW_BATCH_BYTES", 4 * largest * 3)
+    res = time_pipeline(gen, (16, 16), frames=4, warmup=2)
+    # spread, every frame takes 2 s; unspread, the timed frames 2-5 would
+    # read 1, 4, 1, 1 s, the median only flow-free frames
+    assert res.wall_time_s == 8.0 and res.fps == 0.5
+    assert res.mean_frame_s == res.median_frame_s == 2.0
 
 
 @pytest.mark.parametrize("size", [(-2, 8), (8, 0)])

@@ -128,9 +128,9 @@ def test_im2col_rejects_undersized_input():
     (lambda: im2col(np.zeros((2, 1, 5, 5), dtype=np.float32), 3),
      r"im2col expects a single image \(n=1\), got n=2"),
     (lambda: im2col(np.zeros((1, 1, 5, 5), dtype=np.float32), 3, stride=0),
-     "invalid geometry k=3 stride=0 pad=0"),
+     "stride must be >= 1, got 0"),
     (lambda: im2col(np.zeros((1, 1, 5, 5), dtype=np.float32), 3, pad=-1),
-     "invalid geometry k=3 stride=1 pad=-1"),
+     "pad must be >= 0, got -1"),
     (lambda: conv2d(np.zeros((1, 2, 5, 5), dtype=np.float32),
                     ConvKernel(np.zeros((4, 3, 3, 3)))),
      "input has 2 channels, kernel expects 3"),

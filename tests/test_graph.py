@@ -127,7 +127,7 @@ def test_graph_rejects_unknown_skip_source():
     (lambda: NetworkGraph([_conv_of((2, 2, 9))], 2),
      r"weights must be \(c_out, c_in, k, k\), got \(2, 2, 9\)"),
     (lambda: NetworkGraph([_conv_of((2, 2, 0, 0))], 2),
-     r"invalid geometry k=0 stride=1 pad=1"),
+     r"layer 0 \('l', conv2d\): k must be >= 1, got 0"),
     (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, bias=np.zeros(3))], 2),
      r"layer 0 \('l', conv2d\): bias length 3 != c_out 2"),
     (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, stride=0)], 2),
@@ -427,6 +427,30 @@ def test_forward_rejects_a_size_or_backend_before_running_a_layer(
     with pytest.raises(error, match=match):
         g.forward(np.zeros((1, 3, 7, 9), dtype=np.float32), backend)
     assert counts == {}
+
+
+@pytest.mark.parametrize("layer, kind", [
+    (bilinear_up_layer("big", 2.0 ** 40), "bilinear_up"),
+    (conv_transpose2d_layer("big", 3, 3, 4, 2 ** 40, 0), "conv_transpose2d"),
+])
+def test_a_layer_output_past_physical_memory_is_named_before_any_runs(
+        monkeypatch, layer, kind):
+    # 8x8 x 2**40 is 8.8e12 each way; the plan fails, nothing is allocated
+    g = NetworkGraph([conv2d_layer("c", 3, 3, 3), layer], in_channels=3)
+    counts = {}
+    _counting(monkeypatch, conv_module, "conv2d", counts)
+    side = 8 * 2 ** 40
+    match = (rf"^layer 1 \('big', {kind}\): output \(1, 3, {side}, {side}\) "
+             rf"is {3 * side * side * 4} bytes, more than the "
+             rf"{graph_module.PHYSICAL_BYTES} bytes of physical memory$")
+    with pytest.raises(GraphError, match=match):
+        g.forward(np.zeros((1, 3, 8, 8), dtype=np.float32))
+    with pytest.raises(GraphError, match=match):
+        g.count_flops((1, 3, 8, 8))
+    assert counts == {}
+    # the bound is the machine's memory: a plan of half of it passes
+    monkeypatch.setattr(graph_module, "PHYSICAL_BYTES", 6 * side * side * 4)
+    assert g.count_flops((1, 3, 8, 8)).out_shape == (1, 3, side, side)
 
 
 def test_forward_looks_kernels_up_in_their_modules(monkeypatch):

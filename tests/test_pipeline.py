@@ -1,5 +1,7 @@
 """Recurrent upscaling pipeline: warping, per-step recursion, sequence runs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from vsrkit import (
     build_generator,
     build_srnet,
     conv2d_layer,
+    fuse_conv_bn,
     init_random,
     maxpool2_layer,
     model_geometry,
@@ -303,6 +306,96 @@ def test_vsr_run_calls_vsr_step_through_the_module_global(generator,
                                               dtype=np.float32)
     vsr_run(generator, frames)
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# flows a chunk of frames at a time
+
+def _chunk_of(monkeypatch, bundle, size, frames):
+    """Set ``FLOW_BATCH_BYTES`` so that a chunk holds ``frames`` frames."""
+    plan = pipeline.graph_cost(bundle, "fnet", size)
+    largest = max(math.prod(r["out_shape"]) for r in plan.per_layer)
+    monkeypatch.setattr(pipeline, "FLOW_BATCH_BYTES", 4 * largest * frames)
+    assert pipeline.flow_chunk(bundle, size) == frames
+
+
+def _per_frame_chain(bundle, frames, backend):
+    state, out = None, []
+    for t in range(frames.shape[0]):
+        hr, _, state = vsr_step(bundle, frames[t:t + 1], state, backend)
+        out.append(hr[0])
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("backend", ["naive", "gemm", "winograd"])
+@pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+def test_batched_flows_give_the_bits_of_the_per_frame_chain(
+        generator, monkeypatch, backend, fused):
+    # 11x13 pads to 16x16 in the fnet; chunks of 1, 2 and all 5 frames
+    bundle = ({k: fuse_conv_bn(g) for k, g in generator.items()} if fused
+              else generator)
+    frames = np.random.default_rng(18).random((5, 3, 11, 13),
+                                              dtype=np.float32)
+    want = _per_frame_chain(bundle, frames, backend)
+    estimate = pipeline.estimate_flow
+    for chunk, batches in ((1, [1] * 5), (2, [2, 2, 1]), (5, [5])):
+        _chunk_of(monkeypatch, bundle, (11, 13), chunk)
+        seen = []
+
+        def counting(fnet, cur, prev, backend):
+            seen.append(cur.shape[0])
+            return estimate(fnet, cur, prev, backend)
+
+        monkeypatch.setattr(pipeline, "estimate_flow", counting)
+        assert np.array_equal(vsr_run(bundle, frames, backend), want), chunk
+        assert seen == batches
+
+
+def test_a_non_finite_frame_in_a_flow_chunk_fails_where_it_did(
+        generator, monkeypatch):
+    frames = np.random.default_rng(19).random((5, 3, 11, 13),
+                                              dtype=np.float32)
+    frames[2, 1, 4, 6] = np.nan
+    want = _per_frame_chain(generator, frames[:2], "gemm")
+    with pytest.raises(NonFiniteError) as per_frame:
+        _per_frame_chain(generator, frames[:3], "gemm")
+    _chunk_of(monkeypatch, generator, (11, 13), 5)
+    got = []
+    with pytest.raises(NonFiniteError) as chunked:
+        for hr in pipeline.upscale_steps(generator, frames):
+            got.append(hr)
+    assert np.array_equal(np.stack(got), want)
+    assert str(chunked.value) == f"frame 2: {per_frame.value}"
+    assert str(chunked.value).startswith("frame 2: low-resolution frame "
+                                         "holds 1 non-finite")
+
+
+def test_flow_chunk_is_read_from_the_plan(generator, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph ran")
+
+    monkeypatch.setattr(NetworkGraph, "forward", refuse)
+    # the largest fnet output of a frame is 64 channels at full size:
+    # 768 kB at 48x64 and 3 MB at 96x128, so a 3-frame sequence at 48x64
+    # is one chunk; a paper-size frame runs alone
+    assert pipeline.flow_chunk(generator, (48, 64)) == 10
+    assert pipeline.flow_chunk(generator, (96, 128)) == 2
+    assert pipeline.flow_chunk(generator, (540, 960)) == 1
+    net = init_random(build_control_srnet("control-a"), 0)
+    assert pipeline.flow_chunk({"net": net}, (48, 64)) == 1
+    # a layerless fnet of 1-channel frames is its own flow: its input counts
+    x2 = NetworkGraph([conv2d_layer("c", 5, 4, 1), pixel_shuffle_layer("s", 2)],
+                      5)
+    bare = {"fnet": NetworkGraph([], 2), "srnet": x2}
+    assert model_geometry(bare, (48, 64)) == (2, 1)
+    assert pipeline.flow_chunk(bare, (48, 64)) == (8 << 20) // (4 * 2 * 48 * 64)
+
+
+def test_vsr_step_rejects_a_flow_of_another_shape(generator):
+    lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
+    with pytest.raises(ShapeError, match=r"flow shape \(1, 2, 8, 16\) does "
+                                         r"not match \(1, 2, 16, 16\)"):
+        vsr_step(generator, lr, flow=np.zeros((1, 2, 8, 16), np.float32))
 
 
 # ---------------------------------------------------------------------------
