@@ -126,8 +126,10 @@ def test_graph_rejects_unknown_skip_source():
      r"got \(2, 2, 3, 2\)"),
     (lambda: NetworkGraph([_conv_of((2, 2, 9))], 2),
      r"weights must be \(c_out, c_in, k, k\), got \(2, 2, 9\)"),
-    (lambda: NetworkGraph([_conv_of((2, 2, 0, 0))], 2),
-     r"layer 0 \('l', conv2d\): k must be >= 1, got 0"),
+    # the id names the input geometry; the text is check_int's
+    pytest.param(lambda: NetworkGraph([_conv_of((2, 2, 0, 0))], 2),
+                 r"layer 0 \('l', conv2d\): k must be >= 1, got 0",
+                 id="<lambda>-invalid geometry k=0 stride=1 pad=1"),
     (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, bias=np.zeros(3))], 2),
      r"layer 0 \('l', conv2d\): bias length 3 != c_out 2"),
     (lambda: NetworkGraph([conv2d_layer("l", 2, 2, 3, stride=0)], 2),
