@@ -29,7 +29,7 @@ from .tensor import DTYPE, check_int
 def _parse_size(text: str) -> tuple:
     """'WxH' -> (w, h)."""
     parts = text.lower().split("x")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise ValueError(f"bad --size {text!r}, expected WxH like 320x180")
     w, h = (int(p) for p in parts)
     if w < 1 or h < 1:

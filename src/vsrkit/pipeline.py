@@ -1,19 +1,18 @@
 """Recurrent video upscaling: flow estimation, warping, reconstruction.
 
-Per frame t the pipeline estimates motion between the previous and current
-low-resolution frames, warps the previous high-resolution output by the
-upscaled flow, packs the warp into the low-resolution grid with
-space-to-depth, and lets the reconstruction net fuse both. Frame 0 uses
-the current frame as its own predecessor and a black previous output.
-The flow net reads only frame pairs, never the recurrent state, so a
-sequence's flows are estimated a chunk of frames at a time, in one batched
-call (:func:`flow_chunk`). The scale and the frame channels are read from
-the graphs' shape rules.
+Per frame t the flow net estimates motion between the previous and
+current low-resolution frames; :func:`vsr_step` warps the previous
+high-resolution output by the upscaled flow, packs the warp into the
+low-resolution grid with space-to-depth, and lets the reconstruction net
+fuse both. The flow net reads only frame pairs, never the recurrent state,
+so :func:`upscale_steps` estimates a sequence's flows a chunk of frames at
+a time, in one batched call (:func:`flow_chunk`), and gives frame 0 itself
+as predecessor and a black previous output. The scale and the frame
+channels are read from the graphs' shape rules, once per sequence.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,14 +115,6 @@ def warp(x: np.ndarray, flow: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class RecurrentState:
-    """What one step hands to the next: the frame pair the flow net needs."""
-
-    prev_lr: np.ndarray
-    prev_hr: np.ndarray
-
-
 def fnet_size(fnet: NetworkGraph, size) -> tuple:
     """The (h, w) the fnet runs at: ``size`` padded to its pooling factor."""
     f = 2 ** sum(ly.kind == "maxpool2" for ly in fnet.layers)
@@ -221,70 +212,61 @@ def estimate_flow(fnet: NetworkGraph, cur: np.ndarray, prev: np.ndarray,
     return np.ascontiguousarray(flow[:, :, :h, :w])
 
 
-def vsr_step(generator: dict, lr: np.ndarray,
-             state: RecurrentState | None = None,
-             backend: str = "gemm", flow: np.ndarray | None = None) -> tuple:
-    """One recurrent step; returns (hr_frame, flow, next_state).
+def vsr_step(srnet: NetworkGraph, lr: np.ndarray, flow: np.ndarray,
+             prev_hr: np.ndarray, backend: str = "gemm") -> np.ndarray:
+    """One recurrent step: the (n, c, h*s, w*s) output for frame ``lr``.
 
-    ``flow`` is the (n, 2, h, w) flow from the state's frame to ``lr``, as
-    :func:`estimate_flow` gives it; without it the step estimates it.
-
-    A bundle that is not an fnet+srnet pair, or one whose graphs disagree
-    (see :func:`model_geometry`), raises :class:`GraphError`. A non-finite
-    input frame, or a non-finite flow (from non-finite weights), raises
+    ``flow`` is the (n, 2, h, w) flow from the previous frame to ``lr``, as
+    :func:`estimate_flow` gives it, and ``prev_hr`` the previous output;
+    the scale s is read from ``prev_hr``. A ``prev_hr`` that is not
+    (n, c, h*s, w*s) for an integer s >= 1, or a flow of another shape,
+    raises :class:`ShapeError` before any layer runs. A non-finite input
+    frame, or a non-finite flow (from non-finite weights), raises
     :class:`NonFiniteError`.
     """
-    pair = _pair(generator)
-    if pair is None:
-        raise GraphError(f"vsr_step needs an fnet+srnet pair, model holds "
-                         f"graphs {sorted(generator)}")
-    fnet, srnet = pair
     lr = tops.check_tensor(lr, "low-resolution frame")
-    scale, frame_c = model_geometry(generator, lr.shape[2:])
     tops.check_finite(lr, "low-resolution frame")
     n, c, h, w = lr.shape
-    if c != frame_c:
-        raise ShapeError(f"frame has {c} channels, net expects {frame_c}")
-    if state is None:
-        state = RecurrentState(
-            prev_lr=lr,
-            prev_hr=np.zeros((n, c, h * scale, w * scale), DTYPE))
-    if state.prev_lr.shape != lr.shape:
-        raise ShapeError(f"state frame shape {state.prev_lr.shape} does not "
-                         f"match input {lr.shape}")
-
-    if flow is None:
-        flow = estimate_flow(fnet, lr, state.prev_lr, backend)
-    elif np.shape(flow) != (n, 2, h, w):
+    if np.shape(flow) != (n, 2, h, w):
         raise ShapeError(f"flow shape {np.shape(flow)} does not match "
                          f"({n}, 2, {h}, {w})")
-    flow_hr = tops.bilinear_resize(flow, float(scale)) * DTYPE(scale)
-    warped = warp(state.prev_hr, flow_hr)
-    packed = tops.space_to_depth(warped, scale)
-    hr = srnet.forward(tops.concat_channels(lr, packed), backend)
-    return hr, flow, RecurrentState(prev_lr=lr, prev_hr=hr)
+    prev_hr = tops.check_tensor(prev_hr, "previous output")
+    s = prev_hr.shape[2] // h
+    if s < 1 or prev_hr.shape != (n, c, h * s, w * s):
+        raise ShapeError(f"previous output shape {prev_hr.shape} is not "
+                         f"({n}, {c}, {h}s, {w}s) for an integer s >= 1")
+    flow_hr = tops.bilinear_resize(flow, float(s)) * DTYPE(s)
+    packed = tops.space_to_depth(warp(prev_hr, flow_hr), s)
+    return srnet.forward(tops.concat_channels(lr, packed), backend)
 
 
 def upscale_steps(bundle: dict, frames: np.ndarray, backend: str = "gemm"):
     """Yield the upscaled (c, h*s, w*s) frames of a (t, c, h, w) sequence,
     one per input frame, for either bundle kind.
 
-    An fnet+srnet pair runs the recurrent :func:`vsr_step` chain. Its
-    flows are estimated :func:`flow_chunk` frames at a time: one
-    :func:`estimate_flow` call on the chunk's (n, 2c, h, w) frame pairs,
-    pair t being (frame t, frame t-1) and frame 0 its own predecessor.
-    Every backend runs a batch image by image, so the bits are those of the
-    per-frame chain. A single net runs ``forward`` on each frame
-    independently. A non-finite input frame, flow or output raises
-    :class:`NonFiniteError` naming the frame (and, for an output, the graph
-    that produced it), after the frames before it.
+    The bundle is checked once, by :func:`model_geometry`, and frames of
+    another channel count raise :class:`ShapeError`. An fnet+srnet pair
+    runs the recurrent :func:`vsr_step` chain, each step handed the last
+    output; frame 0 gets a black one. Its flows are estimated
+    :func:`flow_chunk` frames at a time: one :func:`estimate_flow` call on
+    the chunk's (n, 2c, h, w) frame pairs, pair t being (frame t,
+    frame t-1) and frame 0 its own predecessor. Every backend runs a batch
+    image by image, so the bits are those of the per-frame chain. A single
+    net runs ``forward`` on each frame independently. A non-finite input
+    frame, flow or output raises :class:`NonFiniteError` naming the frame
+    (and, for an output, the graph that produced it), after the frames
+    before it.
     """
     frames = tops.check_tensor(frames, "sequence")
-    model_geometry(bundle, frames.shape[2:])
+    _, c, h, w = frames.shape
+    scale, frame_c = model_geometry(bundle, (h, w))
+    if c != frame_c:
+        raise ShapeError(f"frame has {c} channels, net expects {frame_c}")
     pair = _pair(bundle)
     name, net = ("srnet", None) if pair else next(iter(bundle.items()))
-    chunk = flow_chunk(bundle, frames.shape[2:])
-    state = flows = None
+    chunk = flow_chunk(bundle, (h, w))
+    # frame 0 has a black previous output and is its own predecessor
+    hr = np.zeros((1, c, h * scale, w * scale), DTYPE)
     for t in range(frames.shape[0]):
         try:
             if pair:
@@ -294,8 +276,8 @@ def upscale_steps(bundle: dict, frames: np.ndarray, backend: str = "gemm"):
                     prev = frames[np.arange(t - 1, t - 1 + len(cur)).clip(0)]
                     flows = estimate_flow(pair[0], cur, prev, backend)
                 j = t % chunk
-                hr, _, state = vsr_step(bundle, frames[t:t + 1], state, backend,
-                                        flow=flows[j:j + 1])
+                hr = vsr_step(pair[1], frames[t:t + 1], flows[j:j + 1], hr,
+                              backend)
             else:
                 tops.check_finite(frames[t], "low-resolution frame")
                 hr = net.forward(frames[t:t + 1], backend)

@@ -185,7 +185,7 @@ def test_time_pipeline_recurrent_bundle():
     assert "fnet" in res.arch
     # analytic per-frame cost covers both nets
     assert res.macs_per_frame > 1e8
-    # each at the input vsr_step feeds it: a frame pair, and the frame
+    # each at the input the pipeline feeds it: a frame pair, and the frame
     # with the 4x4 space-to-depth packed warp
     reps = [gen["fnet"].count_flops((1, 2 * 3, 16, 16)),
             gen["srnet"].count_flops((1, 3 * (1 + 4 * 4), 16, 16))]

@@ -518,6 +518,9 @@ def test_estimate_fpga_bad_item_leaves_no_partial_output(capsys, argv):
 @pytest.mark.parametrize("argv, message", [
     (["inspect", "--model", "{model}", "--size", "0x8"],
      "--size dimensions must be positive, got '0x8'"),
+    # int() rejects '²', which str.isdigit() accepts
+    (["inspect", "--model", "{model}", "--size", "\u00b2x5"],
+     "bad --size '\u00b2x5', expected WxH like 320x180"),
     (["upscale", "--model", "{model}", "--in", "{d}/lr", "--out", "{d}/hr"],
      "model expects 1-channel frames, directory holds 2-channel frames"),
     (["score", "--reports", "{d}/nosec.json"],
@@ -527,8 +530,8 @@ def test_estimate_fpga_bad_item_leaves_no_partial_output(capsys, argv):
      "duplicate method label 'a'; use distinct --label values in eval"),
     (["score", "--reports", "{d}/a.json", "--weights", "0.5,0.5"],
      "2 weights for metrics ['psnr']; counts must match"),
-], ids=["zero-size", "frame-channels", "no-metrics-section", "no-reports",
-        "duplicate-label", "weight-count"])
+], ids=["zero-size", "superscript-size", "frame-channels",
+        "no-metrics-section", "no-reports", "duplicate-label", "weight-count"])
 def test_argument_faults_are_clean_errors(tmp_path, capsys, control_model,
                                           argv, message):
     _write_lr_frames(tmp_path, c=2)

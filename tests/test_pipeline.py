@@ -1,6 +1,7 @@
 """Recurrent upscaling pipeline: warping, per-step recursion, sequence runs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,19 +10,21 @@ from vsrkit import (
     GraphError,
     NetworkGraph,
     NonFiniteError,
-    RecurrentState,
     ShapeError,
     bilinear_up_layer,
     build_control_srnet,
     build_fnet,
     build_generator,
     build_srnet,
+    concat_channels,
     conv2d_layer,
+    estimate_flow,
     fuse_conv_bn,
     init_random,
     maxpool2_layer,
     model_geometry,
     pixel_shuffle_layer,
+    space_to_depth,
     vsr_run,
     vsr_step,
     warp,
@@ -101,94 +104,116 @@ def test_warp_rejects_non_finite_flow():
 
 
 # ---------------------------------------------------------------------------
+# flow estimation
+
+def test_estimate_flow_pads_non_multiple_sizes(generator):
+    # 30x22 is not a multiple of the flow net's 8x downsampling factor
+    lr = np.random.default_rng(7).random((2, 3, 30, 22), dtype=np.float32)
+    assert estimate_flow(generator["fnet"], lr, lr[::-1]).shape == (2, 2,
+                                                                    30, 22)
+    assert pipeline.fnet_size(generator["fnet"], (30, 22)) == (32, 24)
+
+
+def test_estimate_flow_respects_displacement_cap(generator):
+    lr = np.random.default_rng(8).random((1, 3, 32, 32), dtype=np.float32)
+    flow = estimate_flow(generator["fnet"], lr, lr[..., ::-1])
+    assert float(np.max(np.abs(flow))) <= 24.0
+
+
+# ---------------------------------------------------------------------------
 # single step
 
+def _zeros_hr(lr):
+    """The black x4 previous output of frame 0."""
+    n, c, h, w = lr.shape
+    return np.zeros((n, c, 4 * h, 4 * w), dtype=np.float32)
+
+
 def test_vsr_step_shapes_and_state(generator):
-    lr = np.random.default_rng(4).random((1, 3, 32, 32), dtype=np.float32)
-    hr, flow, state = vsr_step(generator, lr)
-    assert hr.shape == (1, 3, 128, 128)
-    assert flow.shape == (1, 2, 32, 32)
-    assert isinstance(state, RecurrentState)
-    assert np.array_equal(state.prev_lr, lr)
-    assert np.array_equal(state.prev_hr, hr)
+    rng = np.random.default_rng(4)
+    a, b = rng.random((2, 1, 3, 32, 32), dtype=np.float32)
+    hr = vsr_step(generator["srnet"], a, estimate_flow(generator["fnet"], a, a),
+                  _zeros_hr(a))
+    assert isinstance(hr, np.ndarray) and hr.shape == (1, 3, 128, 128)
     assert np.all(np.isfinite(hr))
+    # the output is the next step's previous output
+    hr2 = vsr_step(generator["srnet"], b, estimate_flow(generator["fnet"], b, a),
+                   hr)
+    assert hr2.shape == hr.shape and np.all(np.isfinite(hr2))
 
 
 def test_vsr_step_first_frame_uses_zero_history(generator):
-    lr = np.random.default_rng(5).random((1, 3, 32, 32), dtype=np.float32)
-    zero_state = RecurrentState(
-        prev_lr=np.zeros_like(lr),
-        prev_hr=np.zeros((1, 3, 128, 128), dtype=np.float32))
-    hr_default, _, _ = vsr_step(generator, lr)
-    hr_explicit, _, _ = vsr_step(generator, lr, zero_state)
-    # the implicit first-frame state is all-zero history except prev_lr,
-    # which repeats the current frame; flows differ so outputs may too,
-    # but both paths stay finite and share the output grid
-    assert hr_default.shape == hr_explicit.shape
-    assert np.all(np.isfinite(hr_explicit))
+    frames = np.random.default_rng(5).random((2, 3, 16, 16), dtype=np.float32)
+    f0 = frames[:1]
+    flow = estimate_flow(generator["fnet"], f0, f0)
+    hr0 = vsr_step(generator["srnet"], f0, flow, _zeros_hr(f0))
+    # vsr_run's frame 0 is its own predecessor, with a black previous output
+    assert np.array_equal(vsr_run(generator, frames)[0], hr0[0])
+    # a black previous output warps to black whatever the flow
+    other = np.random.default_rng(6).normal(0, 3, flow.shape).astype(np.float32)
+    assert np.array_equal(vsr_step(generator["srnet"], f0, other, _zeros_hr(f0)),
+                          hr0)
 
 
 def test_vsr_step_is_a_pure_function_of_state(generator):
     rng = np.random.default_rng(6)
-    a = rng.random((1, 3, 24, 24), dtype=np.float32)
-    b = rng.random((1, 3, 24, 24), dtype=np.float32)
-    _, _, state = vsr_step(generator, a)
-    hr1, flow1, _ = vsr_step(generator, b, state)
-    rebuilt = RecurrentState(prev_lr=state.prev_lr.copy(),
-                             prev_hr=state.prev_hr.copy())
-    hr2, flow2, _ = vsr_step(generator, b, rebuilt)
-    assert np.array_equal(hr1, hr2)
-    assert np.array_equal(flow1, flow2)
-
-
-def test_vsr_step_pads_non_multiple_sizes(generator):
-    # 30x22 is not a multiple of the flow net's 8x downsampling factor
-    lr = np.random.default_rng(7).random((1, 3, 30, 22), dtype=np.float32)
-    hr, flow, _ = vsr_step(generator, lr)
-    assert flow.shape == (1, 2, 30, 22)
-    assert hr.shape == (1, 3, 120, 88)
-
-
-def test_vsr_step_flow_respects_displacement_cap(generator):
-    lr = np.random.default_rng(8).random((1, 3, 32, 32), dtype=np.float32)
-    _, flow, _ = vsr_step(generator, lr)
-    assert float(np.max(np.abs(flow))) <= 24.0
+    a, b = rng.random((2, 1, 3, 24, 24), dtype=np.float32)
+    srnet = generator["srnet"]
+    prev = vsr_step(srnet, a, estimate_flow(generator["fnet"], a, a),
+                    _zeros_hr(a))
+    kept = prev.copy()
+    flow = estimate_flow(generator["fnet"], b, a)
+    hr1 = vsr_step(srnet, b, flow, prev)
+    assert np.array_equal(prev, kept)
+    assert np.array_equal(vsr_step(srnet, b, flow.copy(), kept), hr1)
 
 
 def test_vsr_step_identical_frames_with_zero_flow_reuse_history(generator):
     # a zero-weight flow net makes warping the identity, so the recurrent
     # frame re-enters the reconstruction net unchanged
-    gen = {"fnet": build_fnet(), "srnet": generator["srnet"]}
+    srnet = generator["srnet"]
     lr = np.random.default_rng(9).random((1, 3, 16, 16), dtype=np.float32)
-    hr1, flow, state = vsr_step(gen, lr)
+    flow = estimate_flow(build_fnet(), lr, lr)
     assert np.all(flow == 0.0)
-    hr2, _, _ = vsr_step(gen, lr, state)
+    hr1 = vsr_step(srnet, lr, flow, _zeros_hr(lr))
+    hr2 = vsr_step(srnet, lr, flow, hr1)
+    want = srnet.forward(concat_channels(lr, space_to_depth(hr1, 4)))
+    assert np.array_equal(hr2, want)
     assert np.all(np.isfinite(hr2))
 
 
-def test_vsr_step_validates_generator(generator):
-    lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
-    with pytest.raises(GraphError, match=r"needs an fnet\+srnet pair"):
-        vsr_step({"fnet": generator["fnet"]}, lr)
-
-
-@pytest.mark.parametrize("frame, state_size, match", [
-    ((1, 1, 16, 16), None, "frame has 1 channels, net expects 3"),
-    ((1, 3, 16, 16), (24, 24), r"state frame shape \(1, 3, 24, 24\) does "
-                               r"not match input \(1, 3, 16, 16\)"),
-])
-def test_vsr_step_rejects_a_frame_or_state_of_another_shape(
-        generator, monkeypatch, frame, state_size, match):
-    state = None
-    if state_size is not None:
-        state = vsr_step(generator, np.zeros((1, 3, *state_size),
-                                             dtype=np.float32))[2]
+@pytest.mark.parametrize("prev_shape", [(2, 3, 64, 64), (1, 1, 64, 64),
+                                        (1, 3, 40, 40), (1, 3, 64, 48),
+                                        (1, 3, 8, 8)],
+                         ids=["batch", "channels", "non-integer-multiple",
+                              "two-scales", "below-the-frame"])
+def test_vsr_step_rejects_a_previous_output_that_does_not_fit(
+        generator, monkeypatch, prev_shape):
     ran = []
-    monkeypatch.setattr(pipeline, "estimate_flow",
-                        lambda *args: ran.append(1))
-    with pytest.raises(ShapeError, match=match):
-        vsr_step(generator, np.zeros(frame, dtype=np.float32), state)
+    forward = NetworkGraph.forward
+
+    def counting(self, *args, **kwargs):
+        ran.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkGraph, "forward", counting)
+    monkeypatch.setattr(pipeline, "warp", lambda *args: ran.append(1))
+    lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
+    flow = np.zeros((1, 2, 16, 16), dtype=np.float32)
+    want = (re.escape(f"previous output shape {prev_shape} is not ")
+            + r"\(1, 3, 16s, 16s\) for an integer s >= 1")
+    with pytest.raises(ShapeError, match=want):
+        vsr_step(generator["srnet"], lr, flow,
+                 np.zeros(prev_shape, dtype=np.float32))
     assert not ran
+
+
+def test_vsr_step_rejects_a_flow_of_another_shape(generator):
+    lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
+    with pytest.raises(ShapeError, match=r"flow shape \(1, 2, 8, 16\) does "
+                                         r"not match \(1, 2, 16, 16\)"):
+        vsr_step(generator["srnet"], lr, np.zeros((1, 2, 8, 16), np.float32),
+                 _zeros_hr(lr))
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +239,28 @@ def test_vsr_run_first_frame_matches_vsr_step(generator):
     frames = np.random.default_rng(12).random((3, 3, 16, 16),
                                               dtype=np.float32)
     out = vsr_run(generator, frames)
-    hr0, _, state = vsr_step(generator, frames[0:1])
+    fnet, srnet = generator["fnet"], generator["srnet"]
+    f0 = frames[0:1]
+    hr0 = vsr_step(srnet, f0, estimate_flow(fnet, f0, f0), _zeros_hr(f0))
     assert np.array_equal(out[0:1], hr0)
-    hr1, _, _ = vsr_step(generator, frames[1:2], state)
+    hr1 = vsr_step(srnet, frames[1:2], estimate_flow(fnet, frames[1:2], f0),
+                   hr0)
     assert np.array_equal(out[1:2], hr1)
+
+
+def test_vsr_run_rejects_frames_of_another_channel_count(generator,
+                                                         monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph ran")
+
+    monkeypatch.setattr(NetworkGraph, "forward", refuse)
+    net = build_control_srnet("control-a")
+    for bundle, c, match in ((generator, 1, "frame has 1 channels, net "
+                                            "expects 3"),
+                             ({"net": net}, 3, "frame has 3 channels, net "
+                                               "expects 1")):
+        with pytest.raises(ShapeError, match=match):
+            vsr_run(bundle, np.zeros((2, c, 16, 16), dtype=np.float32))
 
 
 def test_vsr_run_rejects_empty_sequence(generator):
@@ -308,6 +351,30 @@ def test_vsr_run_calls_vsr_step_through_the_module_global(generator,
     assert len(calls) == 3
 
 
+def test_each_extra_frame_plans_the_srnet_once(generator, monkeypatch):
+    # the bundle is checked once per sequence: model_geometry plans each
+    # graph and flow_chunk the fnet; then the one flow chunk of these
+    # 48x64 sequences plans the fnet once, and each frame the srnet once
+    plans = []
+    plan = NetworkGraph._plan
+
+    def counting(self, *args, **kwargs):
+        plans.append(self)
+        return plan(self, *args, **kwargs)
+
+    assert pipeline.flow_chunk(generator, (48, 64)) >= 3
+    monkeypatch.setattr(NetworkGraph, "_plan", counting)
+    frames = np.random.default_rng(20).random((3, 3, 48, 64),
+                                              dtype=np.float32)
+    counts = []
+    for t in (1, 2, 3):
+        plans.clear()
+        vsr_run(generator, frames[:t])
+        counts.append(tuple(sum(p is generator[k] for p in plans)
+                            for k in ("srnet", "fnet")))
+    assert counts == [(2, 3), (3, 3), (4, 3)]
+
+
 # ---------------------------------------------------------------------------
 # flows a chunk of frames at a time
 
@@ -320,9 +387,15 @@ def _chunk_of(monkeypatch, bundle, size, frames):
 
 
 def _per_frame_chain(bundle, frames, backend):
-    state, out = None, []
+    """vsr_run frame by frame: one flow per frame pair, frame 0 paired with
+    itself and given a black previous output."""
+    _, c, h, w = frames.shape
+    scale, _ = model_geometry(bundle, (h, w))
+    hr, out = np.zeros((1, c, h * scale, w * scale), np.float32), []
     for t in range(frames.shape[0]):
-        hr, _, state = vsr_step(bundle, frames[t:t + 1], state, backend)
+        lr, prev = frames[t:t + 1], frames[max(t - 1, 0):max(t, 1)]
+        flow = estimate_flow(bundle["fnet"], lr, prev, backend)
+        hr = vsr_step(bundle["srnet"], lr, flow, hr, backend)
         out.append(hr[0])
     return np.stack(out)
 
@@ -391,13 +464,6 @@ def test_flow_chunk_is_read_from_the_plan(generator, monkeypatch):
     assert pipeline.flow_chunk(bare, (48, 64)) == (8 << 20) // (4 * 2 * 48 * 64)
 
 
-def test_vsr_step_rejects_a_flow_of_another_shape(generator):
-    lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
-    with pytest.raises(ShapeError, match=r"flow shape \(1, 2, 8, 16\) does "
-                                         r"not match \(1, 2, 16, 16\)"):
-        vsr_step(generator, lr, flow=np.zeros((1, 2, 8, 16), np.float32))
-
-
 # ---------------------------------------------------------------------------
 # bundle geometry
 
@@ -412,7 +478,7 @@ def test_model_geometry_of_both_bundle_kinds(generator):
 
 def test_model_geometry_ignores_meta(generator):
     frame = np.random.default_rng(8).random((1, 3, 16, 16), dtype=np.float32)
-    want = vsr_step(generator, frame)[0]
+    want = vsr_run(generator, frame)
     for key, value in (("scale", None), ("scale", "x"), ("scale", 0),
                        ("scale", 4.5), ("scale", True),
                        ("frame_channels", [1]), ("frame_channels", 1),
@@ -425,7 +491,7 @@ def test_model_geometry_ignores_meta(generator):
             srnet.meta[key] = value
         bundle = {"fnet": generator["fnet"], "srnet": srnet}
         assert model_geometry(bundle, (16, 16)) == (4, 3), (key, value)
-        assert np.array_equal(vsr_step(bundle, frame)[0], want), (key, value)
+        assert np.array_equal(vsr_run(bundle, frame), want), (key, value)
     control = build_control_srnet("control-a")
     control.meta.update(scale=2, frame_channels=3)
     assert model_geometry({"net": control}, (8, 8)) == (3, 1)
@@ -485,8 +551,6 @@ def test_pair_that_disagrees_is_a_named_error_before_any_forward(
              "graph 'fnet': layer 0 \\('wide', conv2d\\): conv geometry")):
         with pytest.raises(GraphError, match=match):
             model_geometry(bundle, (16, 16))
-        with pytest.raises(GraphError, match=match):
-            vsr_step(bundle, frames[:1])
         with pytest.raises(GraphError, match=match):
             vsr_run(bundle, frames)
     assert not ran

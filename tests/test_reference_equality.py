@@ -25,6 +25,7 @@ from vsrkit import (
     build_generator,
     default_perceptual_distance,
     dense_flow,
+    estimate_flow,
     evaluate_sequence,
     psnr,
     read_f32,
@@ -439,10 +440,16 @@ def test_evaluate_sequence_peak_memory_at_384x512():
 # the frame loop behind vsr_run
 
 def _reference_vsr_run(generator, frames, backend):
-    state = None
+    """One flow and one step per frame: frame 0 is its own predecessor and
+    starts from a black x4 output."""
+    t, c, h, w = frames.shape
+    hr = np.zeros((1, c, 4 * h, 4 * w), DTYPE)
     outs = []
-    for t in range(frames.shape[0]):
-        hr, _, state = vsr_step(generator, frames[t:t + 1], state, backend)
+    for i in range(t):
+        lr = frames[i:i + 1]
+        flow = estimate_flow(generator["fnet"], lr,
+                             frames[max(i - 1, 0):max(i, 1)], backend)
+        hr = vsr_step(generator["srnet"], lr, flow, hr, backend)
         outs.append(hr[0])
     return np.stack(outs).astype(DTYPE)
 
