@@ -47,7 +47,8 @@ from .models import (
     build_generator,
     build_srnet,
 )
-from .pipeline import estimate_flow, model_geometry, vsr_run, vsr_step, warp
+from .pipeline import (estimate_flow, model_geometry, plan_sequence,
+                       vsr_run, vsr_step, warp)
 from .metrics import (
     FlowResult,
     MetricRecord,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import metrics as qmetrics
 from .graph import fuse_conv_bn
-from .pipeline import flow_chunk, graph_cost, model_geometry, upscale_steps
+from .pipeline import plan_sequence, upscale_steps
 from .tensor import ShapeError, check_int
 
 # Default device budget: a Kintex-7 325T class part (326k LUTs) at a
@@ -121,12 +121,12 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
     """Steady-state FPS on a seeded synthetic sequence of ``size`` =
     (height, width) frames.
 
-    ``bundle`` is any name -> graph dict :func:`vsr_run` accepts (a single
-    net or a recurrent pair); it fixes the frames' channel count. Warm-up
-    frames run first and are not timed. Each frame's time is the monotonic
-    gap between consecutive frames of :func:`upscale_steps`, spread evenly
-    over each chunk of :func:`flow_chunk` frames: a chunk's first frame
-    carries the flows of the whole chunk.
+    ``bundle`` is any name -> graph dict :func:`vsr_run` accepts; it fixes
+    the frames' channel count. Warm-up frames run first and are not timed.
+    Each frame's time is the monotonic gap between consecutive frames of
+    :func:`upscale_steps`, spread evenly over each flow chunk, whose first
+    frame carries its flows. Scale, channels, chunk and costs come from the
+    run's one :func:`plan_sequence`.
     """
     frames = check_int(frames, "frames", 1)
     warmup = check_int(warmup, "warmup", 0)
@@ -136,30 +136,29 @@ def time_pipeline(bundle, size, frames: int, backend: str = "gemm",
         raise ShapeError(f"size must be >= 1, got {(h, w)}")
     if fused:
         bundle = {k: fuse_conv_bn(g) for k, g in bundle.items()}
-    scale, c = model_geometry(bundle, (h, w))
+    plan = plan_sequence(bundle, (h, w), backend)
     # graph names in reverse order: a recurrent pair reads <srnet>+<fnet>
     arch = "+".join(str(bundle[k].meta.get("arch", k))
                     for k in sorted(bundle, reverse=True))
-    rng = np.random.default_rng(seed)
-    seq = rng.random((frames + warmup, c, h, w), dtype=np.float32)
+    seq = np.random.default_rng(seed).random(
+        (frames + warmup, plan.channels, h, w), dtype=np.float32)
 
     times = []
     t0 = time.perf_counter()
-    for _ in upscale_steps(bundle, seq, backend):
+    for _ in upscale_steps(bundle, seq, backend, plan=plan):
         t1 = time.perf_counter()
         times.append(t1 - t0)
         t0 = t1
-    chunk = flow_chunk(bundle, (h, w))
     even = []
-    for i in range(0, len(times), chunk):
-        part = times[i:i + chunk]
+    for i in range(0, len(times), plan.chunk):
+        part = times[i:i + plan.chunk]
         even += [sum(part) / len(part)] * len(part)
     times = even[warmup:]
 
     wall = float(sum(times))
-    reps = [graph_cost(bundle, k, (h, w)) for k in bundle]
+    reps = plan.plans.values()
     macs, flops = sum(r.mac_total for r in reps), sum(r.flops for r in reps)
-    return BenchResult(arch=arch, height=h, width=w, scale=scale,
+    return BenchResult(arch=arch, height=h, width=w, scale=plan.scale,
                        backend=backend, fused=fused, frames=frames,
                        warmup=warmup, wall_time_s=wall,
                        fps=frames / wall if wall > 0 else float("inf"),

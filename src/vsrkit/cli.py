@@ -22,7 +22,7 @@ from .frame_io import read_sequence, write_sequence
 from .graph import fuse_conv_bn, init_random
 from .model_io import load_bundle, save_model
 from .models import ARCH_NAMES, build_control_srnet, build_generator
-from .pipeline import graph_cost, model_geometry, vsr_run
+from .pipeline import model_geometry, plan_graph, vsr_run
 from .tensor import DTYPE, check_int
 
 
@@ -230,13 +230,11 @@ def cmd_estimate_fpga(args) -> dict:
 def cmd_inspect(args) -> None:
     bundle = load_bundle(args.model)
     size = None if args.size is None else _parse_size(args.size)[::-1]  # (h, w)
-    grand = 0
     for gname in sorted(bundle):
         graph = bundle[gname]
-        grand += graph.count_params()
         print(f"graph {gname}: in_channels={graph.in_channels} "
               f"layers={len(graph.layers)} meta={json.dumps(graph.meta, sort_keys=True)}")
-        report = graph_cost(bundle, gname, size) if size else None
+        report = plan_graph(bundle, gname, size) if size else None
         for i, layer in enumerate(graph.layers):
             line = (f"  {i:3d} {layer.name:<16} {layer.kind:<18} "
                     f"params={layer.param_count()}")
@@ -253,7 +251,8 @@ def cmd_inspect(args) -> None:
                   f"macs={report.macs} pointwise={report.pointwise_ops} "
                   f"mac_total={report.mac_total} flops={report.flops}")
     if len(bundle) > 1:
-        print(f"model total params={grand}")
+        print(f"model total params="
+              f"{sum(g.count_params() for g in bundle.values())}")
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ class NetworkGraph:
         if backend not in convops.BACKENDS:
             raise ValueError(f"unknown backend {backend!r}")
         seen: dict[str, tuple] = {}
-        cur, plan = (c, h, w), Plan(in_shape)
+        cur, plan = (c, h, w), Plan(in_shape, backend)
         for i, ly in enumerate(self.layers):
             _, ints, arrays = LAYER_KINDS[ly.kind]
             try:
@@ -372,11 +372,17 @@ class NetworkGraph:
 
     # -- execution -------------------------------------------------------------
 
-    def forward(self, x: np.ndarray, backend: str = "gemm") -> np.ndarray:
+    def forward(self, x: np.ndarray, backend: str = "gemm", *,
+                plan: Plan | None = None) -> np.ndarray:
         """Deterministic forward pass through the named conv backend; every
-        layer's shape rule is checked for the input size before any runs."""
+        layer's shape rule is checked before any runs, here or in ``plan``:
+        a plan of this graph at x's (c, h, w) and backend, for any n."""
         x = tops.check_tensor(x, "graph input")
-        return self._plan(x.shape, backend).run(x)
+        plan = plan or self._plan(x.shape, backend)
+        if (plan.in_shape[1:], plan.backend) != (x.shape[1:], backend):
+            raise GraphError(f"plan for {plan.in_shape[1:]} on {plan.backend} "
+                             f"cannot run {x.shape[1:]} on {backend}")
+        return plan.run(x)
 
     # -- accounting --------------------------------------------------------------
 
@@ -399,11 +405,11 @@ class NetworkGraph:
 
 @dataclass
 class Plan:
-    """One forward pass of a graph at one input shape: each layer's
-    ``count_flops`` row and step, and for each ``residual_add`` source the
-    index of its last reader."""
+    """One forward pass of a graph at one input shape and backend: each
+    layer's ``count_flops`` row and step, and each skip source's last reader."""
 
     in_shape: tuple
+    backend: str = "gemm"
     per_layer: list = field(default_factory=list)
     steps: list = field(default_factory=list)
     last_read: dict = field(default_factory=dict)

@@ -15,7 +15,7 @@ strided transposed conv, sub-pixel shuffle). They exist to compare the
 cost and behavior of the three standard upsampling strategies.
 
 A graph's ``meta`` holds only its ``arch``: the scale and the frame channels
-are facts of the layers, read by :func:`vsrkit.pipeline.model_geometry`.
+are facts of the layers, read by :func:`vsrkit.pipeline.plan_sequence`.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ import pytest
 from vsrkit import (
     BenchResult,
     FpgaProfile,
+    NetworkGraph,
     ShapeError,
     build_control_srnet,
     build_fnet,
@@ -207,6 +208,26 @@ def test_time_pipeline_costs_the_fnet_at_its_padded_size():
     assert single.macs_per_frame == net.count_flops((1, 1, 12, 12)).mac_total
 
 
+def test_time_pipeline_plans_each_graph_once(monkeypatch):
+    # scale, channels, chunk and costs are read from the plan_sequence
+    # that the timed run uses
+    gen = {"fnet": init_random(build_fnet(), 1),
+           "srnet": init_random(build_srnet(), 2)}
+    net = {"net": build_control_srnet("control-a")}
+    plans = []
+    plan = NetworkGraph._plan
+
+    def counting(self, *args, **kwargs):
+        plans.extend(k for b in (gen, net) for k, g in b.items() if g is self)
+        return plan(self, *args, **kwargs)
+
+    monkeypatch.setattr(NetworkGraph, "_plan", counting)
+    for bundle in (gen, net):
+        plans.clear()
+        time_pipeline(bundle, (16, 16), frames=3, warmup=1)
+        assert sorted(plans) == sorted(bundle)
+
+
 def test_time_pipeline_cost_fields_are_run_independent():
     g = init_random(build_control_srnet("control-b"), 3)
     a = time_pipeline({"net": g}, (10, 10), frames=2, warmup=0, seed=5)
@@ -251,9 +272,9 @@ def test_time_pipeline_spreads_a_chunk_of_flows_over_its_frames(monkeypatch):
                         SimpleNamespace(perf_counter=lambda: now[0]))
     estimate, step = pipeline.estimate_flow, pipeline.vsr_step
 
-    def slow_flow(*args):
+    def slow_flow(*args, **kwargs):
         now[0] += 3.0
-        return estimate(*args)
+        return estimate(*args, **kwargs)
 
     def slow_step(*args, **kwargs):
         now[0] += 1.0
@@ -262,7 +283,7 @@ def test_time_pipeline_spreads_a_chunk_of_flows_over_its_frames(monkeypatch):
     monkeypatch.setattr(pipeline, "estimate_flow", slow_flow)
     monkeypatch.setattr(pipeline, "vsr_step", slow_step)
     gen = {"fnet": build_fnet(), "srnet": build_srnet()}
-    plan = pipeline.graph_cost(gen, "fnet", (16, 16))
+    plan = pipeline.plan_sequence(gen, (16, 16)).plans["fnet"]
     largest = max(math.prod(r["out_shape"]) for r in plan.per_layer)
     monkeypatch.setattr(pipeline, "FLOW_BATCH_BYTES", 4 * largest * 3)
     res = time_pipeline(gen, (16, 16), frames=4, warmup=2)

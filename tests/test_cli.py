@@ -22,6 +22,8 @@ from vsrkit import (
     load_bundle,
     luma,
     maxpool2_layer,
+    model_geometry,
+    pixel_shuffle_layer,
     read_sequence,
     save_model,
     score_table,
@@ -130,6 +132,52 @@ def test_inspect_costs_a_pair_at_the_sizes_bench_runs(tmp_path, capsys):
                  str(report)]) == 0
     row = json.loads(report.read_text())["sections"]["bench"][0]
     assert row["macs_per_frame"] == sum(int(m) for *_, m in ops["12x12"])
+
+
+@pytest.mark.parametrize("name", ["three-graphs", "downscaling-net"])
+def test_inspect_costs_models_that_do_not_upscale_as_a_sequence(
+        tmp_path, capsys, name):
+    # inspect costs each graph on its own: a bundle of three graphs (whose
+    # "fnet" is not padded, as it is no pair's) and a net that maps 10x10
+    # to 5x5 are shown, though neither can upscale a sequence
+    bundles = {
+        "three-graphs": {
+            "fnet": NetworkGraph([maxpool2_layer("pool")], 2),
+            "srnet": NetworkGraph([conv2d_layer("c", 5, 4, 3),
+                                   pixel_shuffle_layer("up", 2)], 5),
+            "extra": NetworkGraph([], 1)},
+        "downscaling-net": {"net": NetworkGraph(
+            [conv2d_layer("down", 1, 2, 3, stride=2),
+             activation_layer("act", "relu")], 1)}}
+    texts = {
+        "three-graphs": """\
+graph extra: in_channels=1 layers=0 meta={}
+graph extra total params=0
+graph extra ops at 10x10: macs=0 pointwise=0 mac_total=0 flops=0
+graph fnet: in_channels=2 layers=1 meta={}
+    0 pool             maxpool2           params=0 out=2x5x5 macs=0 pointwise=50
+graph fnet total params=0
+graph fnet ops at 10x10: macs=0 pointwise=50 mac_total=50 flops=50
+graph srnet: in_channels=5 layers=2 meta={}
+    0 c                conv2d             params=184 out=4x10x10 macs=18000 pointwise=0
+    1 up               pixel_shuffle      params=0 out=1x20x20 macs=0 pointwise=0
+graph srnet total params=184
+graph srnet ops at 10x10: macs=18000 pointwise=0 mac_total=18000 flops=36000
+model total params=184
+""",
+        "downscaling-net": """\
+graph net: in_channels=1 layers=2 meta={}
+    0 down             conv2d             params=20 out=2x5x5 macs=450 pointwise=0
+    1 act              activation         params=0 out=2x5x5 macs=0 pointwise=50
+graph net total params=20
+graph net ops at 10x10: macs=450 pointwise=50 mac_total=500 flops=950
+"""}
+    model = tmp_path / "m.vsm"
+    save_model(bundles[name], model)
+    with pytest.raises(GraphError):
+        model_geometry(bundles[name], (10, 10))
+    assert main(["inspect", "--model", str(model), "--size", "10x10"]) == 0
+    assert capsys.readouterr().out == texts[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Layer graphs: validation, forward execution, BN folding, cost counters."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -429,6 +431,25 @@ def test_forward_rejects_a_size_or_backend_before_running_a_layer(
     with pytest.raises(error, match=match):
         g.forward(np.zeros((1, 3, 7, 9), dtype=np.float32), backend)
     assert counts == {}
+
+
+def test_forward_runs_a_plan_it_is_handed_for_any_batch(monkeypatch):
+    g = init_random(NetworkGraph([conv2d_layer("c", 3, 4, 3),
+                                  maxpool2_layer("p")], in_channels=3), 0)
+    x = np.random.default_rng(3).random((2, 3, 7, 9), dtype=np.float32)
+    plan = g.count_flops((1, 3, 7, 9))
+    want = g.forward(x)
+    planned = []
+    monkeypatch.setattr(NetworkGraph, "_plan",
+                        lambda *args: planned.append(args))
+    assert np.array_equal(g.forward(x, plan=plan), want)
+    assert not planned
+    # a plan of another frame size or backend is named before any runs
+    for y, backend, got in ((x[..., :8], "gemm", "(3, 7, 8) on gemm"),
+                            (x, "winograd", "(3, 7, 9) on winograd")):
+        with pytest.raises(GraphError, match=re.escape(
+                f"plan for (3, 7, 9) on gemm cannot run {got}")):
+            g.forward(y, backend, plan=plan)
 
 
 @pytest.mark.parametrize("layer, kind", [

@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -184,9 +185,10 @@ def test_vsr_step_identical_frames_with_zero_flow_reuse_history(generator):
 
 @pytest.mark.parametrize("prev_shape", [(2, 3, 64, 64), (1, 1, 64, 64),
                                         (1, 3, 40, 40), (1, 3, 64, 48),
-                                        (1, 3, 8, 8)],
+                                        (1, 3, 8, 8), (1, 3, 96, 96)],
                          ids=["batch", "channels", "non-integer-multiple",
-                              "two-scales", "below-the-frame"])
+                              "two-scales", "below-the-frame",
+                              "another-scale"])
 def test_vsr_step_rejects_a_previous_output_that_does_not_fit(
         generator, monkeypatch, prev_shape):
     ran = []
@@ -200,8 +202,11 @@ def test_vsr_step_rejects_a_previous_output_that_does_not_fit(
     monkeypatch.setattr(pipeline, "warp", lambda *args: ran.append(1))
     lr = np.zeros((1, 3, 16, 16), dtype=np.float32)
     flow = np.zeros((1, 2, 16, 16), dtype=np.float32)
+    # "another-scale" is the x4 output of a 24x24 frame: x6 of this one,
+    # which the srnet's 3 * (1 + 4^2) input channels do not fit
     want = (re.escape(f"previous output shape {prev_shape} is not ")
-            + r"\(1, 3, 16s, 16s\) for an integer s >= 1")
+            + r"\(1, 3, 16s, 16s\) for an integer s >= 1 with "
+            + re.escape("3 * (1 + s^2) = 51 (srnet inputs)"))
     with pytest.raises(ShapeError, match=want):
         vsr_step(generator["srnet"], lr, flow,
                  np.zeros(prev_shape, dtype=np.float32))
@@ -214,6 +219,49 @@ def test_vsr_step_rejects_a_flow_of_another_shape(generator):
                                          r"not match \(1, 2, 16, 16\)"):
         vsr_step(generator["srnet"], lr, np.zeros((1, 2, 8, 16), np.float32),
                  _zeros_hr(lr))
+
+
+def test_vsr_step_frees_the_warp_before_the_srnet_runs(generator,
+                                                       monkeypatch):
+    # the upscaled flow, the warp and its packing are dead once their
+    # concatenation exists, so only that input is alive in the srnet pass
+    live = []
+    s2d, forward = pipeline.tops.space_to_depth, NetworkGraph.forward
+
+    def packing(*args, **kwargs):
+        out = s2d(*args, **kwargs)
+        live.append(weakref.ref(out))
+        return out
+
+    def checking(self, *args, **kwargs):
+        assert live and all(ref() is None for ref in live)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.tops, "space_to_depth", packing)
+    monkeypatch.setattr(NetworkGraph, "forward", checking)
+    rng = np.random.default_rng(11)
+    lr = rng.random((1, 3, 16, 16), dtype=np.float32)
+    flow = rng.normal(0, 2, (1, 2, 16, 16)).astype(np.float32)
+    hr = vsr_step(generator["srnet"], lr, flow, _zeros_hr(lr))
+    assert len(live) == 1 and hr.shape == (1, 3, 64, 64)
+
+
+@pytest.mark.parametrize("backend", ["gemm", "winograd"])
+def test_a_plan_runs_the_bits_of_planning_again(generator, backend):
+    # the plan keyword only hands down what the caller planned
+    rng = np.random.default_rng(12)
+    frames = rng.random((2, 3, 11, 13), dtype=np.float32)
+    plans = pipeline.plan_sequence(generator, (11, 13), backend).plans
+    prev = frames[[0, 0]]
+    fnet, srnet = generator["fnet"], generator["srnet"]
+    flow = estimate_flow(fnet, frames, prev, backend)
+    assert np.array_equal(estimate_flow(fnet, frames, prev, backend,
+                                        plan=plans["fnet"]), flow)
+    hr = rng.random((1, 3, 44, 52), dtype=np.float32)
+    assert np.array_equal(
+        vsr_step(srnet, frames[:1], flow[:1], hr, backend,
+                 plan=plans["srnet"]),
+        vsr_step(srnet, frames[:1], flow[:1], hr, backend))
 
 
 # ---------------------------------------------------------------------------
@@ -351,28 +399,32 @@ def test_vsr_run_calls_vsr_step_through_the_module_global(generator,
     assert len(calls) == 3
 
 
-def test_each_extra_frame_plans_the_srnet_once(generator, monkeypatch):
-    # the bundle is checked once per sequence: model_geometry plans each
-    # graph and flow_chunk the fnet; then the one flow chunk of these
-    # 48x64 sequences plans the fnet once, and each frame the srnet once
+def _count_plans(monkeypatch, bundle):
+    """A list that gets, for each graph of ``bundle`` planned, its name."""
     plans = []
     plan = NetworkGraph._plan
 
     def counting(self, *args, **kwargs):
-        plans.append(self)
+        plans.extend(k for k, g in bundle.items() if g is self)
         return plan(self, *args, **kwargs)
 
-    assert pipeline.flow_chunk(generator, (48, 64)) >= 3
     monkeypatch.setattr(NetworkGraph, "_plan", counting)
+    return plans
+
+
+def test_a_sequence_plans_each_graph_once(generator, monkeypatch):
+    # plan_sequence plans each graph once, and every frame and every flow
+    # chunk runs those plans, whether a chunk holds all frames or one
     frames = np.random.default_rng(20).random((3, 3, 48, 64),
                                               dtype=np.float32)
-    counts = []
-    for t in (1, 2, 3):
-        plans.clear()
-        vsr_run(generator, frames[:t])
-        counts.append(tuple(sum(p is generator[k] for p in plans)
-                            for k in ("srnet", "fnet")))
-    assert counts == [(2, 3), (3, 3), (4, 3)]
+    assert pipeline.plan_sequence(generator, (48, 64)).chunk >= 3
+    plans = _count_plans(monkeypatch, generator)
+    for chunk in (10, 1):
+        _chunk_of(monkeypatch, generator, (48, 64), chunk)
+        for t in (1, 2, 3):
+            plans.clear()
+            vsr_run(generator, frames[:t])
+            assert sorted(plans) == ["fnet", "srnet"], (chunk, t)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +432,10 @@ def test_each_extra_frame_plans_the_srnet_once(generator, monkeypatch):
 
 def _chunk_of(monkeypatch, bundle, size, frames):
     """Set ``FLOW_BATCH_BYTES`` so that a chunk holds ``frames`` frames."""
-    plan = pipeline.graph_cost(bundle, "fnet", size)
+    plan = pipeline.plan_sequence(bundle, size).plans["fnet"]
     largest = max(math.prod(r["out_shape"]) for r in plan.per_layer)
     monkeypatch.setattr(pipeline, "FLOW_BATCH_BYTES", 4 * largest * frames)
-    assert pipeline.flow_chunk(bundle, size) == frames
+    assert pipeline.plan_sequence(bundle, size).chunk == frames
 
 
 def _per_frame_chain(bundle, frames, backend):
@@ -415,9 +467,9 @@ def test_batched_flows_give_the_bits_of_the_per_frame_chain(
         _chunk_of(monkeypatch, bundle, (11, 13), chunk)
         seen = []
 
-        def counting(fnet, cur, prev, backend):
+        def counting(fnet, cur, prev, backend, **kwargs):
             seen.append(cur.shape[0])
-            return estimate(fnet, cur, prev, backend)
+            return estimate(fnet, cur, prev, backend, **kwargs)
 
         monkeypatch.setattr(pipeline, "estimate_flow", counting)
         assert np.array_equal(vsr_run(bundle, frames, backend), want), chunk
@@ -451,17 +503,20 @@ def test_flow_chunk_is_read_from_the_plan(generator, monkeypatch):
     # the largest fnet output of a frame is 64 channels at full size:
     # 768 kB at 48x64 and 3 MB at 96x128, so a 3-frame sequence at 48x64
     # is one chunk; a paper-size frame runs alone
-    assert pipeline.flow_chunk(generator, (48, 64)) == 10
-    assert pipeline.flow_chunk(generator, (96, 128)) == 2
-    assert pipeline.flow_chunk(generator, (540, 960)) == 1
+    def chunk(bundle, size):
+        return pipeline.plan_sequence(bundle, size).chunk
+
+    assert chunk(generator, (48, 64)) == 10
+    assert chunk(generator, (96, 128)) == 2
+    assert chunk(generator, (540, 960)) == 1
     net = init_random(build_control_srnet("control-a"), 0)
-    assert pipeline.flow_chunk({"net": net}, (48, 64)) == 1
+    assert chunk({"net": net}, (48, 64)) == 1
     # a layerless fnet of 1-channel frames is its own flow: its input counts
     x2 = NetworkGraph([conv2d_layer("c", 5, 4, 1), pixel_shuffle_layer("s", 2)],
                       5)
     bare = {"fnet": NetworkGraph([], 2), "srnet": x2}
     assert model_geometry(bare, (48, 64)) == (2, 1)
-    assert pipeline.flow_chunk(bare, (48, 64)) == (8 << 20) // (4 * 2 * 48 * 64)
+    assert chunk(bare, (48, 64)) == (8 << 20) // (4 * 2 * 48 * 64)
 
 
 # ---------------------------------------------------------------------------
